@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParseError, RangeError
+from .errors import DataFileError, DomainError, ParseError, RangeError
 
 #: Default step (THz) for the central-difference frequency derivative.
 DERIVATIVE_STEP = 1e-3
@@ -113,7 +113,9 @@ def _check_nu(nu):
 
 def eval_neat(model: LiquidModel, nu):
     """Complex permittivity of the neat liquid at nu (THz, scalar or array)."""
-    arr = _check_nu(nu)
+    # a scalar is evaluated as a one-element array, so it rounds exactly as
+    # the same frequency inside an array does
+    arr = np.atleast_1d(_check_nu(nu))
     if isinstance(model, DebyeModel):
         eps = np.full(arr.shape, complex(model.eps_inf), dtype=complex)
         for delta, tau in model.terms:
@@ -129,7 +131,7 @@ def eval_neat(model: LiquidModel, nu):
         im = np.interp(arr, model.frequencies, model.values.imag)
         eps = re + 1j * im
     if np.isscalar(nu) or np.ndim(nu) == 0:
-        return complex(eps)
+        return eps.item()
     return eps
 
 
@@ -248,5 +250,11 @@ def loads_liquid(text: str, source: str = "<string>") -> LiquidModel:
 
 def load_liquid_file(path) -> LiquidModel:
     """Read and parse a liquid model file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_liquid(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except OSError as exc:
+        raise DataFileError(f"cannot read liquid file '{path}': {exc.strerror}") from exc
+    return loads_liquid(text, source=str(path))

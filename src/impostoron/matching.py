@@ -17,7 +17,6 @@ import numpy as np
 from .constants import CONSTANTS
 from .dielectric import DERIVATIVE_STEP, LiquidModel, eval_neat, validity_range
 from .errors import (
-    ImpostoronError,
     DomainError,
     NoProfileMatchError,
     UnreachableFrequencyError,
@@ -25,10 +24,20 @@ from .errors import (
 from .mixing import (
     Concentration,
     DopedLiquid,
+    _invert,
+    _local_field,
+    _mix,
     alpha_el,
     cm_invert_concentration,
 )
-from .polaron import DEFAULT_TOL, eps_doped, eps_imag_at_nu0, find_nu0
+from .polaron import (
+    DEFAULT_TOL,
+    _crossing_loss,
+    _refine_root,
+    eps_doped,  # noqa: F401  (bound here as before, for callers that use matching.eps_doped)
+    eps_imag_at_nu0,
+    find_nu0,
+)
 
 #: Convergence threshold on the mean-normalized profile residual.
 PROFILE_TOL = 1e-8
@@ -55,6 +64,8 @@ class ImpostoronSolution:
     note: str = ""
     #: further profile-match roots in the bracket, lowest first
     alternatives: tuple[float, ...] = ()
+    #: pre-scan nodes skipped because one liquid's profile is undefined there
+    skipped_nodes: int = 0
 
 
 def ce_for_nu0(liquid: LiquidModel, nu0: float) -> Concentration:
@@ -95,17 +106,11 @@ def concentration_difference(liquid1: LiquidModel, liquid2: LiquidModel, nu0: fl
     return pref * bracket
 
 
-def _slope_at(liquid: LiquidModel, ce: Concentration, nu: float, h: float) -> float:
-    doped = DopedLiquid(liquid, ce)
-    return (
-        float(np.real(eps_doped(doped, nu + h)))
-        - float(np.real(eps_doped(doped, nu - h)))
-    ) / (2.0 * h)
-
-
 def _shared_bracket(
     liquid1: LiquidModel, liquid2: LiquidModel, bracket: tuple[float, float], h: float
 ) -> tuple[float, float]:
+    if not h > 0:
+        raise DomainError(f"derivative step must be positive, got {h}")
     lo, hi = float(bracket[0]), float(bracket[1])
     for liquid in (liquid1, liquid2):
         vlo, vhi = validity_range(liquid)
@@ -166,6 +171,31 @@ def _profile_terms(b1: float, eps2_1: float, b2: float, eps2_2: float) -> tuple[
     return b1 / eps2_1, b2 / eps2_2
 
 
+def _profile(liquid: LiquidModel, nu: np.ndarray, h: float) -> np.ndarray:
+    """B/eps2 of the liquid at each frequency of the array nu, NaN where undefined.
+
+    At each nu the concentration is ce_for_nu0's closed form, eps2 the loss
+    at the crossing and B the central difference of eps' over nu +- h. A
+    node is undefined where ce_for_nu0 would raise, where eps2 is zero, or
+    where the +-h stencil leaves the model's domain or meets a mixing
+    divergence.
+    """
+    vlo, vhi = validity_range(liquid)
+    stencil = np.stack([nu + h, nu - h])
+    inside = (stencil > 0.0) & (stencil >= vlo) & (stencil <= vhi)
+    stencil = np.where(inside, stencil, nu)
+    neat = eval_neat(liquid, np.stack([nu, *stencil]))
+    lf, lf_pole = _local_field(neat)
+    eps2 = _crossing_loss(neat[0])[0]
+    ce = _invert(_local_field(1j * eps2)[0], lf[0], nu).real
+    # eps2 > 0 only where the loss at the crossing is defined and non-zero
+    ok = (eps2 > 0.0) & ~lf_pole[0] & np.isfinite(ce) & (ce >= 0.0)
+    eps, divergent = _mix(lf[1:], np.where(ok, ce, 0.0), stencil)
+    ok &= np.all(inside & ~lf_pole[1:] & ~divergent, axis=0)
+    slope = (eps[0].real - eps[1].real) / (2.0 * h)
+    return np.where(ok, slope / np.where(ok, eps2, 1.0), np.nan)
+
+
 def match_profiles(
     liquid1: LiquidModel,
     liquid2: LiquidModel,
@@ -180,37 +210,25 @@ def match_profiles(
     Solves g(nu) = B1/eps2_1 - B2/eps2_2 = 0 over the bracket, where each
     B_i is evaluated at the concentration that puts liquid i's crossing at nu.
     Convergence is judged on g normalized by the mean of the two terms.
+    One vector evaluation on n_scan grid nodes brackets the sign changes;
+    nodes where a liquid's profile is undefined are skipped and counted in
+    `skipped_nodes`. Each sign change is bisected to float resolution,
+    ROUND_LEVELS steps per vector evaluation, and its root is the bisection
+    point of least |g|.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket, h)
 
-    def terms(nu: float):
-        t = []
-        for liquid in (liquid1, liquid2):
-            ce = ce_for_nu0(liquid, nu)
-            eps2 = eps_imag_at_nu0(eval_neat(liquid, nu))
-            if eps2 <= 0:
-                raise NoProfileMatchError(
-                    f"profile undefined for '{liquid.name}': zero loss at the crossing"
-                )
-            t.append(_slope_at(liquid, ce, nu, h) / eps2)
-        return t[0], t[1]
-
-    def g_norm(nu: float) -> float:
-        t1, t2 = terms(nu)
+    def g_norm(nu: np.ndarray) -> np.ndarray:
+        t1, t2 = _profile(liquid1, nu, h), _profile(liquid2, nu, h)
         mean = 0.5 * (t1 + t2)
-        if mean == 0:
-            return 0.0
-        return (t1 - t2) / mean
+        zero = mean == 0.0
+        return np.where(zero, 0.0, (t1 - t2) / np.where(zero, 1.0, mean))
 
     grid = np.linspace(lo, hi, n_scan)
-    vals = np.full(grid.shape, np.nan)
-    for i, nu in enumerate(grid):
-        try:
-            vals[i] = g_norm(float(nu))
-        except ImpostoronError:
-            continue  # frequency unreachable for one liquid; skip this node
-
+    vals = g_norm(grid)
     finite = np.isfinite(vals)
+    skipped = int(np.count_nonzero(~finite))
+
     if finite.any() and np.nanmax(np.abs(vals)) < profile_tol:
         ce = ce_for_nu0(liquid1, lo)
         return ImpostoronSolution(
@@ -222,36 +240,17 @@ def match_profiles(
             profile_matched=True,
             degenerate=True,
             note="degenerate: all frequencies match",
+            skipped_nodes=skipped,
         )
 
     roots = []
-    for i in range(len(grid) - 1):
-        if not (finite[i] and finite[i + 1]):
-            continue
+    sign_change = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
+    for i in np.flatnonzero(finite[:-1] & finite[1:] & sign_change):
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
             continue
-        if vals[i] * vals[i + 1] >= 0:
-            continue
-        a, b = float(grid[i]), float(grid[i + 1])
-        ga = vals[i]
-        best = (abs(ga), a)
-        # run the interval down to float resolution; g is cheap and the
-        # extra iterations buy residuals near machine precision
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            gm = g_norm(mid)
-            if abs(gm) < best[0]:
-                best = (abs(gm), mid)
-            if gm == 0.0:
-                break
-            if (ga < 0) == (gm < 0):
-                a, ga = mid, gm
-            else:
-                b = mid
-        roots.append(best[1])
+        _, _, best = _refine_root(g_norm, float(grid[i]), float(grid[i + 1]), float(vals[i]), 0.0)
+        roots.append(best)
 
     if not roots:
         raise NoProfileMatchError(
@@ -260,13 +259,14 @@ def match_profiles(
 
     nu_star = roots[0]
     sol = match_frequency(liquid1, liquid2, nu_star, (lo, hi), tol, h)
-    t1, t2 = terms(nu_star)
+    at = np.array([nu_star])
     return ImpostoronSolution(
         ce_1=sol.ce_1,
         ce_2=sol.ce_2,
         nu0=nu_star,
         freq_residual=sol.freq_residual,
-        profile_residual=t1 - t2,
+        profile_residual=float(_profile(liquid1, at, h)[0] - _profile(liquid2, at, h)[0]),
         profile_matched=True,
         alternatives=tuple(roots[1:]),
+        skipped_nodes=skipped,
     )

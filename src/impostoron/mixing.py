@@ -66,7 +66,7 @@ def alpha_el(nu, gamma: float = 0.0):
     purely real, negative polarizability scaling exactly as 1/nu^2. No other
     operation in the package takes a damping argument.
     """
-    arr = np.asarray(nu, dtype=float)
+    arr = np.atleast_1d(np.asarray(nu, dtype=float))  # scalars round as array elements
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise DomainError("frequency must be finite and > 0 THz")
     if gamma < 0:
@@ -77,17 +77,44 @@ def alpha_el(nu, gamma: float = 0.0):
         c.vacuum_permittivity * c.electron_mass * (omega**2 + 1j * gamma * omega)
     )
     if np.isscalar(nu) or np.ndim(nu) == 0:
-        return complex(out)
+        return out.item()
     return out
 
 
 def _local_field(eps):
-    """(eps - 1)/(eps + 2), guarding the eps = -2 pole."""
-    eps = np.asarray(eps, dtype=complex)
+    """(eps - 1)/(eps + 2) and the mask of values on the eps = -2 pole."""
+    eps = np.atleast_1d(np.asarray(eps, dtype=complex))
     denom = eps + 2.0
-    if np.any(np.abs(denom) < CM_SINGULARITY_EPS):
+    pole = np.abs(denom) < CM_SINGULARITY_EPS
+    return (eps - 1.0) / np.where(pole, 1.0, denom), pole
+
+
+def _checked_local_field(eps):
+    lf, pole = _local_field(eps)
+    if np.any(pole):
         raise SingularityError("local-field ratio diverges: permittivity too close to -2")
-    return (eps - 1.0) / denom
+    return lf
+
+
+def _mix(lf_neat, ce_mol, nu):
+    """Doped permittivity (1 + 2L)/(1 - L), L = lf_neat + ce*N_A*alpha_el(nu)/3.
+
+    lf_neat is the neat local-field ratio, ce_mol the concentration in
+    mol/m^3; both broadcast against nu. Returns (eps, divergent) with
+    divergent marking |1 - L| below CM_SINGULARITY_EPS, where eps is
+    meaningless. The one copy of the mixing relation.
+    """
+    # alpha_el of an array: for a scalar nu it would return a Python complex,
+    # whose division by 3 rounds otherwise than numpy's
+    L = lf_neat + ce_mol * CONSTANTS.avogadro * alpha_el(np.atleast_1d(nu)) / 3.0
+    denom = 1.0 - L
+    divergent = np.abs(denom) < CM_SINGULARITY_EPS
+    return (1.0 + 2.0 * L) / np.where(divergent, 1.0, denom), divergent
+
+
+def _invert(lf_eps, lf_neat, nu):
+    """Concentration (complex, mol/m^3) mapping local-field ratio lf_neat onto lf_eps at nu."""
+    return 3.0 * (lf_eps - lf_neat) / (CONSTANTS.avogadro * alpha_el(np.atleast_1d(nu)))
 
 
 def cm_mix(neat, ce: Concentration, nu):
@@ -96,18 +123,15 @@ def cm_mix(neat, ce: Concentration, nu):
     Raises SingularityError when the mixing relation itself diverges, i.e.
     the combined local-field sum approaches 1.
     """
-    L = _local_field(neat) + ce.mol_per_m3 * CONSTANTS.avogadro * alpha_el(nu) / 3.0
-    denom = 1.0 - L
-    bad = np.abs(denom) < CM_SINGULARITY_EPS
-    if np.any(bad):
-        nu_arr = np.broadcast_to(np.asarray(nu, dtype=float), np.asarray(L).shape)
-        nu_bad = float(np.atleast_1d(nu_arr)[np.atleast_1d(bad)][0])
+    out, divergent = _mix(_checked_local_field(neat), ce.mol_per_m3, nu)
+    if np.any(divergent):
+        nu_arr = np.broadcast_to(np.asarray(nu, dtype=float), divergent.shape)
+        nu_bad = float(np.atleast_1d(nu_arr)[np.atleast_1d(divergent)][0])
         raise SingularityError(
             f"Clausius-Mossotti divergence at nu = {nu_bad:g} THz, ce = {ce.micromolar:g} uM"
         )
-    out = (1.0 + 2.0 * L) / denom
-    if np.ndim(out) == 0:
-        return complex(out)
+    if np.ndim(neat) == np.ndim(nu) == 0:
+        return out.item()
     return out
 
 
@@ -117,9 +141,7 @@ def cm_invert_concentration(eps, neat, nu) -> complex:
     The imaginary part is a consistency residual: it vanishes exactly when the
     pair (eps, neat) is reachable by doping with real concentration.
     """
-    a = alpha_el(nu)
-    diff = _local_field(eps) - _local_field(neat)
-    return complex(3.0 * diff / (CONSTANTS.avogadro * a))
+    return _invert(_checked_local_field(eps), _checked_local_field(neat), nu).item()
 
 
 # --------------------------------------------------------------------------

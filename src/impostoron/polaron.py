@@ -29,6 +29,14 @@ SCAN_POINTS = 400
 DEFAULT_BRACKET = (0.1, 3.0)
 DEFAULT_TOL = 1e-6
 
+#: Bisection levels resolved per call of the refined function: each call
+#: evaluates the 2**ROUND_LEVELS - 1 interior nodes of the bracket's
+#: bisection tree at once.
+ROUND_LEVELS = 5
+
+#: Most bisection steps one refinement takes.
+MAX_BISECTIONS = 200
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -71,6 +79,60 @@ def eps_doped(doped: DopedLiquid, nu):
     return cm_mix(eval_neat(doped.liquid, nu), doped.ce, nu)
 
 
+def _bisection_tree(a: float, b: float) -> np.ndarray:
+    """The 2**ROUND_LEVELS + 1 nodes of [a, b]'s bisection tree, in order.
+
+    Each node is the float midpoint 0.5*(left + right) of its two neighbours
+    on the level above, exactly the point a bisection step computes.
+    """
+    nodes = np.array([a, b])
+    for _ in range(ROUND_LEVELS):
+        finer = np.empty(2 * nodes.size - 1)
+        finer[0::2] = nodes
+        finer[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        nodes = finer
+    return nodes
+
+
+def _refine_root(f, a: float, b: float, fa: float, tol: float) -> tuple[float, float, float]:
+    """Bisect [a, b] for a sign change of f, ROUND_LEVELS steps per call of f.
+
+    f maps an array of points to an array of values, NaN where f is
+    undefined. Each call evaluates the interior nodes of the bisection tree
+    of the current bracket; the steps then walk that tree. A step moves a
+    up to mid when f(mid) has the sign of f(a) (negative or not), b down to
+    mid otherwise. Bisection stops when b - a <= tol, when mid rounds onto
+    an end of the bracket, when f(mid) == 0 (the bracket collapses onto mid)
+    or after MAX_BISECTIONS steps. Returns the final bracket and the point of
+    least |f| seen, a included.
+    """
+    best_abs, best = abs(fa), a
+    steps = 0
+    while True:
+        nodes = _bisection_tree(a, b)
+        values = f(nodes[1:-1])
+        left, right = 0, nodes.size - 1
+        while right - left > 1:
+            k = (left + right) // 2
+            mid = float(nodes[k])
+            if b - a <= tol or steps == MAX_BISECTIONS or mid == a or mid == b:
+                return a, b, best
+            fm = float(values[k - 1])
+            if math.isnan(fm):
+                raise DomainError(
+                    f"root search met an undefined point at nu = {mid!r} THz"
+                )
+            steps += 1
+            if abs(fm) < best_abs:
+                best_abs, best = abs(fm), mid
+            if fm == 0.0:
+                return mid, mid, mid
+            if (fa < 0.0) == (fm < 0.0):
+                a, fa, left = mid, fm, k
+            else:
+                b, right = mid, k
+
+
 def find_nu0(
     doped: DopedLiquid,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
@@ -80,9 +142,12 @@ def find_nu0(
 ) -> PolaronResonance:
     """Lowest rising zero crossing of eps'(nu) inside the bracket.
 
-    A uniform pre-scan locates sign changes from negative to non-negative;
-    each is refined by bisection to tol (THz). The lowest crossing is
-    returned, any further ones are listed in `alternatives`.
+    A uniform pre-scan of n_scan points locates sign changes from negative
+    to non-negative; each is bisected until its bracket is at most tol (THz)
+    wide, ROUND_LEVELS bisection steps per vector evaluation of eps', and
+    its midpoint is the crossing. The lowest crossing is returned, any
+    further ones are listed in `alternatives`. slope_B is the central
+    difference of eps' over nu0 +- h.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
@@ -91,67 +156,71 @@ def find_nu0(
         raise DomainError(f"tolerance must be positive, got {tol}")
     if n_scan < 2:
         raise DomainError("need at least 2 scan points")
+    if not h > 0:
+        raise DomainError(f"derivative step must be positive, got {h}")
+
+    def re_eps(nu):
+        return np.real(eps_doped(doped, nu))
 
     grid = np.linspace(lo, hi, n_scan)
-    f = np.real(eps_doped(doped, grid))
-
+    f = re_eps(grid)
     roots = []
-    for i in range(n_scan - 1):
-        if not (f[i] < 0.0 <= f[i + 1]):
-            continue
-        a, b = grid[i], grid[i + 1]
-        while (b - a) > tol:
-            mid = 0.5 * (a + b)
-            if float(np.real(eps_doped(doped, mid))) >= 0.0:
-                b = mid
-            else:
-                a = mid
-        # grid points are numpy scalars; keep roots as plain floats so the
-        # result repr round-trips through the CSV writers
-        roots.append(float(0.5 * (a + b)))
+    for i in np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0)):
+        a, b, _ = _refine_root(re_eps, float(grid[i]), float(grid[i + 1]), float(f[i]), tol)
+        roots.append(0.5 * (a + b))
 
     if not roots:
         raise NoResonanceError(f"no polaron resonance in range [{lo:g}, {hi:g}] THz")
 
     nu0 = roots[0]
-    eps_at = complex(eps_doped(doped, nu0))
-    slope = (
-        float(np.real(eps_doped(doped, nu0 + h)))
-        - float(np.real(eps_doped(doped, nu0 - h)))
-    ) / (2.0 * h)
+    eps_at, eps_hi, eps_lo = eps_doped(doped, np.array([nu0, nu0 + h, nu0 - h]))
     return PolaronResonance(
         nu0=nu0,
-        eps_imag_at_nu0=eps_at.imag,
-        slope_B=slope,
+        eps_imag_at_nu0=float(eps_at.imag),
+        slope_B=float(eps_hi.real - eps_lo.real) / (2.0 * h),
         ce=doped.ce,
         alternatives=tuple(roots[1:]),
     )
 
 
-def eps_imag_at_nu0(neat_at_nu0: complex) -> float:
-    """Loss of the doped liquid at its own zero crossing, fixed by the neat value.
+def _crossing_loss(neat):
+    """Loss eps2 of the doped liquid at its own zero crossing, per neat value.
 
     At the crossing eps = i*eps2, consistency of the mixing relation forces
     eps2/(eps2^2 + 4) = R with R = eps2_neat / |eps_neat + 2|^2; the smaller
     root of the resulting quadratic is the physical branch (it vanishes with
-    the neat loss). Requires 0 <= R <= 1/4.
+    the neat loss). Returns (eps2, R, pole) as arrays: pole marks neat values
+    at eps = -2, where R is undefined; eps2 holds where 0 <= R <= 1/4 and is
+    0 elsewhere.
+    """
+    neat = np.atleast_1d(np.asarray(neat, dtype=complex))
+    # hypot gives |neat| as abs() of a Python complex does; numpy's abs of a
+    # complex array can differ from it in the last bit
+    denom = np.hypot(neat.real, neat.imag) ** 2 + 4.0 * neat.real + 4.0  # |neat + 2|^2
+    pole = denom <= 0
+    r = neat.imag / np.where(pole, 1.0, denom)
+    rp = np.where(pole | (r <= 0.0) | (r > 0.25), 0.0, r)
+    # algebraically (1 - sqrt(1 - 16 R^2)) / (2 R); this form avoids
+    # cancellation for small R
+    return 8.0 * rp / (1.0 + np.sqrt(1.0 - 16.0 * rp * rp)), r, pole
+
+
+def eps_imag_at_nu0(neat_at_nu0: complex) -> float:
+    """Loss of the doped liquid at its own zero crossing, fixed by the neat value.
+
+    The scalar form of _crossing_loss. Requires 0 <= R <= 1/4.
     """
     neat = complex(neat_at_nu0)
-    denom = abs(neat) ** 2 + 4.0 * neat.real + 4.0  # |neat + 2|^2
-    if denom <= 0:
+    eps2, r, pole = (v.item() for v in _crossing_loss(neat))
+    if pole:
         raise SingularityError("local-field ratio diverges: permittivity too close to -2")
-    r = neat.imag / denom
     if r < 0:
         raise DomainError(f"neat loss must be >= 0, got eps'' = {neat.imag}")
     if r > 0.25:
         raise NoConsistentLossError(
             f"no consistent eps'' at the zero crossing: R = {r:.6g} exceeds 1/4"
         )
-    if r == 0.0:
-        return 0.0
-    # algebraically (1 - sqrt(1 - 16 R^2)) / (2 R); this form avoids
-    # cancellation for small R
-    return 8.0 * r / (1.0 + math.sqrt(1.0 - 16.0 * r * r))
+    return eps2
 
 
 def lineshape(doped: DopedLiquid, frequencies) -> Spectrum:

@@ -462,11 +462,12 @@ def _write_meta(fh, meta):
 
 
 def _data_lines(fh):
-    for raw in fh:
+    """(line number, text) of each line that is neither blank nor a comment."""
+    for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield line
+        yield lineno, line
 
 
 def write_trace_csv(trace: TimeTrace, fh, meta=()) -> None:
@@ -477,7 +478,7 @@ def write_trace_csv(trace: TimeTrace, fh, meta=()) -> None:
 
 
 def read_trace_csv(fh) -> TimeTrace:
-    rows = [line.split(",") for line in _data_lines(fh)]
+    rows = [line.split(",") for _, line in _data_lines(fh)]
     if not rows or [c.strip() for c in rows[0]] != ["tau_ps", "amplitude"]:
         raise DomainError("trace CSV must start with header 'tau_ps,amplitude'")
     data = np.array([[float(a), float(b)] for a, b in rows[1:]])
@@ -492,7 +493,7 @@ def write_spectrum_csv(spectrum: Spectrum, fh, meta=()) -> None:
 
 
 def read_spectrum_csv(fh) -> Spectrum:
-    rows = [line.split(",") for line in _data_lines(fh)]
+    rows = [line.split(",") for _, line in _data_lines(fh)]
     if not rows or [c.strip() for c in rows[0]] != ["nu_THz", "amplitude"]:
         raise DomainError("spectrum CSV must start with header 'nu_THz,amplitude'")
     data = np.array([[float(a), float(b)] for a, b in rows[1:]])
@@ -506,18 +507,30 @@ def write_map_csv(fmap: FieldMap2D, fh, meta=()) -> None:
         fh.write(repr(float(tau)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _map_row(cells, lineno):
+    try:
+        return [float(v) for v in cells]
+    except ValueError:
+        raise DomainError(f"map CSV line {lineno}: non-numeric cell") from None
+
+
 def read_map_csv(fh) -> FieldMap2D:
     lines = list(_data_lines(fh))
     if not lines:
         raise DomainError("empty map CSV")
-    head = lines[0].split(",")
+    head_lineno, head = lines[0]
+    head = head.split(",")
     if head[0].strip() != _MAP_CORNER:
         raise DomainError(f"map CSV must start with corner cell '{_MAP_CORNER}'")
-    t_grid = np.array([float(v) for v in head[1:]])
+    t_grid = np.array(_map_row(head[1:], head_lineno))
     taus = []
     rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        taus.append(float(cells[0]))
-        rows.append([float(v) for v in cells[1:]])
+    for lineno, line in lines[1:]:
+        cells = _map_row(line.split(","), lineno)
+        if len(cells) != t_grid.size + 1:
+            raise DomainError(
+                f"map CSV line {lineno}: {len(cells) - 1} values, the header has {t_grid.size}"
+            )
+        taus.append(cells[0])
+        rows.append(cells[1:])
     return FieldMap2D(t_grid=t_grid, tau_grid=np.array(taus), values=np.array(rows))

@@ -81,6 +81,18 @@ class TestDataResolution:
         assert code == 3
         assert "not found" in capsys.readouterr().err
 
+    def test_non_utf8_liquid_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "latin1.liq"
+        path.write_bytes("name = caf\xe9\ntype = debye\neps_inf = 2.0\n".encode("latin-1"))
+        code = run(["nu0", "--liquid", str(path), "--ce", "60"])
+        assert code == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_directory_as_liquid_exits_3(self, tmp_path, capsys):
+        code = run(["nu0", "--liquid", str(tmp_path), "--ce", "60"])
+        assert code == 3
+        assert "cannot read liquid file" in capsys.readouterr().err
+
 
 class TestNu0Command:
     def test_water_resonance(self, capsys):
@@ -240,6 +252,20 @@ class TestSynthAndExtract:
         code = run(["extract", "--input", str(tmp_path / "none.csv")])
         assert code == 3
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1.0,0.5\n", "line 3: 1 values, the header has 2"),
+            ("1.0,0.5,abc\n", "line 3: non-numeric cell"),
+        ],
+    )
+    def test_extract_malformed_map_exits_3(self, tmp_path, capsys, row, message):
+        path = tmp_path / "map.csv"
+        path.write_text("# meta\ntau_ps\\t_ps,0.0,0.1\n" + row)
+        code = run(["extract", "--input", str(path)])
+        assert code == 3
+        assert message in capsys.readouterr().err
 
     def test_synth_lossless_liquid_exits_3(self, capsys):
         code = run(["synth", "--liquid", "dispersionless.liq", "--ce", "25"])

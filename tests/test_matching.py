@@ -201,6 +201,10 @@ class TestMatchProfiles:
         with pytest.raises(DomainError, match="no shared validity"):
             match_profiles(liquids["ipa"], tab, (0.2, 0.9))
 
+    def test_zero_derivative_step_rejected(self, liquids):
+        with pytest.raises(DomainError, match="derivative step"):
+            match_profiles(liquids["ipa"], liquids["eg"], h=0.0)
+
 
 def test_profile_residual_consistent_with_direct_recomputation():
     a = DebyeModel("a", 2.2, ((1.0, 0.3),))

@@ -112,6 +112,8 @@ class TestFindNu0:
             find_nu0(DopedLiquid(DISPERSIONLESS, CE25), tol=0.0)
         with pytest.raises(DomainError, match="scan points"):
             find_nu0(DopedLiquid(DISPERSIONLESS, CE25), n_scan=1)
+        with pytest.raises(DomainError, match="derivative step"):
+            find_nu0(DopedLiquid(DISPERSIONLESS, CE25), h=0.0)
 
     def test_multiple_crossings_reported_as_alternatives(self):
         # piecewise host whose real part dips below the doping threshold
