@@ -10,7 +10,6 @@ import numpy as np
 
 from impostoron import (
     eval_neat,
-    eval_neat_derivative,
     load_liquid_file,
     loads_liquid,
     validity_range,
@@ -43,10 +42,6 @@ for nu in np.linspace(0.2, 2.0, 7):
 # the static limit of a Debye model is eps_inf + sum(delta_eps)
 eps_static = eval_neat(liquids["water"], 1e-9)
 print(f"\nstatic limit of water: {eps_static.real:.2f} (tabulated value 81)")
-
-# dispersion strength at 0.7 THz, central difference
-d = eval_neat_derivative(liquids["water"], 0.7)
-print(f"d(eps)/d(nu) of water at 0.7 THz: {d.real:+.3f} {d.imag:+.3f}j  per THz")
 
 print()
 print("model files are small key = value texts; tabulated data also works:")

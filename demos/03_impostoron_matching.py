@@ -13,7 +13,6 @@ from impostoron import (
     DebyeModel,
     NoProfileMatchError,
     ce_for_nu0,
-    concentration_difference,
     load_liquid_file,
     match_frequency,
     match_profiles,
@@ -32,7 +31,7 @@ for stem, model in liquids.items():
 
 d1 = DebyeModel("eps 2.449", 2.449, ())
 d2 = DebyeModel("eps 3.0", 3.0, ())
-diff = concentration_difference(d1, d2, 0.7)
+diff = ce_for_nu0(d1, 0.7).mol_per_m3 - ce_for_nu0(d2, 0.7).mol_per_m3
 print(f"\nclosed-form concentration difference between two dispersionless")
 print(f"hosts (eps 2.449 vs 3.0) at 0.7 THz: {diff:+.4e} mol/m^3")
 print("the sign says the higher-eps host needs MORE electrons, since its")

@@ -10,7 +10,9 @@ All CSV output starts with '#'-prefixed metadata (tool version, input hash).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import sys
 from importlib import resources
@@ -19,13 +21,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, signal
-from .dielectric import eval_neat, load_liquid_file
-from .errors import DataFileError, ImpostoronError
+from .dielectric import _read_text, eval_neat, load_liquid_file
+from .errors import DataFileError, GridError, ImpostoronError
 from .matching import ce_for_nu0, match_frequency, match_profiles
 from .mixing import Concentration, DopedLiquid, cm_mix
 from .polaron import find_nu0, lineshape, lorentz_lineshape
 
 _PROBE_SPAN = 6.4  # ps, fixed probe-time window of `synth --map`
+
+#: Most samples one array built by `synth` may hold (2**24 float64, 128 MiB):
+#: the --n x 256 cosine block of synth_oscillation and, with --map, the
+#: --n x 6.4/--dt field map.
+_MAX_SYNTH_SAMPLES = 2**24
 
 
 def data_dir() -> Path:
@@ -62,23 +69,11 @@ def _meta(*inputs: tuple[str, Path]) -> list[str]:
     return lines
 
 
-class _Output:
+def _output(path: str | None):
     """stdout by default, a file when --out is given."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-
-    def __enter__(self):
-        if self.path is None:
-            self.fh = sys.stdout
-        else:
-            self.fh = open(self.path, "w", encoding="utf-8")
-        return self.fh
-
-    def __exit__(self, *exc):
-        if self.path is not None:
-            self.fh.close()
-        return False
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def _write_kv(fh, meta, pairs):
@@ -89,27 +84,17 @@ def _write_kv(fh, meta, pairs):
         fh.write(f"{key},{value}\n")
 
 
-def _positive(name):
+def _number(name, allow_zero=False):
+    """argparse type for option name: a float > 0, or >= 0 with allow_zero."""
+
     def convert(text):
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be a number, got '{text}'")
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"{name} must be > 0, got {value}")
-        return value
-
-    return convert
-
-
-def _non_negative(name):
-    def convert(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be a number, got '{text}'")
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {value}")
+        if value < 0 if allow_zero else not value > 0:
+            bound = ">=" if allow_zero else ">"
+            raise argparse.ArgumentTypeError(f"{name} must be {bound} 0, got {value}")
         return value
 
     return convert
@@ -137,40 +122,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common_grid(p):
-        p.add_argument("--nu-min", type=_positive("--nu-min"), default=0.2)
-        p.add_argument("--nu-max", type=_positive("--nu-max"), default=2.0)
-        p.add_argument("--nu-step", type=_positive("--nu-step"), default=0.002)
+        p.add_argument("--nu-min", type=_number("--nu-min"), default=0.2)
+        p.add_argument("--nu-max", type=_number("--nu-max"), default=2.0)
+        p.add_argument("--nu-step", type=_number("--nu-step"), default=0.002)
 
     p = sub.add_parser("eps", help="doped (or neat) permittivity table over a frequency grid")
     p.add_argument("--liquid", required=True)
-    p.add_argument("--ce", type=_non_negative("--ce"), default=0.0, help="concentration in uM")
+    p.add_argument(
+        "--ce", type=_number("--ce", allow_zero=True), default=0.0, help="concentration in uM"
+    )
     add_common_grid(p)
     p.add_argument("--out")
 
     p = sub.add_parser("nu0", help="zero-crossing resonance of a doped liquid")
     p.add_argument("--liquid", required=True)
-    p.add_argument("--ce", type=_non_negative("--ce"), required=True, help="concentration in uM")
+    p.add_argument(
+        "--ce", type=_number("--ce", allow_zero=True), required=True, help="concentration in uM"
+    )
     p.add_argument("--bracket", type=_bracket, default=(0.1, 3.0))
-    p.add_argument("--tol", type=_positive("--tol"), default=1e-6)
+    p.add_argument("--tol", type=_number("--tol"), default=1e-6)
     p.add_argument("--out")
 
     p = sub.add_parser("ce-for-nu0", help="concentration that places the crossing at nu0")
     p.add_argument("--liquid", required=True)
-    p.add_argument("--nu0", type=_positive("--nu0"), required=True)
+    p.add_argument("--nu0", type=_number("--nu0"), required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("match", help="concentration pair matching two liquids' resonances")
     p.add_argument("--liquid-a", required=True)
     p.add_argument("--liquid-b", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--nu0", type=_positive("--nu0"))
+    group.add_argument("--nu0", type=_number("--nu0"))
     group.add_argument("--profile", action="store_true", help="match line-shape profiles too")
     p.add_argument("--bracket", type=_bracket, default=(0.2, 2.0))
     p.add_argument("--out")
 
     p = sub.add_parser("lineshape", help="energy-loss line shape -Im[1/eps] on a grid")
     p.add_argument("--liquid", required=True)
-    p.add_argument("--ce", type=_non_negative("--ce"), required=True, help="concentration in uM")
+    p.add_argument(
+        "--ce", type=_number("--ce", allow_zero=True), required=True, help="concentration in uM"
+    )
     p.add_argument("--lorentz", action="store_true", help="Lorentzian approximation instead")
     p.add_argument("--bracket", type=_bracket, default=(0.1, 3.0))
     add_common_grid(p)
@@ -178,10 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize a pump-probe delay trace or 2D map")
     p.add_argument("--liquid", required=True)
-    p.add_argument("--ce", type=_non_negative("--ce"), required=True, help="concentration in uM")
+    p.add_argument(
+        "--ce", type=_number("--ce", allow_zero=True), required=True, help="concentration in uM"
+    )
     p.add_argument("--map", action="store_true", help="emit the full 2D map")
-    p.add_argument("--dt", type=_positive("--dt"), default=0.05, help="probe-time step, ps")
-    p.add_argument("--dtau", type=_positive("--dtau"), default=0.1, help="delay step, ps")
+    p.add_argument("--dt", type=_number("--dt"), default=0.05, help="probe-time step, ps")
+    p.add_argument("--dtau", type=_number("--dtau"), default=0.1, help="delay step, ps")
     p.add_argument("--n", type=int, default=1024, help="number of delay samples")
     p.add_argument("--band", type=_bracket, default=signal.DEFAULT_BAND)
     p.add_argument("--noise-snr-db", type=float, default=None)
@@ -190,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="run the oscillation-extraction pipeline on a map CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--filter-thz", type=_positive("--filter-thz"), default=signal.FILTER_BANDWIDTH)
-    p.add_argument("--band-lo", type=_positive("--band-lo"), default=signal.BAND_LO)
+    p.add_argument("--filter-thz", type=_number("--filter-thz"), default=signal.FILTER_BANDWIDTH)
+    p.add_argument("--band-lo", type=_number("--band-lo"), default=signal.BAND_LO)
     p.add_argument("--out-oscillation")
     p.add_argument("--out-spectrum")
 
@@ -211,7 +204,7 @@ def _cmd_eps(args, parser):
     grid = _grid(args, parser)
     ce = Concentration.from_micromolar(args.ce)
     eps = cm_mix(eval_neat(liquid, grid), ce, grid)
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         for line in _meta(("liquid", path)):
             fh.write(f"# {line}\n")
         fh.write("nu_THz,eps_real,eps_imag\n")
@@ -232,7 +225,7 @@ def _cmd_nu0(args, parser):
         ("ce_uM", repr(res.ce.micromolar)),
         ("alternatives_THz", ";".join(repr(v) for v in res.alternatives)),
     ]
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         _write_kv(fh, _meta(("liquid", path)), pairs)
     return 0
 
@@ -246,7 +239,7 @@ def _cmd_ce_for_nu0(args, parser):
         ("ce_mol_per_m3", repr(ce.mol_per_m3)),
         ("nu0_THz", repr(args.nu0)),
     ]
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         _write_kv(fh, _meta(("liquid", path)), pairs)
     return 0
 
@@ -271,7 +264,7 @@ def _cmd_match(args, parser):
         ("note", sol.note),
         ("alternatives_THz", ";".join(repr(v) for v in sol.alternatives)),
     ]
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         _write_kv(fh, _meta(("a", path_a), ("b", path_b)), pairs)
     return 0
 
@@ -286,7 +279,7 @@ def _cmd_lineshape(args, parser):
         spec = lorentz_lineshape(res, grid)
     else:
         spec = lineshape(doped, grid)
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         signal.write_spectrum_csv(spec, fh, meta=_meta(("liquid", path)))
     return 0
 
@@ -294,6 +287,12 @@ def _cmd_lineshape(args, parser):
 def _cmd_synth(args, parser):
     if args.n < 16:
         parser.error(f"--n must be at least 16, got {args.n}")
+    columns = max(_PROBE_SPAN / args.dt if args.map else 0.0, signal._COS_BLOCK)
+    if args.n > _MAX_SYNTH_SAMPLES / columns:
+        raise GridError(
+            f"synth request too large: --n {args.n} x {columns:.6g} columns exceeds "
+            f"{_MAX_SYNTH_SAMPLES} samples per array"
+        )
     path = resolve_data_path(args.liquid)
     liquid = load_liquid_file(path)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
@@ -310,13 +309,13 @@ def _cmd_synth(args, parser):
         fmap = signal.synth_map(doped, probe, step, tau, args.band)
         if args.noise_snr_db is not None:
             fmap = signal.add_noise(fmap, args.noise_snr_db, args.seed)
-        with _Output(args.out) as fh:
+        with _output(args.out) as fh:
             signal.write_map_csv(fmap, fh, meta=meta)
     else:
         trace = signal.TimeTrace(times=tau, values=step.evaluate(tau) + osc.values)
         if args.noise_snr_db is not None:
             trace = signal.add_noise(trace, args.noise_snr_db, args.seed)
-        with _Output(args.out) as fh:
+        with _output(args.out) as fh:
             signal.write_trace_csv(trace, fh, meta=meta)
     return 0
 
@@ -325,13 +324,12 @@ def _cmd_extract(args, parser):
     path = Path(args.input)
     if not path.exists():
         raise DataFileError(f"map file '{args.input}' not found")
-    with open(path, "r", encoding="utf-8") as fh:
-        fmap = signal.read_map_csv(fh)
+    fmap = signal.read_map_csv(io.StringIO(_read_text(path, "map")))
     result = signal.extract(fmap, bandwidth=args.filter_thz, band_lo=args.band_lo)
     meta = _meta(("map", path))
-    with _Output(args.out_oscillation) as fh:
+    with _output(args.out_oscillation) as fh:
         signal.write_trace_csv(result.oscillation, fh, meta=meta)
-    with _Output(args.out_spectrum) as fh:
+    with _output(args.out_spectrum) as fh:
         signal.write_spectrum_csv(result.spectrum, fh, meta=meta)
     peak = result.peak
     print(

@@ -23,11 +23,8 @@ import numpy as np
 
 from .errors import DataFileError, DomainError, ParseError, RangeError
 
-#: Default step (THz) for the central-difference frequency derivative.
-DERIVATIVE_STEP = 1e-3
-
-
-def _readonly(a, dtype):
+def _readonly(a, dtype=float):
+    """A read-only copy of a as an array of dtype."""
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -135,18 +132,6 @@ def eval_neat(model: LiquidModel, nu):
     return eps
 
 
-def eval_neat_derivative(model: LiquidModel, nu, h: float = DERIVATIVE_STEP):
-    """Central-difference d(eps)/d(nu) in 1/THz at nu (THz)."""
-    if h <= 0:
-        raise DomainError(f"derivative step must be positive, got {h}")
-    hi = eval_neat(model, np.asarray(nu, dtype=float) + h)
-    lo = eval_neat(model, np.asarray(nu, dtype=float) - h)
-    out = (np.asarray(hi) - np.asarray(lo)) / (2.0 * h)
-    if np.isscalar(nu) or np.ndim(nu) == 0:
-        return complex(out)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Liquid model files
 #
@@ -248,13 +233,21 @@ def loads_liquid(text: str, source: str = "<string>") -> LiquidModel:
         raise ParseError(f"{source}: {exc}") from exc
 
 
-def load_liquid_file(path) -> LiquidModel:
-    """Read and parse a liquid model file."""
+def _read_text(path, kind: str) -> str:
+    """The UTF-8 text of a data file; kind names the file in the error message.
+
+    Raises ParseError for bytes that are not UTF-8 and DataFileError for a
+    path that cannot be read, a directory included.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except OSError as exc:
-        raise DataFileError(f"cannot read liquid file '{path}': {exc.strerror}") from exc
-    return loads_liquid(text, source=str(path))
+        raise DataFileError(f"cannot read {kind} file '{path}': {exc.strerror}") from exc
+
+
+def load_liquid_file(path) -> LiquidModel:
+    """Read and parse a liquid model file."""
+    return loads_liquid(_read_text(path, "liquid"), source=str(path))

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS
-from .dielectric import DERIVATIVE_STEP, LiquidModel, eval_neat, validity_range
+from .dielectric import LiquidModel, eval_neat, validity_range
 from .errors import (
     DomainError,
     NoProfileMatchError,
@@ -27,11 +26,11 @@ from .mixing import (
     _invert,
     _local_field,
     _mix,
-    alpha_el,
     cm_invert_concentration,
 )
 from .polaron import (
     DEFAULT_TOL,
+    DERIVATIVE_STEP,
     _crossing_loss,
     _refine_root,
     eps_doped,  # noqa: F401  (bound here as before, for callers that use matching.eps_doped)
@@ -86,36 +85,14 @@ def ce_for_nu0(liquid: LiquidModel, nu0: float) -> Concentration:
     return Concentration(ce.real)
 
 
-def concentration_difference(liquid1: LiquidModel, liquid2: LiquidModel, nu0: float) -> float:
-    """ce_1 - ce_2 (mol/m^3) for a shared zero crossing at nu0, in closed form.
-
-    Written out as the difference of the two split real-part expressions; the
-    result equals ce_for_nu0(liquid1, nu0) - ce_for_nu0(liquid2, nu0) without
-    the non-negativity screening.
-    """
-    pref = 3.0 / (CONSTANTS.avogadro * alpha_el(nu0).real)
-    bracket = 0.0
-    for sign, liquid in ((+1.0, liquid1), (-1.0, liquid2)):
-        neat = complex(eval_neat(liquid, nu0))
-        eps2 = eps_imag_at_nu0(neat)
-        sigma = abs(neat) ** 2
-        bracket += sign * (
-            (eps2**2 - 2.0) / (eps2**2 + 4.0)
-            - (sigma + neat.real - 2.0) / (sigma + 4.0 * neat.real + 4.0)
-        )
-    return pref * bracket
-
-
 def _shared_bracket(
-    liquid1: LiquidModel, liquid2: LiquidModel, bracket: tuple[float, float], h: float
+    liquid1: LiquidModel, liquid2: LiquidModel, bracket: tuple[float, float]
 ) -> tuple[float, float]:
-    if not h > 0:
-        raise DomainError(f"derivative step must be positive, got {h}")
     lo, hi = float(bracket[0]), float(bracket[1])
     for liquid in (liquid1, liquid2):
         vlo, vhi = validity_range(liquid)
-        lo = max(lo, vlo + h)
-        hi = min(hi, vhi - h)
+        lo = max(lo, vlo + DERIVATIVE_STEP)
+        hi = min(hi, vhi - DERIVATIVE_STEP)
     if not (lo > 0 and hi > lo):
         raise DomainError(f"bracket [{bracket[0]}, {bracket[1]}] THz has no shared validity")
     return lo, hi
@@ -127,7 +104,6 @@ def match_frequency(
     nu0: float,
     bracket: tuple[float, float] = (0.1, 3.0),
     tol: float = DEFAULT_TOL,
-    h: float = DERIVATIVE_STEP,
 ) -> ImpostoronSolution:
     """Concentration pair whose zero crossings both land on nu0 (THz).
 
@@ -137,7 +113,7 @@ def match_frequency(
     """
     ce1 = ce_for_nu0(liquid1, nu0)
     ce2 = ce_for_nu0(liquid2, nu0)
-    lo, hi = _shared_bracket(liquid1, liquid2, bracket, h)
+    lo, hi = _shared_bracket(liquid1, liquid2, bracket)
     res1 = find_nu0(DopedLiquid(liquid1, ce1), (lo, hi), tol)
     res2 = find_nu0(DopedLiquid(liquid2, ce2), (lo, hi), tol)
     eps2_1 = eps_imag_at_nu0(eval_neat(liquid1, nu0))
@@ -171,15 +147,16 @@ def _profile_terms(b1: float, eps2_1: float, b2: float, eps2_2: float) -> tuple[
     return b1 / eps2_1, b2 / eps2_2
 
 
-def _profile(liquid: LiquidModel, nu: np.ndarray, h: float) -> np.ndarray:
+def _profile(liquid: LiquidModel, nu: np.ndarray) -> np.ndarray:
     """B/eps2 of the liquid at each frequency of the array nu, NaN where undefined.
 
     At each nu the concentration is ce_for_nu0's closed form, eps2 the loss
-    at the crossing and B the central difference of eps' over nu +- h. A
-    node is undefined where ce_for_nu0 would raise, where eps2 is zero, or
-    where the +-h stencil leaves the model's domain or meets a mixing
-    divergence.
+    at the crossing and B the central difference of eps' over
+    nu +- DERIVATIVE_STEP, as in find_nu0. A node is undefined where
+    ce_for_nu0 would raise, where eps2 is zero, or where the stencil leaves
+    the model's domain or meets a mixing divergence.
     """
+    h = DERIVATIVE_STEP
     vlo, vhi = validity_range(liquid)
     stencil = np.stack([nu + h, nu - h])
     inside = (stencil > 0.0) & (stencil >= vlo) & (stencil <= vhi)
@@ -203,7 +180,6 @@ def match_profiles(
     profile_tol: float = PROFILE_TOL,
     tol: float = DEFAULT_TOL,
     n_scan: int = PROFILE_SCAN_POINTS,
-    h: float = DERIVATIVE_STEP,
 ) -> ImpostoronSolution:
     """Frequency at which both liquids can host identical Lorentzian lines.
 
@@ -214,12 +190,13 @@ def match_profiles(
     nodes where a liquid's profile is undefined are skipped and counted in
     `skipped_nodes`. Each sign change is bisected to float resolution,
     ROUND_LEVELS steps per vector evaluation, and its root is the bisection
-    point of least |g|.
+    point of least |g|. Each B_i is the central difference of eps' over
+    nu +- DERIVATIVE_STEP (1e-3 THz).
     """
-    lo, hi = _shared_bracket(liquid1, liquid2, bracket, h)
+    lo, hi = _shared_bracket(liquid1, liquid2, bracket)
 
     def g_norm(nu: np.ndarray) -> np.ndarray:
-        t1, t2 = _profile(liquid1, nu, h), _profile(liquid2, nu, h)
+        t1, t2 = _profile(liquid1, nu), _profile(liquid2, nu)
         mean = 0.5 * (t1 + t2)
         zero = mean == 0.0
         return np.where(zero, 0.0, (t1 - t2) / np.where(zero, 1.0, mean))
@@ -258,14 +235,14 @@ def match_profiles(
         )
 
     nu_star = roots[0]
-    sol = match_frequency(liquid1, liquid2, nu_star, (lo, hi), tol, h)
+    sol = match_frequency(liquid1, liquid2, nu_star, (lo, hi), tol)
     at = np.array([nu_star])
     return ImpostoronSolution(
         ce_1=sol.ce_1,
         ce_2=sol.ce_2,
         nu0=nu_star,
         freq_residual=sol.freq_residual,
-        profile_residual=float(_profile(liquid1, at, h)[0] - _profile(liquid2, at, h)[0]),
+        profile_residual=float(_profile(liquid1, at)[0] - _profile(liquid2, at)[0]),
         profile_matched=True,
         alternatives=tuple(roots[1:]),
         skipped_nodes=skipped,

@@ -143,30 +143,3 @@ def cm_invert_concentration(eps, neat, nu) -> complex:
     """
     return _invert(_checked_local_field(eps), _checked_local_field(neat), nu).item()
 
-
-# --------------------------------------------------------------------------
-# Split real/imaginary closed forms at a zero crossing, eps = i*eps2.
-# These duplicate cm_invert_concentration(1j*eps2, neat, nu0) on purpose:
-# they are kept as independent reference expressions for testing and are not
-# used by the production code paths.
-# --------------------------------------------------------------------------
-
-
-def ce_real_part(eps2: float, neat: complex, nu0: float) -> float:
-    """Re(ce) in mol/m^3 for a purely imaginary doped permittivity i*eps2 at nu0."""
-    sigma = abs(complex(neat)) ** 2
-    pref = 3.0 / (CONSTANTS.avogadro * alpha_el(nu0).real)
-    return pref * (
-        (eps2**2 - 2.0) / (eps2**2 + 4.0)
-        - (sigma + neat.real - 2.0) / (sigma + 4.0 * neat.real + 4.0)
-    )
-
-
-def ce_imag_part(eps2: float, neat: complex, nu0: float) -> float:
-    """Im(ce) in mol/m^3 for a purely imaginary doped permittivity i*eps2 at nu0."""
-    sigma = abs(complex(neat)) ** 2
-    pref = 3.0 / (CONSTANTS.avogadro * alpha_el(nu0).real)
-    return pref * (
-        3.0 * eps2 / (eps2**2 + 4.0)
-        - 3.0 * neat.imag / (sigma + 4.0 * neat.real + 4.0)
-    )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dielectric import DERIVATIVE_STEP, eval_neat
+from .dielectric import _readonly, eval_neat
 from .errors import (
     DegenerateLineshapeError,
     DomainError,
@@ -37,6 +37,10 @@ ROUND_LEVELS = 5
 #: Most bisection steps one refinement takes.
 MAX_BISECTIONS = 200
 
+#: Half width (THz) of the central difference behind slope_B and the
+#: profile-match width term.
+DERIVATIVE_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -46,10 +50,8 @@ class Spectrum:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        freqs = np.array(self.frequencies, dtype=float)
-        vals = np.array(self.values, dtype=float)
-        freqs.setflags(write=False)
-        vals.setflags(write=False)
+        freqs = _readonly(self.frequencies)
+        vals = _readonly(self.values)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "values", vals)
         if freqs.ndim != 1 or freqs.size < 2:
@@ -138,7 +140,6 @@ def find_nu0(
     bracket: tuple[float, float] = DEFAULT_BRACKET,
     tol: float = DEFAULT_TOL,
     n_scan: int = SCAN_POINTS,
-    h: float = DERIVATIVE_STEP,
 ) -> PolaronResonance:
     """Lowest rising zero crossing of eps'(nu) inside the bracket.
 
@@ -147,7 +148,7 @@ def find_nu0(
     wide, ROUND_LEVELS bisection steps per vector evaluation of eps', and
     its midpoint is the crossing. The lowest crossing is returned, any
     further ones are listed in `alternatives`. slope_B is the central
-    difference of eps' over nu0 +- h.
+    difference of eps' over nu0 +- DERIVATIVE_STEP (1e-3 THz).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
@@ -156,8 +157,6 @@ def find_nu0(
         raise DomainError(f"tolerance must be positive, got {tol}")
     if n_scan < 2:
         raise DomainError("need at least 2 scan points")
-    if not h > 0:
-        raise DomainError(f"derivative step must be positive, got {h}")
 
     def re_eps(nu):
         return np.real(eps_doped(doped, nu))
@@ -173,6 +172,7 @@ def find_nu0(
         raise NoResonanceError(f"no polaron resonance in range [{lo:g}, {hi:g}] THz")
 
     nu0 = roots[0]
+    h = DERIVATIVE_STEP
     eps_at, eps_hi, eps_lo = eps_doped(doped, np.array([nu0, nu0 + h, nu0 - h]))
     return PolaronResonance(
         nu0=nu0,

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
+from .dielectric import _readonly
 from .errors import (
     DegenerateLineshapeError,
     DomainError,
@@ -48,6 +49,9 @@ BAND_LO = 0.4
 _MIN_SAMPLES = 16
 _GRID_RTOL = 1e-9
 
+#: Frequency columns of one cosine block in synth_oscillation.
+_COS_BLOCK = 256
+
 
 def _uniform_step(grid: np.ndarray, label: str) -> float:
     if grid.ndim != 1 or grid.size < _MIN_SAMPLES:
@@ -60,12 +64,6 @@ def _uniform_step(grid: np.ndarray, label: str) -> float:
     if np.max(np.abs(np.diff(grid) - step)) > _GRID_RTOL * abs(step):
         raise DomainError(f"{label} grid spacing is not uniform")
     return float(step)
-
-
-def _readonly(a, dtype=float):
-    arr = np.array(a, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -193,9 +191,9 @@ def synth_oscillation(
     amps = amps / peak
 
     s = np.zeros(n)
-    for start in range(0, freqs.size, 256):
-        f = freqs[start : start + 256]
-        a = amps[start : start + 256]
+    for start in range(0, freqs.size, _COS_BLOCK):
+        f = freqs[start : start + _COS_BLOCK]
+        a = amps[start : start + _COS_BLOCK]
         s += np.cos(2.0 * math.pi * tau[:, None] * f[None, :]) @ a
     s *= dnu
     s[tau < 0] = 0.0
@@ -477,11 +475,29 @@ def write_trace_csv(trace: TimeTrace, fh, meta=()) -> None:
         fh.write(f"{float(t)!r},{float(v)!r}\n")
 
 
+def _float_row(cells, lineno, kind):
+    try:
+        return [float(v) for v in cells]
+    except ValueError:
+        raise DomainError(f"{kind} CSV line {lineno}: non-numeric cell") from None
+
+
+def _read_two_columns(fh, header: str, kind: str) -> np.ndarray:
+    """(n, 2) array of the rows below the header line of a two-column CSV."""
+    lines = list(_data_lines(fh))
+    if not lines or [c.strip() for c in lines[0][1].split(",")] != header.split(","):
+        raise DomainError(f"{kind} CSV must start with header '{header}'")
+    rows = []
+    for lineno, line in lines[1:]:
+        cells = _float_row(line.split(","), lineno, kind)
+        if len(cells) != 2:
+            raise DomainError(f"{kind} CSV line {lineno}: {len(cells)} values, the header has 2")
+        rows.append(cells)
+    return np.array(rows).reshape(-1, 2)
+
+
 def read_trace_csv(fh) -> TimeTrace:
-    rows = [line.split(",") for _, line in _data_lines(fh)]
-    if not rows or [c.strip() for c in rows[0]] != ["tau_ps", "amplitude"]:
-        raise DomainError("trace CSV must start with header 'tau_ps,amplitude'")
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
+    data = _read_two_columns(fh, "tau_ps,amplitude", "trace")
     return TimeTrace(times=data[:, 0], values=data[:, 1])
 
 
@@ -493,10 +509,7 @@ def write_spectrum_csv(spectrum: Spectrum, fh, meta=()) -> None:
 
 
 def read_spectrum_csv(fh) -> Spectrum:
-    rows = [line.split(",") for _, line in _data_lines(fh)]
-    if not rows or [c.strip() for c in rows[0]] != ["nu_THz", "amplitude"]:
-        raise DomainError("spectrum CSV must start with header 'nu_THz,amplitude'")
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
+    data = _read_two_columns(fh, "nu_THz,amplitude", "spectrum")
     return Spectrum(frequencies=data[:, 0], values=data[:, 1])
 
 
@@ -507,13 +520,6 @@ def write_map_csv(fmap: FieldMap2D, fh, meta=()) -> None:
         fh.write(repr(float(tau)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _map_row(cells, lineno):
-    try:
-        return [float(v) for v in cells]
-    except ValueError:
-        raise DomainError(f"map CSV line {lineno}: non-numeric cell") from None
-
-
 def read_map_csv(fh) -> FieldMap2D:
     lines = list(_data_lines(fh))
     if not lines:
@@ -522,11 +528,11 @@ def read_map_csv(fh) -> FieldMap2D:
     head = head.split(",")
     if head[0].strip() != _MAP_CORNER:
         raise DomainError(f"map CSV must start with corner cell '{_MAP_CORNER}'")
-    t_grid = np.array(_map_row(head[1:], head_lineno))
+    t_grid = np.array(_float_row(head[1:], head_lineno, "map"))
     taus = []
     rows = []
     for lineno, line in lines[1:]:
-        cells = _map_row(line.split(","), lineno)
+        cells = _float_row(line.split(","), lineno, "map")
         if len(cells) != t_grid.size + 1:
             raise DomainError(
                 f"map CSV line {lineno}: {len(cells) - 1} values, the header has {t_grid.size}"

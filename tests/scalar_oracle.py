@@ -9,11 +9,11 @@ the package points at the vector scan or the refiner, not at the formulas.
 
 import numpy as np
 
-from impostoron.dielectric import DERIVATIVE_STEP, eval_neat
+from impostoron.dielectric import eval_neat
 from impostoron.errors import ImpostoronError, NoProfileMatchError
 from impostoron.matching import ce_for_nu0
 from impostoron.mixing import DopedLiquid
-from impostoron.polaron import SCAN_POINTS, eps_doped, eps_imag_at_nu0
+from impostoron.polaron import DERIVATIVE_STEP, SCAN_POINTS, eps_doped, eps_imag_at_nu0
 
 
 def find_nu0_roots(doped, bracket, tol, n_scan=SCAN_POINTS):

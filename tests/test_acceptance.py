@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from closed_forms import ce_imag_part, ce_real_part
 from impostoron.cli import run
 from impostoron.dielectric import DebyeModel
 from impostoron.errors import NoProfileMatchError
@@ -19,8 +20,6 @@ from impostoron.matching import ce_for_nu0, match_profiles
 from impostoron.mixing import (
     Concentration,
     DopedLiquid,
-    ce_imag_part,
-    ce_real_part,
     cm_invert_concentration,
     cm_mix,
 )

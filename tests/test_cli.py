@@ -93,6 +93,18 @@ class TestDataResolution:
         assert code == 3
         assert "cannot read liquid file" in capsys.readouterr().err
 
+    def test_non_utf8_map_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("# caf\xe9\ntau_ps\\t_ps,0.0,0.1\n".encode("latin-1"))
+        code = run(["extract", "--input", str(path)])
+        assert code == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_directory_as_map_exits_3(self, tmp_path, capsys):
+        code = run(["extract", "--input", str(tmp_path)])
+        assert code == 3
+        assert "cannot read map file" in capsys.readouterr().err
+
 
 class TestNu0Command:
     def test_water_resonance(self, capsys):
@@ -266,6 +278,19 @@ class TestSynthAndExtract:
         code = run(["extract", "--input", str(path)])
         assert code == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            ["--map", "--n", "16", "--dt", "1e-9"],  # 6.4e9 probe samples
+            ["--map", "--n", "16", "--dt", "1e-320"],  # 6.4/dt overflows
+            ["--n", str(10**12)],  # 10**12 delays, the cosine block 256 times that
+        ],
+    )
+    def test_synth_over_size_bound_exits_3(self, capsys, size):
+        code = run(["synth", "--liquid", "water.liq", "--ce", "40", *size])
+        assert code == 3
+        assert "synth request too large" in capsys.readouterr().err
 
     def test_synth_lossless_liquid_exits_3(self, capsys):
         code = run(["synth", "--liquid", "dispersionless.liq", "--ce", "25"])

@@ -7,7 +7,6 @@ from impostoron.dielectric import (
     DebyeModel,
     TabulatedModel,
     eval_neat,
-    eval_neat_derivative,
     load_liquid_file,
     loads_liquid,
     validity_range,
@@ -133,23 +132,6 @@ def test_eval_neat_vectorizes():
     # not bitwise
     for i in range(3):
         assert eps[i] == pytest.approx(eval_neat(m, float(grid[i])), rel=1e-14)
-
-
-def test_derivative_matches_analytic_debye():
-    # d(eps)/d(nu) of a single Debye term, worked out by hand:
-    # with x = 2*pi*nu*tau, d(eps')/dx = -2*delta*x/(1+x^2)^2 and
-    # d(eps'')/dx = delta*(1-x^2)/(1+x^2)^2, times dx/dnu = 2*pi*tau.
-    delta, tau = 10.0, 1.0
-    m = DebyeModel("d", 2.0, ((delta, tau),))
-    nu = 0.31
-    x = 2.0 * math.pi * nu * tau
-    scale = 2.0 * math.pi * tau / (1.0 + x * x) ** 2
-    expected = scale * (-2.0 * delta * x + 1j * delta * (1.0 - x * x))
-    got = eval_neat_derivative(m, nu, h=1e-6)
-    assert got.real == pytest.approx(expected.real, rel=1e-7)
-    assert got.imag == pytest.approx(expected.imag, rel=1e-7)
-    with pytest.raises(DomainError):
-        eval_neat_derivative(m, nu, h=0.0)
 
 
 GOOD_DEBYE = """

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from closed_forms import concentration_difference
 from impostoron.constants import CONSTANTS
 from impostoron.dielectric import DebyeModel, TabulatedModel, eval_neat
 from impostoron.errors import (
@@ -10,7 +11,6 @@ from impostoron.errors import (
 )
 from impostoron.matching import (
     ce_for_nu0,
-    concentration_difference,
     match_frequency,
     match_profiles,
 )
@@ -200,10 +200,6 @@ class TestMatchProfiles:
         )
         with pytest.raises(DomainError, match="no shared validity"):
             match_profiles(liquids["ipa"], tab, (0.2, 0.9))
-
-    def test_zero_derivative_step_rejected(self, liquids):
-        with pytest.raises(DomainError, match="derivative step"):
-            match_profiles(liquids["ipa"], liquids["eg"], h=0.0)
 
 
 def test_profile_residual_consistent_with_direct_recomputation():

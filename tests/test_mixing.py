@@ -4,14 +4,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from closed_forms import ce_imag_part, ce_real_part
 from impostoron.constants import CONSTANTS
 from impostoron.dielectric import TabulatedModel
 from impostoron.errors import DomainError, SingularityError
 from impostoron.mixing import (
     Concentration,
     alpha_el,
-    ce_imag_part,
-    ce_real_part,
     cm_invert_concentration,
     cm_mix,
 )

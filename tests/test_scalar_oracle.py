@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
-from impostoron.dielectric import DERIVATIVE_STEP, DebyeModel, TabulatedModel, eval_neat
+from impostoron.dielectric import DebyeModel, TabulatedModel, eval_neat
 from impostoron.errors import ImpostoronError, NoResonanceError
 from impostoron.matching import _profile, _shared_bracket, match_frequency, match_profiles
 from impostoron.mixing import Concentration, DopedLiquid
@@ -69,7 +69,7 @@ def packaged_pairs(liquids):
 
 
 def check_scan(liquid1, liquid2):
-    lo, hi = _shared_bracket(liquid1, liquid2, (0.2, 2.0), DERIVATIVE_STEP)
+    lo, hi = _shared_bracket(liquid1, liquid2, (0.2, 2.0))
     grid = np.linspace(lo, hi, 200)
     for liquid in (liquid1, liquid2):
         want = np.full(grid.shape, np.nan)
@@ -78,13 +78,13 @@ def check_scan(liquid1, liquid2):
                 want[i] = oracle.profile_term(liquid, float(nu))
             except ImpostoronError:
                 pass
-        got = _profile(liquid, grid, DERIVATIVE_STEP)
+        got = _profile(liquid, grid)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def check_match(liquid1, liquid2):
-    lo, hi = _shared_bracket(liquid1, liquid2, (0.2, 2.0), DERIVATIVE_STEP)
+    lo, hi = _shared_bracket(liquid1, liquid2, (0.2, 2.0))
     roots, vals = oracle.match_roots(liquid1, liquid2, lo, hi, 200)
     if not roots:
         with pytest.raises(ImpostoronError):

@@ -504,6 +504,12 @@ class TestCsvRoundTrips:
             read_map_csv(io.StringIO("x,0.0\n0.0,1.0\n"))
         with pytest.raises(DomainError, match="empty map"):
             read_map_csv(io.StringIO("# only comments\n"))
+        with pytest.raises(DomainError, match="trace CSV line 2: 1 values"):
+            read_trace_csv(io.StringIO("tau_ps,amplitude\n1.0\n"))
+        with pytest.raises(DomainError, match="trace CSV line 2: non-numeric cell"):
+            read_trace_csv(io.StringIO("tau_ps,amplitude\n1.0,x\n"))
+        with pytest.raises(DomainError, match="spectrum CSV line 2: 3 values"):
+            read_spectrum_csv(io.StringIO("nu_THz,amplitude\n1,2,3\n"))
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# meta 1\n\ntau_ps,amplitude\n# inline comment\n" + "".join(
