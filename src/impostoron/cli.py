@@ -30,8 +30,7 @@ from .polaron import find_nu0, lineshape, lorentz_lineshape
 _PROBE_SPAN = 6.4  # ps, fixed probe-time window of `synth --map`
 
 #: Most samples one array built by `synth` may hold (2**24 float64, 128 MiB):
-#: the --n x 256 cosine block of synth_oscillation and, with --map, the
-#: --n x 6.4/--dt field map.
+#: the --n delay trace or, with --map, the --n x 6.4/--dt field map.
 _MAX_SYNTH_SAMPLES = 2**24
 
 
@@ -77,8 +76,7 @@ def _output(path: str | None):
 
 
 def _write_kv(fh, meta, pairs):
-    for line in meta:
-        fh.write(f"# {line}\n")
+    signal._write_meta(fh, meta)
     fh.write("key,value\n")
     for key, value in pairs:
         fh.write(f"{key},{value}\n")
@@ -204,12 +202,9 @@ def _cmd_eps(args, parser):
     grid = _grid(args, parser)
     ce = Concentration.from_micromolar(args.ce)
     eps = cm_mix(eval_neat(liquid, grid), ce, grid)
+    table = np.column_stack((grid, eps.real, eps.imag))
     with _output(args.out) as fh:
-        for line in _meta(("liquid", path)):
-            fh.write(f"# {line}\n")
-        fh.write("nu_THz,eps_real,eps_imag\n")
-        for nu, value in zip(grid, np.atleast_1d(eps)):
-            fh.write(f"{float(nu)!r},{float(value.real)!r},{float(value.imag)!r}\n")
+        signal._write_table(fh, _meta(("liquid", path)), "nu_THz,eps_real,eps_imag", table)
     return 0
 
 
@@ -287,7 +282,7 @@ def _cmd_lineshape(args, parser):
 def _cmd_synth(args, parser):
     if args.n < 16:
         parser.error(f"--n must be at least 16, got {args.n}")
-    columns = max(_PROBE_SPAN / args.dt if args.map else 0.0, signal._COS_BLOCK)
+    columns = _PROBE_SPAN / args.dt if args.map else 1
     if args.n > _MAX_SYNTH_SAMPLES / columns:
         raise GridError(
             f"synth request too large: --n {args.n} x {columns:.6g} columns exceeds "

@@ -120,8 +120,7 @@ def match_frequency(
     eps2_2 = eps_imag_at_nu0(eval_neat(liquid2, nu0))
     note = ""
     if eps2_1 > 0.0 and eps2_2 > 0.0:
-        terms = _profile_terms(res1.slope_B, eps2_1, res2.slope_B, eps2_2)
-        residual = terms[0] - terms[1]
+        residual = res1.slope_B / eps2_1 - res2.slope_B / eps2_2
     else:
         # a lossless crossing has no finite width; the diagnostic is 0 for a
         # symmetric pair and undefined otherwise
@@ -137,14 +136,6 @@ def match_frequency(
         profile_matched=False,
         note=note,
     )
-
-
-def _profile_terms(b1: float, eps2_1: float, b2: float, eps2_2: float) -> tuple[float, float]:
-    if eps2_1 <= 0 or eps2_2 <= 0:
-        raise NoProfileMatchError(
-            "profile undefined: a liquid has zero loss at its zero crossing"
-        )
-    return b1 / eps2_1, b2 / eps2_2
 
 
 def _profile(liquid: LiquidModel, nu: np.ndarray) -> np.ndarray:

@@ -58,10 +58,13 @@ class Spectrum:
             raise DomainError("spectrum needs at least two samples")
         if vals.shape != freqs.shape:
             raise DomainError("frequency and value arrays must have equal length")
-        if np.any(np.diff(freqs) <= 0):
+        if np.any(freqs[1:] <= freqs[:-1]):
             raise DomainError("spectrum frequencies must be strictly increasing")
         if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(vals))):
             raise DomainError("spectrum samples must be finite")
+        # Python floats: an overflowing span becomes inf without a numpy warning
+        if float(freqs[-1]) - float(freqs[0]) == math.inf:
+            raise DomainError("spectrum frequency span exceeds the float range")
 
 
 @dataclass(frozen=True)

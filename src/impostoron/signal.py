@@ -49,21 +49,22 @@ BAND_LO = 0.4
 _MIN_SAMPLES = 16
 _GRID_RTOL = 1e-9
 
-#: Frequency columns of one cosine block in synth_oscillation.
-_COS_BLOCK = 256
-
 
 def _uniform_step(grid: np.ndarray, label: str) -> float:
     if grid.ndim != 1 or grid.size < _MIN_SAMPLES:
         raise DomainError(f"{label} grid needs at least {_MIN_SAMPLES} samples")
     if not np.all(np.isfinite(grid)):
         raise DomainError(f"{label} grid must be finite")
-    step = (grid[-1] - grid[0]) / (grid.size - 1)
-    if step <= 0:
+    if np.any(grid[1:] <= grid[:-1]):
         raise DomainError(f"{label} grid must be increasing")
-    if np.max(np.abs(np.diff(grid) - step)) > _GRID_RTOL * abs(step):
+    # Python floats: an overflowing span becomes inf without a numpy warning
+    span = float(grid[-1]) - float(grid[0])
+    if span == math.inf:
+        raise DomainError(f"{label} grid span exceeds the float range")
+    step = span / (grid.size - 1)
+    if np.max(np.abs(np.diff(grid) - step)) > _GRID_RTOL * step:
         raise DomainError(f"{label} grid spacing is not uniform")
-    return float(step)
+    return step
 
 
 @dataclass(frozen=True)
@@ -137,11 +138,13 @@ class StepModel:
             raise DomainError("step parameters must be finite")
 
     def evaluate(self, tau) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        d = tau - self.onset
-        return np.where(
-            d >= 0, self.amplitude * (1.0 - np.exp(-np.maximum(d, 0.0) / self.rise_time)), 0.0
-        )
+        return _exp_rise(np.asarray(tau, dtype=float), self.amplitude, self.onset, self.rise_time)
+
+
+def _exp_rise(tau: np.ndarray, amplitude, onset, rise_time) -> np.ndarray:
+    """The step of StepModel at the delays tau; remove_step fits its parameters."""
+    d = tau - onset
+    return np.where(d >= 0, amplitude * (1.0 - np.exp(-np.maximum(d, 0.0) / rise_time)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -165,6 +168,11 @@ def synth_oscillation(
     frequencies nu_k of the grid that fall inside the band, with A the line
     shape normalized to unit maximum. The grid Nyquist frequency must exceed
     the band's upper edge.
+
+    s is evaluated on the uniform grid tau_0 + j*dtau (dtau from the grid's
+    end points) as one inverse real FFT, with A(nu_k) exp(2 pi i nu_k tau_0)
+    on each in-band bin; the band holds neither the DC nor the Nyquist bin.
+    H is applied at the given delays.
     """
     tau = np.asarray(tau_grid, dtype=float)
     dtau = _uniform_step(tau, "delay")
@@ -188,14 +196,10 @@ def synth_oscillation(
         raise DegenerateLineshapeError(
             "line shape is identically zero in the band: lossless medium"
         )
-    amps = amps / peak
 
-    s = np.zeros(n)
-    for start in range(0, freqs.size, _COS_BLOCK):
-        f = freqs[start : start + _COS_BLOCK]
-        a = amps[start : start + _COS_BLOCK]
-        s += np.cos(2.0 * math.pi * tau[:, None] * f[None, :]) @ a
-    s *= dnu
+    bins = np.zeros(n // 2 + 1, dtype=complex)
+    bins[sel] = amps / peak * np.exp(2j * math.pi * freqs * tau[0])
+    s = np.fft.irfft(bins, n) * (0.5 * n * dnu)
     s[tau < 0] = 0.0
     return TimeTrace(times=tau, values=s)
 
@@ -206,20 +210,10 @@ def synth_map(
     step: StepModel,
     tau_grid,
     band: tuple[float, float] = DEFAULT_BAND,
-    osc_scale: float = 1.0,
 ) -> FieldMap2D:
-    """Separable pump-probe map E(t, tau) = probe(t) * [step(tau) + osc_scale * s(tau)].
-
-    osc_scale = 0 skips the oscillation synthesis entirely (useful for
-    step-only references).
-    """
+    """Separable pump-probe map E(t, tau) = probe(t) * [step(tau) + s(tau)]."""
     tau = np.asarray(tau_grid, dtype=float)
-    if osc_scale != 0.0:
-        osc = osc_scale * synth_oscillation(doped, tau, band).values
-    else:
-        _uniform_step(tau, "delay")
-        osc = np.zeros(tau.size)
-    delay_part = step.evaluate(tau) + osc
+    delay_part = step.evaluate(tau) + synth_oscillation(doped, tau, band).values
     return FieldMap2D(
         t_grid=probe.times,
         tau_grid=tau,
@@ -317,13 +311,8 @@ def remove_step(
     cutoff = band_lo / 2.0
     target = _lowpass(x, dt, cutoff)
 
-    def model(p):
-        a, t0, r = p
-        d = times - t0
-        return np.where(d >= 0, a * (1.0 - np.exp(-np.maximum(d, 0.0) / r)), 0.0)
-
     def objective(p):
-        return _lowpass(model(p), dt, cutoff) - target
+        return _lowpass(_exp_rise(times, *p), dt, cutoff) - target
 
     tail = target[int(0.75 * target.size) :]
     a0 = float(np.mean(tail))
@@ -342,9 +331,8 @@ def remove_step(
             f"last parameters a={fit.x[0]:g}, onset={fit.x[1]:g} ps, rise={fit.x[2]:g} ps"
         )
     a, t0, r = (float(v) for v in fit.x)
-    fitted = model(fit.x)
     return (
-        TimeTrace(times=times, values=x - fitted),
+        TimeTrace(times=times, values=x - _exp_rise(times, *fit.x)),
         StepModel(amplitude=a, rise_time=r, onset=t0),
     )
 
@@ -459,6 +447,14 @@ def _write_meta(fh, meta):
         fh.write(f"# {line}\n")
 
 
+def _write_table(fh, meta, header: str, table: np.ndarray) -> None:
+    """Meta comments, the header line, then each row of the 2D float table."""
+    _write_meta(fh, meta)
+    fh.write(header + "\n")
+    for row in table:
+        fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
 def _data_lines(fh):
     """(line number, text) of each line that is neither blank nor a comment."""
     for lineno, raw in enumerate(fh, start=1):
@@ -469,10 +465,7 @@ def _data_lines(fh):
 
 
 def write_trace_csv(trace: TimeTrace, fh, meta=()) -> None:
-    _write_meta(fh, meta)
-    fh.write("tau_ps,amplitude\n")
-    for t, v in zip(trace.times, trace.values):
-        fh.write(f"{float(t)!r},{float(v)!r}\n")
+    _write_table(fh, meta, "tau_ps,amplitude", np.column_stack((trace.times, trace.values)))
 
 
 def _float_row(cells, lineno, kind):
@@ -502,10 +495,8 @@ def read_trace_csv(fh) -> TimeTrace:
 
 
 def write_spectrum_csv(spectrum: Spectrum, fh, meta=()) -> None:
-    _write_meta(fh, meta)
-    fh.write("nu_THz,amplitude\n")
-    for f, v in zip(spectrum.frequencies, spectrum.values):
-        fh.write(f"{float(f)!r},{float(v)!r}\n")
+    table = np.column_stack((spectrum.frequencies, spectrum.values))
+    _write_table(fh, meta, "nu_THz,amplitude", table)
 
 
 def read_spectrum_csv(fh) -> Spectrum:
@@ -514,10 +505,8 @@ def read_spectrum_csv(fh) -> Spectrum:
 
 
 def write_map_csv(fmap: FieldMap2D, fh, meta=()) -> None:
-    _write_meta(fh, meta)
-    fh.write(_MAP_CORNER + "," + ",".join(repr(float(t)) for t in fmap.t_grid) + "\n")
-    for tau, row in zip(fmap.tau_grid, fmap.values):
-        fh.write(repr(float(tau)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    header = ",".join([_MAP_CORNER, *map(repr, fmap.t_grid.tolist())])
+    _write_table(fh, meta, header, np.column_stack((fmap.tau_grid, fmap.values)))
 
 
 def read_map_csv(fh) -> FieldMap2D:

@@ -284,13 +284,23 @@ class TestSynthAndExtract:
         [
             ["--map", "--n", "16", "--dt", "1e-9"],  # 6.4e9 probe samples
             ["--map", "--n", "16", "--dt", "1e-320"],  # 6.4/dt overflows
-            ["--n", str(10**12)],  # 10**12 delays, the cosine block 256 times that
+            ["--n", str(10**12)],  # 10**12 delays in one trace
         ],
     )
     def test_synth_over_size_bound_exits_3(self, capsys, size):
         code = run(["synth", "--liquid", "water.liq", "--ce", "40", *size])
         assert code == 3
         assert "synth request too large" in capsys.readouterr().err
+
+    def test_synth_trace_bounded_by_its_own_length(self, tmp_path):
+        # a trace of 65537 delays holds 65537 samples, far inside 2^24
+        out = tmp_path / "trace.csv"
+        assert run(["synth", "--liquid", "water.liq", "--ce", "40", "--n", "65537",
+                    "--out", str(out)]) == 0
+        from impostoron.signal import read_trace_csv
+
+        with open(out) as fh:
+            assert read_trace_csv(fh).times.size == 65537
 
     def test_synth_lossless_liquid_exits_3(self, capsys):
         code = run(["synth", "--liquid", "dispersionless.liq", "--ce", "25"])

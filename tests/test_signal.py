@@ -1,7 +1,9 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from closed_forms import dense_oscillation
 
 from impostoron.dielectric import DebyeModel
 from impostoron.errors import (
@@ -16,6 +18,7 @@ from impostoron.matching import ce_for_nu0
 from impostoron.mixing import Concentration, DopedLiquid
 from impostoron.polaron import Spectrum, lineshape
 from impostoron.signal import (
+    DEFAULT_BAND,
     FieldMap2D,
     StepModel,
     TimeTrace,
@@ -46,6 +49,30 @@ def doped_water(liquids):
     return DopedLiquid(liquids["water"], ce_for_nu0(liquids["water"], 0.7))
 
 
+def synthesis_error_bound(tau, band=DEFAULT_BAND):
+    """Largest |synth_oscillation - dense_oscillation| that rounding and grid jitter allow.
+
+    Both sums have m in-band terms, each with weight dnu and |A| <= 1. A term's
+    phase 2 pi nu tau is rounded a few times in either path (2 pi, nu = k*dnu,
+    the products, the FFT's n*dnu*dtau = 1 and its twiddles): under 8 eps of
+    2 pi nu_max T, with T the largest |tau| or span. The FFT evaluates at
+    tau_0 + j*dtau, so a grid that deviates from it by delta moves each phase by
+    up to 2 pi nu_max delta more. Accumulation adds m eps for the dense sum and
+    5 eps per FFT stage, log2(n) stages.
+    """
+    eps = np.finfo(float).eps
+    n = tau.size
+    dtau = (tau[-1] - tau[0]) / (n - 1)
+    dnu = 1.0 / (n * dtau)
+    freqs = np.arange(n // 2 + 1) * dnu
+    freqs = freqs[(freqs >= band[0]) & (freqs <= band[1])]
+    m = freqs.size
+    delta = np.max(np.abs(tau - (tau[0] + np.arange(n) * dtau)))
+    span = max(np.max(np.abs(tau)), tau[-1] - tau[0])
+    phase = 2.0 * math.pi * freqs[-1] * (delta + 8.0 * eps * span)
+    return dnu * m * (phase + eps * (m + 5.0 * math.log2(n) + 2.0))
+
+
 class TestTimeTrace:
     def test_dt_property_and_frozen_arrays(self):
         tr = TimeTrace(times=np.arange(20) * 0.25, values=np.zeros(20))
@@ -61,6 +88,7 @@ class TestTimeTrace:
             (-np.arange(20.0), np.zeros(20), "must be increasing"),
             (np.arange(20) * 0.1, np.zeros(19), "equal length"),
             (np.arange(20) * 0.1, np.full(20, np.nan), "must be finite"),
+            (1.7e308 * (2 * np.arange(16) / 15 - 1), np.zeros(16), "span exceeds"),
         ],
     )
     def test_validation(self, times, values, msg):
@@ -141,6 +169,27 @@ class TestSynthOscillation:
         # and nothing outside the band
         assert np.max(spec.values[~sel]) < 1e-12
 
+    @pytest.mark.parametrize("stem", ["water", "ipa", "eg"])
+    @pytest.mark.parametrize(
+        "n, dtau, jitter",
+        [
+            (n, dtau, 0.0)
+            for n in (16, 17, 1023, 1024, 4096)
+            for dtau in (0.05, 0.1, 0.2)
+            if n * dtau > 1.0  # 16 or 17 delays of 0.05 ps hold one in-band bin
+        ]
+        + [(1024, 0.1, 0.25e-9)],
+    )
+    def test_matches_dense_cosine_sum(self, liquids, stem, n, dtau, jitter):
+        # the delay grid `synth` lays out; jitter moves each sample by up to
+        # jitter*dtau, so every spacing stays within _GRID_RTOL = 1e-9 of dtau
+        rng = np.random.default_rng(n)
+        tau = (np.arange(n) - n // 8) * dtau + rng.uniform(-jitter, jitter, n) * dtau
+        doped = DopedLiquid(liquids[stem], Concentration.from_micromolar(40.0))
+        got = synth_oscillation(doped, tau).values
+        err = np.max(np.abs(got - dense_oscillation(doped, tau)))
+        assert err <= synthesis_error_bound(tau)
+
 
 class TestSynthMap:
     def test_separable_construction(self, doped_water):
@@ -152,18 +201,6 @@ class TestSynthMap:
         np.testing.assert_array_equal(fmap.values, expected)
         np.testing.assert_array_equal(fmap.t_grid, probe.times)
         np.testing.assert_array_equal(fmap.tau_grid, TAU)
-
-    def test_step_only_map_skips_synthesis(self):
-        # osc_scale = 0 must work even where oscillation synthesis would
-        # reject the lossless medium
-        doped = DopedLiquid(
-            DebyeModel("d", 2.449, ()), Concentration.from_micromolar(25.0)
-        )
-        probe = gaussian_probe(TGRID)
-        step = StepModel(amplitude=0.3, rise_time=1.0, onset=0.0)
-        fmap = synth_map(doped, probe, step, TAU, osc_scale=0.0)
-        expected = step.evaluate(TAU)[:, None] * probe.values[None, :]
-        np.testing.assert_array_equal(fmap.values, expected)
 
 
 class TestGaussianProbe:
@@ -510,6 +547,11 @@ class TestCsvRoundTrips:
             read_trace_csv(io.StringIO("tau_ps,amplitude\n1.0,x\n"))
         with pytest.raises(DomainError, match="spectrum CSV line 2: 3 values"):
             read_spectrum_csv(io.StringIO("nu_THz,amplitude\n1,2,3\n"))
+        wide = "".join(f"{1.7e308 * (2 * i / 15 - 1)!r},0.0\n" for i in range(16))
+        with pytest.raises(DomainError, match="time grid span exceeds"):
+            read_trace_csv(io.StringIO("tau_ps,amplitude\n" + wide))
+        with pytest.raises(DomainError, match="frequency span exceeds"):
+            read_spectrum_csv(io.StringIO("nu_THz,amplitude\n-1.7e308,0.0\n1.7e308,0.0\n"))
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# meta 1\n\ntau_ps,amplitude\n# inline comment\n" + "".join(
