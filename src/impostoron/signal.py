@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .dielectric import _readonly
 from .errors import (
@@ -187,8 +186,12 @@ def synth_oscillation(
     dnu = 1.0 / (n * dtau)
     freqs = np.arange(n // 2 + 1) * dnu
     sel = (freqs >= lo) & (freqs <= hi)
-    if not np.any(sel):
-        raise GridError("synthesis band contains no spectral bins of this grid")
+    if np.count_nonzero(sel) < 2:
+        count = "only one spectral bin" if np.any(sel) else "no spectral bins"
+        raise GridError(
+            f"synthesis band [{lo:g}, {hi:g}] THz contains {count} of the {n}-sample "
+            f"delay grid with dtau {dtau:g} ps; the line shape needs at least two"
+        )
     freqs = freqs[sel]
     amps = lineshape(doped, freqs).values
     peak = amps.max()
@@ -241,7 +244,12 @@ def add_noise(obj, snr_db: float, rng) -> "TimeTrace | FieldMap2D":
     rms = float(np.sqrt(np.mean(values**2)))
     if rms == 0:
         raise DomainError("cannot set an SNR for an all-zero signal")
-    sigma = rms * 10.0 ** (-snr_db / 20.0)
+    try:
+        sigma = rms * 10.0 ** (-snr_db / 20.0)
+    except OverflowError:
+        raise DomainError(
+            f"SNR {snr_db:g} dB is out of range: its noise level overflows a float"
+        ) from None
     noisy = values + rng.normal(0.0, sigma, size=values.shape)
     if isinstance(obj, TimeTrace):
         return TimeTrace(times=obj.times, values=noisy)
@@ -324,6 +332,10 @@ def remove_step(
         [-np.inf, float(times[0]), 1e-3],
         [np.inf, float(times[-1]), span],
     )
+    # imported here, not at module level: this fit is the package's only scipy
+    # use, and the import would dominate the start-up of every other CLI call
+    from scipy.optimize import least_squares
+
     fit = least_squares(objective, x0, bounds=bounds)
     if not fit.success:
         raise StepFitError(

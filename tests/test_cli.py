@@ -1,11 +1,19 @@
+import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from impostoron.cli import build_parser, data_dir, resolve_data_path, run
 from impostoron.errors import DataFileError
+from impostoron.signal import StepModel, TimeTrace, remove_step, write_trace_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_kv(text: str) -> dict:
@@ -307,6 +315,19 @@ class TestSynthAndExtract:
         assert code == 3
         assert "lossless" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--noise-snr-db=-1e4"], "SNR -10000 dB is out of range"),
+            (["--noise-snr-db=-1e308"], "SNR -1e+308 dB is out of range"),
+            (["--n", "16", "--dtau", "0.05"], "only one spectral bin of the 16-sample"),
+        ],
+    )
+    def test_synth_domain_errors_exit_3(self, capsys, args, message):
+        code = run(["synth", "--liquid", "water.liq", "--ce", "40", *args])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
 
 def test_out_files_carry_metadata(tmp_path):
     out = tmp_path / "nu0.csv"
@@ -321,3 +342,54 @@ def test_out_files_carry_metadata(tmp_path):
 def test_parser_builds_without_side_effects():
     parser = build_parser()
     assert parser.prog == "impostoron"
+
+
+# Runs in a fresh interpreter: the CLI commands that need no step fit must not
+# import scipy, and the first remove_step call must import it and work.
+_SCIPY_PROBE = """
+import json, sys
+import impostoron, impostoron.cli
+from impostoron.signal import read_trace_csv, remove_step
+
+out, trace_csv = sys.argv[1], sys.argv[2]
+commands = [
+    ["nu0", "--liquid", "water.liq", "--ce", "40"],
+    ["ce-for-nu0", "--liquid", "water.liq", "--nu0", "0.7"],
+    ["match", "--liquid-a", "eg.liq", "--liquid-b", "eg.liq", "--profile",
+     "--bracket", "0.3,1.5"],
+    ["synth", "--liquid", "water.liq", "--ce", "40", "--map", "--n", "64"],
+]
+codes = [impostoron.cli.run(argv + ["--out", out]) for argv in commands]
+loaded_before = "scipy" in sys.modules
+with open(trace_csv) as fh:
+    _, step = remove_step(read_trace_csv(fh))
+print(json.dumps({
+    "codes": codes,
+    "loaded_before": loaded_before,
+    "loaded_after": "scipy" in sys.modules,
+    "step": [repr(step.amplitude), repr(step.rise_time), repr(step.onset)],
+}))
+"""
+
+
+def test_cli_commands_without_step_fit_leave_scipy_unloaded(tmp_path):
+    tau = (np.arange(256) - 32) * 0.1
+    values = StepModel(amplitude=0.8, rise_time=1.1, onset=0.0).evaluate(tau)
+    trace = TimeTrace(times=tau, values=values + 0.05 * np.cos(2 * np.pi * 0.7 * tau))
+    trace_csv = tmp_path / "trace.csv"
+    with open(trace_csv, "w") as fh:
+        write_trace_csv(trace, fh)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out.csv"), str(trace_csv)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0, 0, 0]
+    assert not got["loaded_before"]
+    assert got["loaded_after"]
+    _, step = remove_step(trace)
+    assert got["step"] == [repr(step.amplitude), repr(step.rise_time), repr(step.onset)]

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closed_forms import ce_imag_part, ce_real_part
 from impostoron.constants import CONSTANTS
@@ -28,6 +30,29 @@ def mp_alpha(nu_thz: float) -> mp.mpf:
         mp.mpf("1.602176634e-19") ** 2
         / (mp.mpf("8.8541878128e-12") * mp.mpf("9.1093837015e-31") * om**2)
     )
+
+
+def round_trip_bound(neat: complex, ce_mol: float, nu: float) -> float:
+    """Largest |cm_invert_concentration(cm_mix(neat, ce), neat) - ce| rounding allows.
+
+    With L_n = (neat - 1)/(neat + 2) and x = ce*N_A*alpha_el/3, mixing computes
+    L = L_n + x and eps = (1 + 2L)/(1 - L); inversion computes
+    L_e = (eps - 1)/(eps + 2) and ce = 3(L_e - L_n)/(N_A*alpha_el). L_n and
+    alpha_el are the same bits on both sides, so their own errors cancel.
+    With unit roundoff u and at most 9u for a complex division:
+    - x and the final quotient carry 3u each and the difference L_e - L_n
+      carries u, all relative to ce;
+    - the sum L carries u|L|, and L_e's own evaluation 11u|L|;
+    - eps carries 11u relative, which reaches L_e multiplied by
+      |dL_e/deps| |eps| = |1 - L||1 + 2L|/3.
+    An error e in L is an error e/|x| relative to ce.
+    """
+    u = np.finfo(float).eps / 2.0
+    lf_neat = (neat - 1.0) / (neat + 2.0)
+    x = ce_mol * CONSTANTS.avogadro * alpha_el(nu) / 3.0
+    L = lf_neat + x
+    in_L = 12.0 * abs(L) + 11.0 * abs(1.0 - L) * abs(1.0 + 2.0 * L) / 3.0
+    return ce_mol * u * (7.0 + in_L / abs(x))
 
 
 class TestAlphaEl:
@@ -143,6 +168,25 @@ class TestInversion:
             back = cm_invert_concentration(eps, neat, nu)
             assert back.real == pytest.approx(ce.mol_per_m3, rel=1e-10)
             assert abs(back.imag) <= 1e-10 * ce.mol_per_m3
+
+    # Passive neat liquids (Re >= 1.2, Im >= 0) have Re L_neat < 1, and
+    # alpha_el < 0 only moves L = L_neat + x further from 1: |1 - L| >= 3/|neat + 2|
+    # > 0.025 keeps the mixing divergence away, and |x| <= 7e3 over these ranges
+    # keeps eps + 2 = 3/(1 - L) far above the local-field pole guard.
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        neat_re=st.floats(1.2, 100.0),
+        neat_im=st.floats(0.0, 60.0),
+        ce_um=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        nu=st.floats(0.05, 5.0),
+    )
+    def test_invert_undoes_mix(self, neat_re, neat_im, ce_um, nu):
+        neat = complex(neat_re, neat_im)
+        ce = Concentration.from_micromolar(ce_um)
+        back = cm_invert_concentration(cm_mix(neat, ce, nu), neat, nu)
+        bound = round_trip_bound(neat, ce.mol_per_m3, nu)
+        assert abs(back.real - ce.mol_per_m3) <= bound
+        assert abs(back.imag) <= bound
 
     def test_split_forms_match_complex_inversion(self):
         # the hand-expanded real/imaginary expressions must agree with the

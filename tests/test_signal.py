@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,7 +177,6 @@ class TestSynthOscillation:
             (n, dtau, 0.0)
             for n in (16, 17, 1023, 1024, 4096)
             for dtau in (0.05, 0.1, 0.2)
-            if n * dtau > 1.0  # 16 or 17 delays of 0.05 ps hold one in-band bin
         ]
         + [(1024, 0.1, 0.25e-9)],
     )
@@ -186,6 +186,10 @@ class TestSynthOscillation:
         rng = np.random.default_rng(n)
         tau = (np.arange(n) - n // 8) * dtau + rng.uniform(-jitter, jitter, n) * dtau
         doped = DopedLiquid(liquids[stem], Concentration.from_micromolar(40.0))
+        if n * dtau <= 1.0:  # 16 or 17 delays of 0.05 ps hold one in-band bin
+            with pytest.raises(GridError, match=f"only one spectral bin of the {n}-sample"):
+                synth_oscillation(doped, tau)
+            return
         got = synth_oscillation(doped, tau).values
         err = np.max(np.abs(got - dense_oscillation(doped, tau)))
         assert err <= synthesis_error_bound(tau)
@@ -249,6 +253,13 @@ class TestAddNoise:
         tr = TimeTrace(times=np.arange(32) * 0.1, values=np.zeros(32))
         with pytest.raises(DomainError, match="all-zero"):
             add_noise(tr, 20.0, 0)
+
+    @pytest.mark.parametrize("snr_db", [-1e4, -1e308])
+    def test_overflowing_noise_level_rejected(self, snr_db):
+        # 10 ** (-snr_db / 20) exceeds the float range below about -6165 dB
+        tr = TimeTrace(times=np.arange(32) * 0.1, values=np.ones(32))
+        with pytest.raises(DomainError, match=re.escape(f"SNR {snr_db:g} dB is out of range")):
+            add_noise(tr, snr_db, 0)
 
 
 class TestFourierFilter2D:
