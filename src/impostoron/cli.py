@@ -29,9 +29,9 @@ from .polaron import find_nu0, lineshape, lorentz_lineshape
 
 _PROBE_SPAN = 6.4  # ps, fixed probe-time window of `synth --map`
 
-#: Most samples one array built by `synth` may hold (2**24 float64, 128 MiB):
-#: the --n delay trace or, with --map, the --n x 6.4/--dt field map.
-_MAX_SYNTH_SAMPLES = 2**24
+#: Most samples one array built by the CLI may hold (2**24 float64, 128 MiB): the
+#: `eps`/`lineshape` grid, the `synth` --n delay trace or --n x 6.4/--dt map.
+_MAX_SAMPLES = 2**24
 
 
 def data_dir() -> Path:
@@ -192,8 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _grid(args, parser):
     if args.nu_max <= args.nu_min:
         parser.error(f"--nu-max must exceed --nu-min, got [{args.nu_min}, {args.nu_max}]")
-    n = int(round((args.nu_max - args.nu_min) / args.nu_step)) + 1
-    return np.linspace(args.nu_min, args.nu_max, n)
+    steps = (args.nu_max - args.nu_min) / args.nu_step  # inf for an infinite --nu-max
+    if not steps < _MAX_SAMPLES - 1:  # then round(steps) + 1 <= _MAX_SAMPLES
+        parser.error(f"frequency grid of {steps + 1:.6g} points exceeds {_MAX_SAMPLES}")
+    return np.linspace(args.nu_min, args.nu_max, int(round(steps)) + 1)
 
 
 def _cmd_eps(args, parser):
@@ -283,10 +285,10 @@ def _cmd_synth(args, parser):
     if args.n < 16:
         parser.error(f"--n must be at least 16, got {args.n}")
     columns = _PROBE_SPAN / args.dt if args.map else 1
-    if args.n > _MAX_SYNTH_SAMPLES / columns:
+    if args.n > _MAX_SAMPLES / columns:
         raise GridError(
             f"synth request too large: --n {args.n} x {columns:.6g} columns exceeds "
-            f"{_MAX_SYNTH_SAMPLES} samples per array"
+            f"{_MAX_SAMPLES} samples per array"
         )
     path = resolve_data_path(args.liquid)
     liquid = load_liquid_file(path)

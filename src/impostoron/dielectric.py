@@ -100,22 +100,27 @@ def validity_range(model: LiquidModel) -> tuple[float, float]:
 
 
 def _check_nu(nu):
-    arr = np.asarray(nu, dtype=float)
+    """nu as a float array of at least one dimension, and its largest value."""
+    arr = np.atleast_1d(np.asarray(nu, dtype=float))
     if arr.size == 0:
         raise DomainError("empty frequency input")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+    hi = float(arr.max())  # NaN if any is NaN
+    if not (float(arr.min()) > 0.0 and hi < math.inf):
         raise DomainError("frequency must be finite and > 0 THz")
-    return arr
+    return arr, hi
 
 
 def eval_neat(model: LiquidModel, nu):
     """Complex permittivity of the neat liquid at nu (THz, scalar or array)."""
     # a scalar is evaluated as a one-element array, so it rounds exactly as
     # the same frequency inside an array does
-    arr = np.atleast_1d(_check_nu(nu))
+    arr, nu_hi = _check_nu(nu)
     if isinstance(model, DebyeModel):
         eps = np.full(arr.shape, complex(model.eps_inf), dtype=complex)
         for delta, tau in model.terms:
+            x_hi = 2.0 * math.pi * nu_hi * tau  # the largest x, rounded as below
+            if x_hi * x_hi == math.inf:
+                raise DomainError(f"frequency {nu_hi:g} THz overflows '{model.name}'")
             x = 2.0 * math.pi * arr * tau
             eps += delta * (1.0 + 1j * x) / (1.0 + x * x)
     else:
@@ -130,6 +135,25 @@ def eval_neat(model: LiquidModel, nu):
     if np.isscalar(nu) or np.ndim(nu) == 0:
         return eps.item()
     return eps
+
+
+def _neat_slope(model: LiquidModel, nu: np.ndarray) -> np.ndarray:
+    """d(eps_neat)/d(nu) (1/THz) at each frequency of an array eval_neat accepts.
+
+    Debye: delta*2*pi*i*tau/(1 - i*x)**2 per term, as delta*2*pi*i*tau*w*w
+    with w = 1/(1 - i*x), which cannot overflow. Table: the interpolating
+    segment's slope; at an interior knot the segment above, at the top knot
+    the last.
+    """
+    if isinstance(model, DebyeModel):
+        slope = np.zeros(nu.shape, dtype=complex)
+        for delta, tau in model.terms:
+            w = 1.0 / (1.0 - 2j * math.pi * tau * nu)
+            slope += (2j * math.pi * tau * delta) * w * w
+        return slope
+    f, v = model.frequencies, model.values
+    k = np.clip(np.searchsorted(f, nu, side="right") - 1, 0, f.size - 2)
+    return (v[k + 1] - v[k]) / (f[k + 1] - f[k])
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dielectric import LiquidModel, eval_neat, validity_range
+from .dielectric import LiquidModel, _neat_slope, eval_neat, validity_range
 from .errors import (
     DomainError,
     NoProfileMatchError,
@@ -25,12 +25,11 @@ from .mixing import (
     DopedLiquid,
     _invert,
     _local_field,
-    _mix,
+    _mix_slope,
     cm_invert_concentration,
 )
 from .polaron import (
     DEFAULT_TOL,
-    DERIVATIVE_STEP,
     _crossing_loss,
     _refine_root,
     eps_doped,  # noqa: F401  (bound here as before, for callers that use matching.eps_doped)
@@ -91,8 +90,8 @@ def _shared_bracket(
     lo, hi = float(bracket[0]), float(bracket[1])
     for liquid in (liquid1, liquid2):
         vlo, vhi = validity_range(liquid)
-        lo = max(lo, vlo + DERIVATIVE_STEP)
-        hi = min(hi, vhi - DERIVATIVE_STEP)
+        lo = max(lo, vlo)
+        hi = min(hi, vhi)
     if not (lo > 0 and hi > lo):
         raise DomainError(f"bracket [{bracket[0]}, {bracket[1]}] THz has no shared validity")
     return lo, hi
@@ -142,25 +141,17 @@ def _profile(liquid: LiquidModel, nu: np.ndarray) -> np.ndarray:
     """B/eps2 of the liquid at each frequency of the array nu, NaN where undefined.
 
     At each nu the concentration is ce_for_nu0's closed form, eps2 the loss
-    at the crossing and B the central difference of eps' over
-    nu +- DERIVATIVE_STEP, as in find_nu0. A node is undefined where
-    ce_for_nu0 would raise, where eps2 is zero, or where the stencil leaves
-    the model's domain or meets a mixing divergence.
+    at the crossing and B = d(eps')/d(nu) in closed form, as in find_nu0. A
+    node is undefined where ce_for_nu0 would raise or where eps2 is zero.
     """
-    h = DERIVATIVE_STEP
-    vlo, vhi = validity_range(liquid)
-    stencil = np.stack([nu + h, nu - h])
-    inside = (stencil > 0.0) & (stencil >= vlo) & (stencil <= vhi)
-    stencil = np.where(inside, stencil, nu)
-    neat = eval_neat(liquid, np.stack([nu, *stencil]))
+    neat = eval_neat(liquid, nu)
     lf, lf_pole = _local_field(neat)
-    eps2 = _crossing_loss(neat[0])[0]
-    ce = _invert(_local_field(1j * eps2)[0], lf[0], nu).real
+    eps2 = _crossing_loss(neat)[0]
+    L = _local_field(1j * eps2)[0]  # the local-field sum of eps = i*eps2
+    ce = _invert(L, lf, nu).real
     # eps2 > 0 only where the loss at the crossing is defined and non-zero
-    ok = (eps2 > 0.0) & ~lf_pole[0] & np.isfinite(ce) & (ce >= 0.0)
-    eps, divergent = _mix(lf[1:], np.where(ok, ce, 0.0), stencil)
-    ok &= np.all(inside & ~lf_pole[1:] & ~divergent, axis=0)
-    slope = (eps[0].real - eps[1].real) / (2.0 * h)
+    ok = (eps2 > 0.0) & ~lf_pole & np.isfinite(ce) & (ce >= 0.0)
+    slope = _mix_slope(lf, _neat_slope(liquid, nu), L, nu).real
     return np.where(ok, slope / np.where(ok, eps2, 1.0), np.nan)
 
 
@@ -181,8 +172,8 @@ def match_profiles(
     nodes where a liquid's profile is undefined are skipped and counted in
     `skipped_nodes`. Each sign change is bisected to float resolution,
     ROUND_LEVELS steps per vector evaluation, and its root is the bisection
-    point of least |g|. Each B_i is the central difference of eps' over
-    nu +- DERIVATIVE_STEP (1e-3 THz).
+    point of least |g|. Each B_i is d(eps_i')/d(nu) in closed form, as in
+    find_nu0.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
 

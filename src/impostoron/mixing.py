@@ -7,7 +7,7 @@ the local-field relation of the neat liquid:
 
 with alpha_el the Drude polarizability of a free electron,
 
-    alpha_el(nu) = -e**2 / (eps0 * m * ((2*pi*nu)**2 + i*gamma*(2*pi*nu))).
+    alpha_el(nu) = -e**2 / (eps0 * m * (2*pi*nu)**2).
 
 Units: frequencies enter in THz and are converted to SI exactly once inside
 alpha_el; concentrations are carried in mol/m^3 (Concentration converts from
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
-from .dielectric import LiquidModel
+from .dielectric import LiquidModel, _check_nu
 from .errors import DomainError, SingularityError
 
 #: |1 - L| below this is treated as a Clausius-Mossotti divergence.
@@ -39,8 +39,10 @@ class Concentration:
     mol_per_m3: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mol_per_m3) or self.mol_per_m3 < 0:
-            raise DomainError(f"concentration must be finite and >= 0, got {self.mol_per_m3} mol/m^3")
+        if not math.isfinite(self.mol_per_m3 * CONSTANTS.avogadro) or self.mol_per_m3 < 0:
+            raise DomainError(
+                f"concentration must be >= 0 with ce*N_A finite, got {self.micromolar:g} uM"
+            )
 
     @classmethod
     def from_micromolar(cls, value: float) -> "Concentration":
@@ -59,23 +61,23 @@ class DopedLiquid:
     ce: Concentration
 
 
-def alpha_el(nu, gamma: float = 0.0):
+def alpha_el(nu):
     """Free-electron polarizability (m^3) at nu (THz, scalar or array).
 
-    gamma is a phenomenological damping rate in 1/s; the default 0 gives a
-    purely real, negative polarizability scaling exactly as 1/nu^2. No other
-    operation in the package takes a damping argument.
+    Undamped: real (as a complex), negative and exactly 1/nu^2 in scaling.
+    Raises DomainError where it leaves the float range.
     """
-    arr = np.atleast_1d(np.asarray(nu, dtype=float))  # scalars round as array elements
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise DomainError("frequency must be finite and > 0 THz")
-    if gamma < 0:
-        raise DomainError(f"damping rate must be >= 0, got {gamma}")
+    arr = _check_nu(nu)[0]  # scalars round as array elements
     omega = 2.0 * math.pi * arr * 1e12  # rad/s
     c = CONSTANTS
-    out = -c.elementary_charge**2 / (
-        c.vacuum_permittivity * c.electron_mass * (omega**2 + 1j * gamma * omega)
-    )
+    try:
+        with np.errstate(all="raise"):
+            out = -c.elementary_charge**2 / (
+                c.vacuum_permittivity * c.electron_mass * (omega**2 + 0j)
+            )
+    except FloatingPointError:
+        nu_range = f"[{arr.min():g}, {arr.max():g}]"
+        raise DomainError(f"alpha_el leaves the float range at nu in {nu_range} THz") from None
     if np.isscalar(nu) or np.ndim(nu) == 0:
         return out.item()
     return out
@@ -110,6 +112,19 @@ def _mix(lf_neat, ce_mol, nu):
     denom = 1.0 - L
     divergent = np.abs(denom) < CM_SINGULARITY_EPS
     return (1.0 + 2.0 * L) / np.where(divergent, 1.0, denom), divergent
+
+
+def _mix_slope(lf_neat, neat_slope, L, nu):
+    """d(eps)/d(nu) (1/THz) of the doped liquid whose local-field sum is L.
+
+    L = lf_neat + x is _mix's sum, x = ce*N_A*alpha_el(nu)/3, and
+    neat_slope = d(eps_neat)/d(nu). The chain rule on eps = (1 + 2L)/(1 - L)
+    gives 3 L'/(1 - L)**2 with L' = 3 eps_neat'/(eps_neat + 2)**2 - 2x/nu,
+    since alpha_el goes as 1/nu**2; 3/(eps_neat + 2)**2 is written
+    (1 - lf_neat)**2/3, finite on the local-field pole.
+    """
+    dL = neat_slope * (1.0 - lf_neat) ** 2 / 3.0 - 2.0 * (L - lf_neat) / nu
+    return 3.0 * dL / (1.0 - L) ** 2
 
 
 def _invert(lf_eps, lf_neat, nu):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dielectric import _readonly, eval_neat
+from .dielectric import _neat_slope, _readonly, eval_neat
 from .errors import (
     DegenerateLineshapeError,
     DomainError,
@@ -20,7 +20,7 @@ from .errors import (
     NoResonanceError,
     SingularityError,
 )
-from .mixing import Concentration, DopedLiquid, cm_mix
+from .mixing import Concentration, DopedLiquid, _local_field, _mix_slope, cm_mix
 
 #: Number of pre-scan points used to bracket sign changes of eps'.
 SCAN_POINTS = 400
@@ -36,10 +36,6 @@ ROUND_LEVELS = 5
 
 #: Most bisection steps one refinement takes.
 MAX_BISECTIONS = 200
-
-#: Half width (THz) of the central difference behind slope_B and the
-#: profile-match width term.
-DERIVATIVE_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -150,8 +146,8 @@ def find_nu0(
     to non-negative; each is bisected until its bracket is at most tol (THz)
     wide, ROUND_LEVELS bisection steps per vector evaluation of eps', and
     its midpoint is the crossing. The lowest crossing is returned, any
-    further ones are listed in `alternatives`. slope_B is the central
-    difference of eps' over nu0 +- DERIVATIVE_STEP (1e-3 THz).
+    further ones are listed in `alternatives`. slope_B is d(eps')/d(nu) at
+    nu0 in closed form (mixing._mix_slope).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
@@ -175,12 +171,15 @@ def find_nu0(
         raise NoResonanceError(f"no polaron resonance in range [{lo:g}, {hi:g}] THz")
 
     nu0 = roots[0]
-    h = DERIVATIVE_STEP
-    eps_at, eps_hi, eps_lo = eps_doped(doped, np.array([nu0, nu0 + h, nu0 - h]))
+    at = np.array([nu0])
+    neat = eval_neat(doped.liquid, at)
+    eps = cm_mix(neat, doped.ce, at)
+    lf, L = _local_field(neat)[0], _local_field(eps)[0]
+    slope = _mix_slope(lf, _neat_slope(doped.liquid, at), L, at)
     return PolaronResonance(
         nu0=nu0,
-        eps_imag_at_nu0=float(eps_at.imag),
-        slope_B=float(eps_hi.real - eps_lo.real) / (2.0 * h),
+        eps_imag_at_nu0=float(eps[0].imag),
+        slope_B=float(slope[0].real),
         ce=doped.ce,
         alternatives=tuple(roots[1:]),
     )

@@ -247,9 +247,9 @@ def add_noise(obj, snr_db: float, rng) -> "TimeTrace | FieldMap2D":
     try:
         sigma = rms * 10.0 ** (-snr_db / 20.0)
     except OverflowError:
-        raise DomainError(
-            f"SNR {snr_db:g} dB is out of range: its noise level overflows a float"
-        ) from None
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise DomainError(f"SNR {snr_db:g} dB is out of range: its noise level is not finite")
     noisy = values + rng.normal(0.0, sigma, size=values.shape)
     if isinstance(obj, TimeTrace):
         return TimeTrace(times=obj.times, values=noisy)

@@ -6,14 +6,20 @@ complex arithmetic: the real and imaginary parts of the concentration for a
 purely imaginary doped permittivity i*eps2, and the difference of two
 liquids' concentrations for a shared crossing. The synthesized oscillation is
 written out as its cosine sum, term by term.
+
+For Debye liquids two high-precision references follow, both in mpmath and
+neither calling the package's formulas: the profile match of a pair, with
+roots from findroot and slopes from numerical differentiation, and the
+numerator polynomial whose real roots are the zero crossings of eps'.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from impostoron.constants import CONSTANTS
-from impostoron.dielectric import LiquidModel, eval_neat
+from impostoron.dielectric import DebyeModel, LiquidModel, eval_neat
 from impostoron.mixing import DopedLiquid, alpha_el
 from impostoron.polaron import eps_imag_at_nu0, lineshape
 from impostoron.signal import DEFAULT_BAND
@@ -81,3 +87,121 @@ def dense_oscillation(doped: DopedLiquid, tau, band=DEFAULT_BAND) -> np.ndarray:
     s *= dnu
     s[tau < 0] = 0.0
     return s
+
+
+def _mp_alpha_1thz() -> mp.mpf:
+    """alpha_el at 1 THz (m^3) from the CODATA literals; alpha_el(nu) is this / nu**2."""
+    c = CONSTANTS
+    e, eps0, m = (
+        mp.mpf(repr(v)) for v in (c.elementary_charge, c.vacuum_permittivity, c.electron_mass)
+    )
+    return -(e**2) / (eps0 * m * (2 * mp.pi * mp.mpf("1e12")) ** 2)
+
+
+def _mp_local_sum_scale(ce_mol) -> mp.mpf:
+    """ce*N_A*alpha_el(1 THz)/3, the electron term of L times nu**2."""
+    return mp.mpf(ce_mol) * mp.mpf(repr(CONSTANTS.avogadro)) * _mp_alpha_1thz() / 3
+
+
+def _mp_neat(model: DebyeModel, nu):
+    return mp.mpf(model.eps_inf) + sum(
+        mp.mpf(d) / (1 - 2j * mp.pi * mp.mpf(t) * nu) for d, t in model.terms
+    )
+
+
+def _mp_lf(eps):
+    return (eps - 1) / (eps + 2)
+
+
+def _mp_crossing(model: DebyeModel, nu):
+    """(ce in mol/m^3, eps2) putting the model's zero crossing at nu, in mpmath."""
+    neat = _mp_neat(model, nu)
+    r = neat.imag / abs(neat + 2) ** 2
+    eps2 = (1 - mp.sqrt(1 - 16 * r**2)) / (2 * r)
+    ce = 3 * (_mp_lf(1j * eps2) - _mp_lf(neat)) * nu**2 / (
+        mp.mpf(repr(CONSTANTS.avogadro)) * _mp_alpha_1thz()
+    )
+    return ce.real, eps2
+
+
+def _mp_eps_doped(model: DebyeModel, ce_mol, nu):
+    L = _mp_lf(_mp_neat(model, nu)) + _mp_local_sum_scale(ce_mol) / nu**2
+    return (1 + 2 * L) / (1 - L)
+
+
+def mp_profile_match(model1: DebyeModel, model2: DebyeModel, guess: float, dps: int = 40):
+    """(nu*, ce_1, ce_2) in THz and uM at which B_1/eps2_1 = B_2/eps2_2.
+
+    Each liquid takes the concentration that puts its crossing at nu; B is
+    d(eps')/d(nu) at that fixed concentration, by mpmath's numerical
+    differentiation, and nu* is findroot's root nearest the guess.
+    """
+    with mp.workdps(dps):
+
+        def width(model, nu):
+            ce, eps2 = _mp_crossing(model, nu)
+            slope = mp.diff(lambda t: _mp_eps_doped(model, ce, t).real, nu)
+            return slope / eps2
+
+        nu_star = mp.findroot(lambda nu: width(model1, nu) - width(model2, nu), mp.mpf(guess))
+        micromolar = [_mp_crossing(m, nu_star)[0] * 1000 for m in (model1, model2)]
+        return tuple(float(v) for v in (nu_star, *micromolar))
+
+
+def _pmul(p, q):
+    out = [mp.mpc(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _padd(*polys):
+    out = [mp.mpc(0)] * max(len(p) for p in polys)
+    for p in polys:
+        for i, a in enumerate(p):
+            out[i] += a
+    return out
+
+
+def _pscale(k, p):
+    return [k * a for a in p]
+
+
+def _pconj(p):
+    return [mp.conj(a) for a in p]
+
+
+def crossing_polynomials(model: DebyeModel, ce_mol: float):
+    """(P, Q), ascending real mpmath coefficients, with eps'(nu) = P(nu)/Q(nu).
+
+    eps_neat = A/B with B = prod_k (1 - i x_k), x_k = 2 pi tau_k nu, and the
+    local-field sum L = (A - B)/(A + 2B) + s/nu**2 = N/M, where s is
+    ce*N_A*alpha_el(1 THz)/3. Then eps = (M + 2N)/(M - N), whose real part
+    is P/Q with P = |M|**2 + Re(N conj(M)) - 2|N|**2 and Q = |M - N|**2 > 0.
+    Call inside an mpmath precision context.
+    """
+    factors = [[mp.mpc(1), -2j * mp.pi * mp.mpf(t)] for _, t in model.terms]
+    b = [mp.mpc(1)]
+    for f in factors:
+        b = _pmul(b, f)
+    a = _pscale(mp.mpf(model.eps_inf), b)
+    for k, (delta, _) in enumerate(model.terms):
+        rest = [mp.mpc(mp.mpf(delta))]
+        for j, f in enumerate(factors):
+            if j != k:
+                rest = _pmul(rest, f)
+        a = _padd(a, rest)
+    nu2 = [0, 0, 1]
+    a_plus_2b = _padd(a, _pscale(2, b))
+    m_poly = _pmul(nu2, a_plus_2b)
+    n_poly = _padd(
+        _pmul(nu2, _padd(a, _pscale(-1, b))), _pscale(_mp_local_sum_scale(ce_mol), a_plus_2b)
+    )
+    mm = _pmul(m_poly, _pconj(m_poly))
+    nm = _pmul(n_poly, _pconj(m_poly))
+    nn = _pmul(n_poly, _pconj(n_poly))
+    p = [x.real + y.real - 2 * z.real for x, y, z in zip(mm, nm, nn)]
+    d = _padd(m_poly, _pscale(-1, n_poly))
+    q = [x.real for x in _pmul(d, _pconj(d))]
+    return p, q

@@ -9,11 +9,11 @@ the package points at the vector scan or the refiner, not at the formulas.
 
 import numpy as np
 
-from impostoron.dielectric import eval_neat
+from impostoron.dielectric import _neat_slope, eval_neat
 from impostoron.errors import ImpostoronError, NoProfileMatchError
 from impostoron.matching import ce_for_nu0
-from impostoron.mixing import DopedLiquid
-from impostoron.polaron import DERIVATIVE_STEP, SCAN_POINTS, eps_doped, eps_imag_at_nu0
+from impostoron.mixing import _local_field, _mix_slope
+from impostoron.polaron import SCAN_POINTS, eps_doped, eps_imag_at_nu0
 
 
 def find_nu0_roots(doped, bracket, tol, n_scan=SCAN_POINTS):
@@ -35,45 +35,43 @@ def find_nu0_roots(doped, bracket, tol, n_scan=SCAN_POINTS):
     return roots
 
 
-def profile_term(liquid, nu, h=DERIVATIVE_STEP):
+def profile_term(liquid, nu):
     """B/eps2 of one liquid at nu; raises where the profile is undefined."""
-    ce = ce_for_nu0(liquid, nu)
-    eps2 = eps_imag_at_nu0(eval_neat(liquid, nu))
+    ce_for_nu0(liquid, nu)  # raises where no concentration reaches the crossing
+    neat = eval_neat(liquid, nu)
+    eps2 = eps_imag_at_nu0(neat)
     if eps2 <= 0:
         raise NoProfileMatchError(
             f"profile undefined for '{liquid.name}': zero loss at the crossing"
         )
-    doped = DopedLiquid(liquid, ce)
-    slope = (
-        float(np.real(eps_doped(doped, nu + h)))
-        - float(np.real(eps_doped(doped, nu - h)))
-    ) / (2.0 * h)
-    return slope / eps2
+    # at the crossing the doped permittivity is i*eps2: L is its local-field sum
+    L, at = _local_field(1j * eps2)[0], np.array([nu])
+    return float(_mix_slope(_local_field(neat)[0], _neat_slope(liquid, at), L, at)[0].real) / eps2
 
 
-def g_norm(liquid1, liquid2, nu, h=DERIVATIVE_STEP):
-    t1, t2 = profile_term(liquid1, nu, h), profile_term(liquid2, nu, h)
+def g_norm(liquid1, liquid2, nu):
+    t1, t2 = profile_term(liquid1, nu), profile_term(liquid2, nu)
     mean = 0.5 * (t1 + t2)
     if mean == 0:
         return 0.0
     return (t1 - t2) / mean
 
 
-def profile_scan(liquid1, liquid2, grid, h=DERIVATIVE_STEP):
+def profile_scan(liquid1, liquid2, grid):
     """g at each grid node, NaN where either profile raises."""
     vals = np.full(grid.shape, np.nan)
     for i, nu in enumerate(grid):
         try:
-            vals[i] = g_norm(liquid1, liquid2, float(nu), h)
+            vals[i] = g_norm(liquid1, liquid2, float(nu))
         except ImpostoronError:
             continue
     return vals
 
 
-def match_roots(liquid1, liquid2, lo, hi, n_scan, h=DERIVATIVE_STEP):
+def match_roots(liquid1, liquid2, lo, hi, n_scan):
     """Profile-match roots on the shared bracket [lo, hi], and the scan values."""
     grid = np.linspace(lo, hi, n_scan)
-    vals = profile_scan(liquid1, liquid2, grid, h)
+    vals = profile_scan(liquid1, liquid2, grid)
     finite = np.isfinite(vals)
     roots = []
     for i in range(len(grid) - 1):
@@ -91,7 +89,7 @@ def match_roots(liquid1, liquid2, lo, hi, n_scan, h=DERIVATIVE_STEP):
             mid = 0.5 * (a + b)
             if mid == a or mid == b:
                 break
-            gm = g_norm(liquid1, liquid2, mid, h)
+            gm = g_norm(liquid1, liquid2, mid)
             if abs(gm) < best[0]:
                 best = (abs(gm), mid)
             if gm == 0.0:

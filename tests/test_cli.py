@@ -40,6 +40,10 @@ class TestArgumentValidation:
             ["match", "--liquid-a", "ipa.liq", "--liquid-b", "eg.liq"],  # no mode
             ["synth", "--liquid", "water.liq", "--ce", "40", "--n", "8"],
             ["bogus-command"],
+            ["eps", "--liquid", "water.liq", "--nu-max", "inf"],
+            ["eps", "--liquid", "water.liq", "--nu-step", "1e-300"],
+            # 2**24 steps over the default 0.2-2.0 THz: one point over the cap
+            ["eps", "--liquid", "water.liq", "--nu-step", repr(1.8 / 2**24)],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -139,6 +143,10 @@ class TestCeForNu0Command:
         assert run(["ce-for-nu0", "--liquid", "dispersionless.liq", "--nu0", "0.7"]) == 0
         kv = parse_kv(capsys.readouterr().out)
         assert float(kv["ce_uM"]) == pytest.approx(25.0, abs=2.5e-3)
+
+    def test_overflowing_frequency_exits_3(self, capsys):
+        assert run(["ce-for-nu0", "--liquid", "water.liq", "--nu0", "1e200"]) == 3
+        assert "frequency 1e+200 THz overflows" in capsys.readouterr().err
 
     def test_round_trip_with_nu0_command(self, capsys):
         assert run(["ce-for-nu0", "--liquid", "eg.liq", "--nu0", "0.9"]) == 0
@@ -321,6 +329,8 @@ class TestSynthAndExtract:
             (["--noise-snr-db=-1e4"], "SNR -10000 dB is out of range"),
             (["--noise-snr-db=-1e308"], "SNR -1e+308 dB is out of range"),
             (["--n", "16", "--dtau", "0.05"], "only one spectral bin of the 16-sample"),
+            (["--noise-snr-db=-inf"], "SNR -inf dB is out of range"),
+            (["--noise-snr-db=nan"], "SNR nan dB is out of range"),
         ],
     )
     def test_synth_domain_errors_exit_3(self, capsys, args, message):

@@ -1,11 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from impostoron.dielectric import (
     DebyeModel,
     TabulatedModel,
+    _neat_slope,
     eval_neat,
     load_liquid_file,
     loads_liquid,
@@ -121,6 +123,46 @@ def test_eval_neat_rejects_bad_frequencies():
             eval_neat(m, bad)
     with pytest.raises(DomainError):
         eval_neat(m, np.array([]))
+
+
+def test_eval_neat_names_an_overflowing_frequency():
+    # (2 pi nu tau)**2 leaves the float range above about 2.6e151 THz for a
+    # 8.3 ps term
+    water = DebyeModel("water", 5.8, ((73.0, 8.3), (2.2, 0.25)))
+    with pytest.raises(DomainError, match=r"frequency 1e\+200 THz overflows 'water'"):
+        eval_neat(water, 1e200)
+    with pytest.raises(DomainError, match=r"frequency 1e\+200 THz"):
+        eval_neat(water, np.array([0.7, 1e200]))
+
+
+class TestNeatSlope:
+    def test_debye_matches_mpmath_derivative(self):
+        m = DebyeModel("w", 5.8, ((73.0, 8.3), (2.2, 0.25)))
+        grid = np.array([1e-3, 0.1, 0.7, 3.0, 40.0])
+        got = _neat_slope(m, grid)
+        with mp.workdps(30):
+            for nu, g in zip(grid, got):
+                ref = mp.diff(
+                    lambda t: 5.8 + sum(d / (1 - 2j * mp.pi * tau * t) for d, tau in m.terms),
+                    mp.mpf(nu),
+                )
+                assert abs(g - complex(ref)) <= 1e-14 * abs(complex(ref))
+
+    def test_no_warning_where_eval_neat_succeeds(self):
+        # eval_neat is finite up to x = 2 pi nu tau of about 1.3e154; the
+        # slope's w**2 only underflows there
+        m = DebyeModel("w", 5.8, ((73.0, 8.3),))
+        nu = np.array([1e152])
+        eval_neat(m, nu)
+        assert np.all(np.isfinite(_neat_slope(m, nu)))
+
+    def test_table_takes_the_segment_above_a_knot(self):
+        nu = np.array([0.2, 0.5, 1.0, 2.0])
+        vals = np.array([4.0 + 1.0j, 3.5 + 0.8j, 3.0 + 0.5j, 2.5 + 0.2j])
+        m = TabulatedModel("tab", nu, vals)
+        seg = np.diff(vals) / np.diff(nu)
+        got = _neat_slope(m, np.array([0.2, 0.3, 0.5, 0.75, 1.0, 2.0]))
+        np.testing.assert_array_equal(got, seg[[0, 0, 1, 1, 2, 2]])
 
 
 def test_eval_neat_vectorizes():

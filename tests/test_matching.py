@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from closed_forms import concentration_difference
+from closed_forms import concentration_difference, mp_profile_match
 from impostoron.constants import CONSTANTS
 from impostoron.dielectric import DebyeModel, TabulatedModel, eval_neat
 from impostoron.errors import (
@@ -57,6 +57,10 @@ class TestCeForNu0:
         ref = -1.5 / (CONSTANTS.avogadro * alpha_el(0.7).real)
         assert ce.mol_per_m3 == pytest.approx(ref, rel=1e-12)
         assert ce.mol_per_m3 > 0
+
+    def test_overflowing_target_names_the_frequency(self, liquids):
+        with pytest.raises(DomainError, match=r"frequency 1e\+200 THz"):
+            ce_for_nu0(liquids["water"], 1e200)
 
     def test_unreachable_target_raises(self):
         met = TabulatedModel(
@@ -154,14 +158,26 @@ class TestMatchProfiles:
         sol = match_profiles(a, b, (0.2, 2.0))
         assert sol.profile_matched is True
         assert sol.alternatives == ()
-        assert sol.nu0 == pytest.approx(0.7005741151286292, abs=1e-6)
-        assert sol.ce_1.micromolar == pytest.approx(25.683494495293186, rel=1e-6)
-        assert sol.ce_2.micromolar == pytest.approx(41.475789435270606, rel=1e-6)
+        # the 40-digit reference of test_strength_only_pair_matches_mpmath
+        assert sol.nu0 == pytest.approx(0.7005744882408573, abs=1e-6)
+        assert sol.ce_1.micromolar == pytest.approx(25.683520754127905, rel=1e-6)
+        assert sol.ce_2.micromolar == pytest.approx(41.47583269498966, rel=1e-6)
         assert abs(sol.profile_residual) < 1e-8
         # both zero crossings really sit on the matched frequency
         for liquid, ce in ((a, sol.ce_1), (b, sol.ce_2)):
             res = find_nu0(DopedLiquid(liquid, ce), (0.2, 2.0), 1e-8)
             assert abs(res.nu0 - sol.nu0) < 1e-6
+
+    def test_strength_only_pair_matches_mpmath(self):
+        a = DebyeModel("a", 2.2, ((1.0, 0.3),))
+        b = DebyeModel("b", 2.2, ((25.0, 0.3),))
+        ref = mp_profile_match(a, b, 0.7)
+        # the pins of test_strength_only_pair_single_root are this reference
+        pinned = (0.7005744882408573, 25.683520754127905, 41.47583269498966)
+        assert ref == pytest.approx(pinned, rel=1e-15)
+        sol = match_profiles(a, b, (0.2, 2.0))
+        got = (sol.nu0, sol.ce_1.micromolar, sol.ce_2.micromolar)
+        assert got == pytest.approx(ref, rel=1e-12)
 
     def test_two_relaxation_time_pair(self):
         a = DebyeModel("A", 2.2, ((0.4, 0.15),))

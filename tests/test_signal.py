@@ -254,9 +254,10 @@ class TestAddNoise:
         with pytest.raises(DomainError, match="all-zero"):
             add_noise(tr, 20.0, 0)
 
-    @pytest.mark.parametrize("snr_db", [-1e4, -1e308])
+    @pytest.mark.parametrize("snr_db", [-1e4, -1e308, float("-inf"), float("nan")])
     def test_overflowing_noise_level_rejected(self, snr_db):
-        # 10 ** (-snr_db / 20) exceeds the float range below about -6165 dB
+        # 10 ** (-snr_db / 20) exceeds the float range below about -6165 dB,
+        # and is not a number for a NaN SNR
         tr = TimeTrace(times=np.arange(32) * 0.1, values=np.ones(32))
         with pytest.raises(DomainError, match=re.escape(f"SNR {snr_db:g} dB is out of range")):
             add_noise(tr, snr_db, 0)
