@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 from importlib import resources
@@ -284,12 +285,18 @@ def _cmd_lineshape(args, parser):
 def _cmd_synth(args, parser):
     if args.n < 16:
         parser.error(f"--n must be at least 16, got {args.n}")
+    if not math.isfinite(args.dt):
+        parser.error(f"--dt must be finite, got {args.dt}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     columns = _PROBE_SPAN / args.dt if args.map else 1
     if args.n > _MAX_SAMPLES / columns:
         raise GridError(
             f"synth request too large: --n {args.n} x {columns:.6g} columns exceeds "
             f"{_MAX_SAMPLES} samples per array"
         )
+    if not math.isfinite(args.n * args.dtau):  # then every delay is finite
+        parser.error(f"--dtau must keep --n x --dtau finite, got {args.n} x {args.dtau}")
     path = resolve_data_path(args.liquid)
     liquid = load_liquid_file(path)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))

@@ -49,16 +49,19 @@ class DebyeModel:
             raise DomainError(f"eps_inf must be finite and >= 1, got {self.eps_inf}")
         terms = tuple((float(d), float(t)) for d, t in self.terms)
         object.__setattr__(self, "terms", terms)
+        total = self.eps_inf  # summed in eval_neat's order, which bounds eps' there
         for delta, tau in terms:
             if not (math.isfinite(delta) and delta > 0):
                 raise DomainError(f"Debye term strength must be positive, got {delta}")
             if not (math.isfinite(tau) and tau > 0):
                 raise DomainError(f"Debye relaxation time must be positive, got {tau} ps")
+            total += delta
+        if total == math.inf:
+            raise DomainError("eps_inf + sum(delta_eps) is not finite")
         if self.eps_static is not None:
-            implied = self.eps_inf + sum(d for d, _ in terms)
-            if abs(implied - self.eps_static) > 1e-9 * max(1.0, abs(self.eps_static)):
+            if abs(total - self.eps_static) > 1e-9 * max(1.0, abs(self.eps_static)):
                 raise DomainError(
-                    f"declared eps_static {self.eps_static} != eps_inf + sum(delta_eps) = {implied}"
+                    f"declared eps_static {self.eps_static} != eps_inf + sum(delta_eps) = {total}"
                 )
 
 
@@ -119,7 +122,7 @@ def eval_neat(model: LiquidModel, nu):
         eps = np.full(arr.shape, complex(model.eps_inf), dtype=complex)
         for delta, tau in model.terms:
             x_hi = 2.0 * math.pi * nu_hi * tau  # the largest x, rounded as below
-            if x_hi * x_hi == math.inf:
+            if x_hi * x_hi == math.inf or delta * x_hi == math.inf:
                 raise DomainError(f"frequency {nu_hi:g} THz overflows '{model.name}'")
             x = 2.0 * math.pi * arr * tau
             eps += delta * (1.0 + 1j * x) / (1.0 + x * x)

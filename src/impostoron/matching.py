@@ -10,7 +10,7 @@ called an impostoron here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class ImpostoronSolution:
     nu0: float  # THz
     #: |nu0_1 - nu0_2| from independent zero-crossing solves, THz
     freq_residual: float
-    #: B1/eps2_1 - B2/eps2_2, 1/THz
+    #: B1/eps2_1 - B2/eps2_2 at nu0, 1/THz
     profile_residual: float
     #: True when the solution came from the profile-matching root search
     profile_matched: bool
@@ -108,22 +108,21 @@ def match_frequency(
 
     freq_residual reports the round-trip disagreement of the two independent
     zero-crossing solves; profile_residual reports how unequal the Lorentzian
-    widths remain (frequency matching does not equalize them).
+    widths remain (frequency matching does not equalize them): B1/eps2_1 -
+    B2/eps2_2 at nu0 itself, each term the closed form of _profile.
     """
     ce1 = ce_for_nu0(liquid1, nu0)
     ce2 = ce_for_nu0(liquid2, nu0)
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
     res1 = find_nu0(DopedLiquid(liquid1, ce1), (lo, hi), tol)
     res2 = find_nu0(DopedLiquid(liquid2, ce2), (lo, hi), tol)
-    eps2_1 = eps_imag_at_nu0(eval_neat(liquid1, nu0))
-    eps2_2 = eps_imag_at_nu0(eval_neat(liquid2, nu0))
-    note = ""
-    if eps2_1 > 0.0 and eps2_2 > 0.0:
-        residual = res1.slope_B / eps2_1 - res2.slope_B / eps2_2
-    else:
-        # a lossless crossing has no finite width; the diagnostic is 0 for a
-        # symmetric pair and undefined otherwise
-        symmetric = eps2_1 == eps2_2 and res1.slope_B == res2.slope_B
+    at = np.array([nu0])
+    t1, t2 = float(_profile(liquid1, at)[0]), float(_profile(liquid2, at)[0])
+    residual, note = t1 - t2, ""
+    if math.isnan(t1) or math.isnan(t2):
+        # with both concentrations found, only a lossless crossing (no finite
+        # width) leaves a term undefined: 0 for a symmetric pair, else undefined
+        symmetric = math.isnan(t1) and math.isnan(t2) and res1.slope_B == res2.slope_B
         residual = 0.0 if symmetric else math.nan
         note = "width diagnostic undefined: zero loss at the crossing"
     return ImpostoronSolution(
@@ -159,21 +158,20 @@ def match_profiles(
     liquid1: LiquidModel,
     liquid2: LiquidModel,
     bracket: tuple[float, float] = (0.2, 2.0),
-    profile_tol: float = PROFILE_TOL,
-    tol: float = DEFAULT_TOL,
-    n_scan: int = PROFILE_SCAN_POINTS,
 ) -> ImpostoronSolution:
     """Frequency at which both liquids can host identical Lorentzian lines.
 
     Solves g(nu) = B1/eps2_1 - B2/eps2_2 = 0 over the bracket, where each
     B_i is evaluated at the concentration that puts liquid i's crossing at nu.
     Convergence is judged on g normalized by the mean of the two terms.
-    One vector evaluation on n_scan grid nodes brackets the sign changes;
-    nodes where a liquid's profile is undefined are skipped and counted in
-    `skipped_nodes`. Each sign change is bisected to float resolution,
-    ROUND_LEVELS steps per vector evaluation, and its root is the bisection
-    point of least |g|. Each B_i is d(eps_i')/d(nu) in closed form, as in
-    find_nu0.
+    One vector evaluation on PROFILE_SCAN_POINTS grid nodes brackets the
+    sign changes; nodes where a liquid's profile is undefined are skipped
+    and counted in `skipped_nodes`. When |g| stays below PROFILE_TOL on
+    every defined node the pair is degenerate. Each sign change is bisected
+    to float resolution, ROUND_LEVELS steps per vector evaluation, and its
+    root is the bisection point of least |g|. Each B_i is d(eps_i')/d(nu) in
+    closed form, as in find_nu0. The lowest root nu* is then
+    match_frequency's solution at nu*, marked profile-matched.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
 
@@ -183,12 +181,12 @@ def match_profiles(
         zero = mean == 0.0
         return np.where(zero, 0.0, (t1 - t2) / np.where(zero, 1.0, mean))
 
-    grid = np.linspace(lo, hi, n_scan)
+    grid = np.linspace(lo, hi, PROFILE_SCAN_POINTS)
     vals = g_norm(grid)
     finite = np.isfinite(vals)
     skipped = int(np.count_nonzero(~finite))
 
-    if finite.any() and np.nanmax(np.abs(vals)) < profile_tol:
+    if finite.any() and np.nanmax(np.abs(vals)) < PROFILE_TOL:
         ce = ce_for_nu0(liquid1, lo)
         return ImpostoronSolution(
             ce_1=ce,
@@ -216,15 +214,8 @@ def match_profiles(
             f"no profile-matched impostoron in range [{lo:g}, {hi:g}] THz"
         )
 
-    nu_star = roots[0]
-    sol = match_frequency(liquid1, liquid2, nu_star, (lo, hi), tol)
-    at = np.array([nu_star])
-    return ImpostoronSolution(
-        ce_1=sol.ce_1,
-        ce_2=sol.ce_2,
-        nu0=nu_star,
-        freq_residual=sol.freq_residual,
-        profile_residual=float(_profile(liquid1, at)[0] - _profile(liquid2, at)[0]),
+    return replace(
+        match_frequency(liquid1, liquid2, roots[0], (lo, hi)),
         profile_matched=True,
         alternatives=tuple(roots[1:]),
         skipped_nodes=skipped,

@@ -136,9 +136,17 @@ def cm_mix(neat, ce: Concentration, nu):
     """Doped permittivity from the neat value(s) and concentration at nu (THz).
 
     Raises SingularityError when the mixing relation itself diverges, i.e.
-    the combined local-field sum approaches 1.
+    the combined local-field sum approaches 1, and DomainError when the
+    electron term ce*N_A*alpha_el(nu) leaves the float range.
     """
-    out, divergent = _mix(_checked_local_field(neat), ce.mol_per_m3, nu)
+    try:
+        with np.errstate(over="raise"):
+            out, divergent = _mix(_checked_local_field(neat), ce.mol_per_m3, nu)
+    except FloatingPointError:
+        # |alpha_el| is largest at the lowest frequency
+        raise DomainError(
+            f"electron term overflows at nu = {np.min(nu):g} THz, ce = {ce.micromolar:g} uM"
+        ) from None
     if np.any(divergent):
         nu_arr = np.broadcast_to(np.asarray(nu, dtype=float), divergent.shape)
         nu_bad = float(np.atleast_1d(nu_arr)[np.atleast_1d(divergent)][0])

@@ -138,11 +138,10 @@ def find_nu0(
     doped: DopedLiquid,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
     tol: float = DEFAULT_TOL,
-    n_scan: int = SCAN_POINTS,
 ) -> PolaronResonance:
     """Lowest rising zero crossing of eps'(nu) inside the bracket.
 
-    A uniform pre-scan of n_scan points locates sign changes from negative
+    A uniform pre-scan of SCAN_POINTS points locates sign changes from negative
     to non-negative; each is bisected until its bracket is at most tol (THz)
     wide, ROUND_LEVELS bisection steps per vector evaluation of eps', and
     its midpoint is the crossing. The lowest crossing is returned, any
@@ -154,13 +153,11 @@ def find_nu0(
         raise DomainError(f"bad bracket [{lo}, {hi}] THz")
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    if n_scan < 2:
-        raise DomainError("need at least 2 scan points")
 
     def re_eps(nu):
         return np.real(eps_doped(doped, nu))
 
-    grid = np.linspace(lo, hi, n_scan)
+    grid = np.linspace(lo, hi, SCAN_POINTS)
     f = re_eps(grid)
     roots = []
     for i in np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0)):

@@ -236,9 +236,11 @@ def gaussian_probe(t_grid, carrier: float = 0.7, width: float = 0.5) -> TimeTrac
 def add_noise(obj, snr_db: float, rng) -> "TimeTrace | FieldMap2D":
     """Additive white Gaussian noise at the given SNR (dB, power ratio to RMS).
 
-    rng is a numpy Generator or an integer seed.
+    rng is a numpy Generator or a non-negative integer seed.
     """
     if isinstance(rng, (int, np.integer)):
+        if rng < 0:
+            raise DomainError(f"noise seed must be >= 0, got {rng}")
         rng = np.random.default_rng(rng)
     values = obj.values
     rms = float(np.sqrt(np.mean(values**2)))
@@ -436,13 +438,12 @@ def extract(
     fmap: FieldMap2D,
     bandwidth: float = FILTER_BANDWIDTH,
     band_lo: float = BAND_LO,
-    window: str | None = "hann",
 ) -> ExtractionResult:
-    """Full pipeline: 2D filter, cut at probe max, step removal, spectrum, peak."""
+    """Full pipeline: 2D filter, cut at probe max, step removal, Hann-windowed spectrum, peak."""
     filtered = fourier_filter_2d(fmap, bandwidth)
     trace = cut_at_max(filtered)
     osc, step = remove_step(trace, band_lo)
-    spec = spectrum_of(osc, window=window, onset=step.onset)
+    spec = spectrum_of(osc, onset=step.onset)
     return ExtractionResult(oscillation=osc, step=step, spectrum=spec, peak=peak_report(spec))
 
 

@@ -44,6 +44,12 @@ class TestArgumentValidation:
             ["eps", "--liquid", "water.liq", "--nu-step", "1e-300"],
             # 2**24 steps over the default 0.2-2.0 THz: one point over the cap
             ["eps", "--liquid", "water.liq", "--nu-step", repr(1.8 / 2**24)],
+            ["synth", "--liquid", "water.liq", "--ce", "40", "--map", "--dt", "inf"],
+            ["synth", "--liquid", "water.liq", "--ce", "40", "--noise-snr-db", "20"]
+            + ["--seed", "-1"],
+            ["synth", "--liquid", "water.liq", "--ce", "40", "--dtau", "inf"],
+            # finite, but the delay grid of 1024 samples overflows
+            ["synth", "--liquid", "water.liq", "--ce", "40", "--dtau", "1e308"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):

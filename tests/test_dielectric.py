@@ -135,6 +135,28 @@ def test_eval_neat_names_an_overflowing_frequency():
         eval_neat(water, np.array([0.7, 1e200]))
 
 
+def test_eval_neat_names_a_frequency_where_a_strong_term_overflows():
+    # delta * x leaves the float range above about 1.6e7 THz for this term,
+    # far below where x**2 does
+    strong = DebyeModel("strong", 2.0, ((1e300, 1.0),))
+    with pytest.raises(DomainError, match=r"frequency 1e\+10 THz overflows 'strong'"):
+        eval_neat(strong, 1e10)
+    with pytest.raises(DomainError, match=r"frequency 1e\+10 THz"):
+        eval_neat(strong, np.array([0.7, 1e10]))
+    assert np.all(np.isfinite(eval_neat(strong, np.array([1e-3, 0.7, 1e7]))))
+
+
+def test_debye_strengths_must_sum_to_a_float():
+    # eps_inf + sum(delta_eps) bounds eps' at every frequency; two 1e308 terms
+    # would overflow eval_neat's sum at low frequency
+    with pytest.raises(DomainError, match=r"eps_inf \+ sum\(delta_eps\) is not finite"):
+        DebyeModel("x", 2.0, ((1e308, 1.0), (1e308, 1.0)))
+    with pytest.raises(DomainError, match="is not finite"):
+        DebyeModel("x", 1e308, ((1e308, 1.0),))
+    big = DebyeModel("x", 2.0, ((8e307, 1.0), (8e307, 1.0)))
+    assert math.isfinite(eval_neat(big, 1e-3).real)
+
+
 class TestNeatSlope:
     def test_debye_matches_mpmath_derivative(self):
         m = DebyeModel("w", 5.8, ((73.0, 8.3), (2.2, 0.25)))

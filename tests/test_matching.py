@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from impostoron.errors import (
     UnreachableFrequencyError,
 )
 from impostoron.matching import (
+    _profile,
+    _shared_bracket,
     ce_for_nu0,
     match_frequency,
     match_profiles,
@@ -18,6 +23,18 @@ from impostoron.mixing import DopedLiquid, alpha_el
 from impostoron.polaron import eps_imag_at_nu0, find_nu0, lineshape
 
 DISPERSIONLESS = DebyeModel("d2449", 2.449, ())
+#: one-term Debye pairs with one profile match in (0.2, 2.0) THz: the pair
+#: of demo 03 and the strength-only pair
+MATCHED_PAIRS = {
+    "demo-03": (
+        DebyeModel("A", 2.2, ((0.4, 0.15),)),
+        DebyeModel("B", 2.2, ((1.6, 1.0),)),
+    ),
+    "strength-only": (
+        DebyeModel("a", 2.2, ((1.0, 0.3),)),
+        DebyeModel("b", 2.2, ((25.0, 0.3),)),
+    ),
+}
 
 
 class TestCeForNu0:
@@ -132,6 +149,24 @@ class TestMatchFrequency:
         sol = match_frequency(DISPERSIONLESS, other, 0.7, (0.1, 3.0), tol)
         assert sol.freq_residual < 2.0 * tol
 
+    @pytest.mark.parametrize(
+        "a, b, nu0", [("ipa", "water", 0.7), ("eg", "ipa", 0.9), ("water", "eg", 0.6)]
+    )
+    def test_profile_residual_is_the_profile_difference_at_nu0(self, liquids, a, b, nu0):
+        sol = match_frequency(liquids[a], liquids[b], nu0)
+        at = np.array([nu0])
+        assert sol.profile_residual == _profile(liquids[a], at)[0] - _profile(liquids[b], at)[0]
+        assert sol.note == ""
+
+    def test_lossless_crossing_leaves_the_width_undefined(self, liquids):
+        note = "width diagnostic undefined: zero loss at the crossing"
+        same = match_frequency(DISPERSIONLESS, DebyeModel("copy", 2.449, ()), 0.7)
+        assert (same.profile_residual, same.note) == (0.0, note)
+        for other in (DebyeModel("d3000", 3.0, ()), liquids["ipa"]):
+            for pair in ((DISPERSIONLESS, other), (other, DISPERSIONLESS)):
+                sol = match_frequency(*pair, 0.7)
+                assert math.isnan(sol.profile_residual) and sol.note == note
+
     def test_unreachable_target_names_liquid(self, liquids):
         met = TabulatedModel(
             "metallic", np.array([0.1, 3.0]), np.array([-0.5 + 0.1j, -0.5 + 0.1j])
@@ -202,6 +237,19 @@ class TestMatchProfiles:
         dev = np.abs(la / la.max() - lb / lb.max())
         assert float(dev.max()) < 0.05
         assert float(dev.max()) == pytest.approx(0.00404, abs=0.002)
+
+    @pytest.mark.parametrize("pair", MATCHED_PAIRS.values(), ids=MATCHED_PAIRS.keys())
+    def test_is_the_frequency_match_at_the_root(self, pair):
+        a, b = pair
+        sol = match_profiles(a, b, (0.2, 2.0))
+        want = dataclasses.replace(
+            match_frequency(a, b, sol.nu0, _shared_bracket(a, b, (0.2, 2.0))),
+            profile_matched=True,
+            alternatives=sol.alternatives,
+            skipped_nodes=sol.skipped_nodes,
+        )
+        for f in dataclasses.fields(sol):
+            assert getattr(sol, f.name) == getattr(want, f.name), f.name
 
     def test_water_alcohol_pair_has_no_match(self, liquids):
         with pytest.raises(

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from closed_forms import ce_imag_part, ce_real_part
 from impostoron.constants import CONSTANTS
-from impostoron.dielectric import TabulatedModel
+from impostoron.dielectric import TabulatedModel, eval_neat
 from impostoron.errors import DomainError, SingularityError
 from impostoron.mixing import (
     Concentration,
+    DopedLiquid,
     alpha_el,
     cm_invert_concentration,
     cm_mix,
 )
+from impostoron.matching import ce_for_nu0
+from impostoron.polaron import find_nu0
 
 mp.mp.dps = 40
 
@@ -158,6 +161,22 @@ class TestCmMix:
         ce_sing = 3.0 * (1.0 - l_neat.real) / (CONSTANTS.avogadro * alpha_el(0.7).real)
         with pytest.raises(SingularityError, match=r"divergence at nu = 0\.7 THz"):
             cm_mix(neat, Concentration(ce_sing), 0.7)
+
+    def test_overflowing_electron_term_names_frequency_and_concentration(self, liquids):
+        # ce*N_A (6e300) and alpha_el (~1e257 m^3 at 1e-140 THz) are finite,
+        # their product is not
+        water = liquids["water"]
+        ce = Concentration.from_micromolar(1e280)
+        msg = r"electron term overflows at nu = 1e-140 THz, ce = 1e\+280 uM"
+        with pytest.raises(DomainError, match=msg):
+            cm_mix(eval_neat(water, 1e-140), ce, 1e-140)
+        with pytest.raises(DomainError, match=msg):  # in the scan, before any slope
+            find_nu0(DopedLiquid(water, ce), (1e-140, 3.0))
+        # the slope is only taken at a crossing, where the electron term is
+        # of order one, and stays finite at that frequency too
+        at_crossing = ce_for_nu0(water, 1e-140)
+        res = find_nu0(DopedLiquid(water, at_crossing), (0.5e-140, 2e-140), 1e-150)
+        assert math.isfinite(res.slope_B) and res.slope_B > 0
 
     def test_local_field_pole_guarded(self):
         with pytest.raises(SingularityError, match="close to -2"):

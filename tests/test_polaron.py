@@ -110,8 +110,6 @@ class TestFindNu0:
     def test_bad_tolerance_and_scan(self):
         with pytest.raises(DomainError, match="tolerance"):
             find_nu0(DopedLiquid(DISPERSIONLESS, CE25), tol=0.0)
-        with pytest.raises(DomainError, match="scan points"):
-            find_nu0(DopedLiquid(DISPERSIONLESS, CE25), n_scan=1)
 
     def test_multiple_crossings_reported_as_alternatives(self):
         # piecewise host whose real part dips below the doping threshold

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from impostoron import matching
 from impostoron.dielectric import DebyeModel, TabulatedModel, eval_neat
 from impostoron.errors import ImpostoronError, NoResonanceError
 from impostoron.matching import _profile, _shared_bracket, match_frequency, match_profiles
@@ -144,7 +145,7 @@ def test_find_nu0_roots_match_scalar_oracle(liquids, data, tol):
     assert_close_ulps([res.nu0, *res.alternatives], roots)
 
 
-def test_undefined_point_inside_a_refinement_round_raises():
+def test_undefined_point_inside_a_refinement_round_raises(monkeypatch):
     # a zero-loss knot exactly at the first bisection midpoint of the only
     # scan interval: the profile is undefined there, and the scan nodes at
     # both ends are fine
@@ -157,8 +158,9 @@ def test_undefined_point_inside_a_refinement_round_raises():
     holed = TabulatedModel("a-holed", freqs, values)
     with pytest.raises(ImpostoronError):
         oracle.match_roots(holed, b, 0.5, 0.9, 2)
+    monkeypatch.setattr(matching, "PROFILE_SCAN_POINTS", 2)
     with pytest.raises(ImpostoronError, match="undefined point"):
-        match_profiles(holed, b, (0.5, 0.9), n_scan=2)
+        match_profiles(holed, b, (0.5, 0.9))
 
 
 def test_skipped_nodes_counts_unreachable_scan_nodes():

@@ -254,6 +254,12 @@ class TestAddNoise:
         with pytest.raises(DomainError, match="all-zero"):
             add_noise(tr, 20.0, 0)
 
+    def test_negative_seed_rejected(self):
+        tr = TimeTrace(times=np.arange(32) * 0.1, values=np.ones(32))
+        for seed in (-1, np.int64(-7)):
+            with pytest.raises(DomainError, match=f"noise seed must be >= 0, got {seed}"):
+                add_noise(tr, 20.0, seed)
+
     @pytest.mark.parametrize("snr_db", [-1e4, -1e308, float("-inf"), float("nan")])
     def test_overflowing_noise_level_rejected(self, snr_db):
         # 10 ** (-snr_db / 20) exceeds the float range below about -6165 dB,
