@@ -9,6 +9,9 @@ peak fit) on a noisy copy and compares against the known resonance.
 Run:  python3 demos/04_pump_probe_pipeline.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from impostoron import (
@@ -63,9 +66,10 @@ above = np.nonzero(mag[half] > mag.max() / np.e)[0]
 print(f"\n1/e decay of the water oscillation: {tau[half][above[-1]]:.1f} ps")
 
 # maps round-trip through CSV exactly
-path = "/tmp/demo_map.csv"
-with open(path, "w") as fh:
-    write_map_csv(noisy, fh)
-with open(path) as fh:
-    again = read_map_csv(fh)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_map.csv"
+    with open(path, "w") as fh:
+        write_map_csv(noisy, fh)
+    with open(path) as fh:
+        again = read_map_csv(fh)
 print(f"CSV round trip exact: {np.array_equal(again.values, noisy.values)}")

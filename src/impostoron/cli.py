@@ -76,11 +76,19 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
-def _write_kv(fh, meta, pairs):
-    signal._write_meta(fh, meta)
-    fh.write("key,value\n")
-    for key, value in pairs:
-        fh.write(f"{key},{value}\n")
+def _write_kv(out, meta, pairs):
+    """The meta comments and a key,value table, to stdout or the file out."""
+    with _output(out) as fh:
+        signal._write_meta(fh, meta)
+        fh.write("key,value\n")
+        for key, value in pairs:
+            fh.write(f"{key},{value}\n")
+
+
+def _liquid(name):
+    """Path and model of the liquid file name, searched as resolve_data_path does."""
+    path = resolve_data_path(name)
+    return path, load_liquid_file(path)
 
 
 def _number(name, allow_zero=False):
@@ -125,19 +133,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu-max", type=_number("--nu-max"), default=2.0)
         p.add_argument("--nu-step", type=_number("--nu-step"), default=0.002)
 
+    def add_doped(p, **ce):
+        """--liquid and --ce; ce holds --ce's default or required=True."""
+        p.add_argument("--liquid", required=True)
+        p.add_argument(
+            "--ce", type=_number("--ce", allow_zero=True), help="concentration in uM", **ce
+        )
+
     p = sub.add_parser("eps", help="doped (or neat) permittivity table over a frequency grid")
-    p.add_argument("--liquid", required=True)
-    p.add_argument(
-        "--ce", type=_number("--ce", allow_zero=True), default=0.0, help="concentration in uM"
-    )
+    add_doped(p, default=0.0)
     add_common_grid(p)
     p.add_argument("--out")
 
     p = sub.add_parser("nu0", help="zero-crossing resonance of a doped liquid")
-    p.add_argument("--liquid", required=True)
-    p.add_argument(
-        "--ce", type=_number("--ce", allow_zero=True), required=True, help="concentration in uM"
-    )
+    add_doped(p, required=True)
     p.add_argument("--bracket", type=_bracket, default=(0.1, 3.0))
     p.add_argument("--tol", type=_number("--tol"), default=1e-6)
     p.add_argument("--out")
@@ -157,20 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("lineshape", help="energy-loss line shape -Im[1/eps] on a grid")
-    p.add_argument("--liquid", required=True)
-    p.add_argument(
-        "--ce", type=_number("--ce", allow_zero=True), required=True, help="concentration in uM"
-    )
+    add_doped(p, required=True)
     p.add_argument("--lorentz", action="store_true", help="Lorentzian approximation instead")
     p.add_argument("--bracket", type=_bracket, default=(0.1, 3.0))
     add_common_grid(p)
     p.add_argument("--out")
 
     p = sub.add_parser("synth", help="synthesize a pump-probe delay trace or 2D map")
-    p.add_argument("--liquid", required=True)
-    p.add_argument(
-        "--ce", type=_number("--ce", allow_zero=True), required=True, help="concentration in uM"
-    )
+    add_doped(p, required=True)
     p.add_argument("--map", action="store_true", help="emit the full 2D map")
     p.add_argument("--dt", type=_number("--dt"), default=0.05, help="probe-time step, ps")
     p.add_argument("--dtau", type=_number("--dtau"), default=0.1, help="delay step, ps")
@@ -200,20 +203,17 @@ def _grid(args, parser):
 
 
 def _cmd_eps(args, parser):
-    path = resolve_data_path(args.liquid)
-    liquid = load_liquid_file(path)
+    path, liquid = _liquid(args.liquid)
     grid = _grid(args, parser)
     ce = Concentration.from_micromolar(args.ce)
     eps = cm_mix(eval_neat(liquid, grid), ce, grid)
     table = np.column_stack((grid, eps.real, eps.imag))
     with _output(args.out) as fh:
         signal._write_table(fh, _meta(("liquid", path)), "nu_THz,eps_real,eps_imag", table)
-    return 0
 
 
 def _cmd_nu0(args, parser):
-    path = resolve_data_path(args.liquid)
-    liquid = load_liquid_file(path)
+    path, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
     res = find_nu0(doped, args.bracket, args.tol)
     pairs = [
@@ -223,30 +223,23 @@ def _cmd_nu0(args, parser):
         ("ce_uM", repr(res.ce.micromolar)),
         ("alternatives_THz", ";".join(repr(v) for v in res.alternatives)),
     ]
-    with _output(args.out) as fh:
-        _write_kv(fh, _meta(("liquid", path)), pairs)
-    return 0
+    _write_kv(args.out, _meta(("liquid", path)), pairs)
 
 
 def _cmd_ce_for_nu0(args, parser):
-    path = resolve_data_path(args.liquid)
-    liquid = load_liquid_file(path)
+    path, liquid = _liquid(args.liquid)
     ce = ce_for_nu0(liquid, args.nu0)
     pairs = [
         ("ce_uM", repr(ce.micromolar)),
         ("ce_mol_per_m3", repr(ce.mol_per_m3)),
         ("nu0_THz", repr(args.nu0)),
     ]
-    with _output(args.out) as fh:
-        _write_kv(fh, _meta(("liquid", path)), pairs)
-    return 0
+    _write_kv(args.out, _meta(("liquid", path)), pairs)
 
 
 def _cmd_match(args, parser):
-    path_a = resolve_data_path(args.liquid_a)
-    path_b = resolve_data_path(args.liquid_b)
-    liquid_a = load_liquid_file(path_a)
-    liquid_b = load_liquid_file(path_b)
+    path_a, liquid_a = _liquid(args.liquid_a)
+    path_b, liquid_b = _liquid(args.liquid_b)
     if args.profile:
         sol = match_profiles(liquid_a, liquid_b, args.bracket)
     else:
@@ -262,14 +255,11 @@ def _cmd_match(args, parser):
         ("note", sol.note),
         ("alternatives_THz", ";".join(repr(v) for v in sol.alternatives)),
     ]
-    with _output(args.out) as fh:
-        _write_kv(fh, _meta(("a", path_a), ("b", path_b)), pairs)
-    return 0
+    _write_kv(args.out, _meta(("a", path_a), ("b", path_b)), pairs)
 
 
 def _cmd_lineshape(args, parser):
-    path = resolve_data_path(args.liquid)
-    liquid = load_liquid_file(path)
+    path, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
     grid = _grid(args, parser)
     if args.lorentz:
@@ -279,7 +269,6 @@ def _cmd_lineshape(args, parser):
         spec = lineshape(doped, grid)
     with _output(args.out) as fh:
         signal.write_spectrum_csv(spec, fh, meta=_meta(("liquid", path)))
-    return 0
 
 
 def _cmd_synth(args, parser):
@@ -297,8 +286,7 @@ def _cmd_synth(args, parser):
         )
     if not math.isfinite(args.n * args.dtau):  # then every delay is finite
         parser.error(f"--dtau must keep --n x --dtau finite, got {args.n} x {args.dtau}")
-    path = resolve_data_path(args.liquid)
-    liquid = load_liquid_file(path)
+    path, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
     tau = (np.arange(args.n) - args.n // 8) * args.dtau
     osc = signal.synth_oscillation(doped, tau, args.band)
@@ -321,7 +309,6 @@ def _cmd_synth(args, parser):
             trace = signal.add_noise(trace, args.noise_snr_db, args.seed)
         with _output(args.out) as fh:
             signal.write_trace_csv(trace, fh, meta=meta)
-    return 0
 
 
 def _cmd_extract(args, parser):
@@ -340,7 +327,6 @@ def _cmd_extract(args, parser):
         f"peak_frequency_THz={peak.peak_frequency!r} fwhm_THz={peak.fwhm!r} "
         f"amplitude={peak.amplitude!r}"
     )
-    return 0
 
 
 _COMMANDS = {
@@ -358,10 +344,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
+        _COMMANDS[args.command](args, parser)
     except ImpostoronError as exc:
         print(str(exc), file=sys.stderr)
         return 3
+    return 0
 
 
 def main() -> None:

@@ -23,26 +23,21 @@ import numpy as np
 
 from .errors import DataFileError, DomainError, ParseError, RangeError
 
-def _readonly(a, dtype=float):
-    """A read-only copy of a as an array of dtype."""
-    arr = np.array(a, dtype=dtype)
+def _readonly(obj, name: str, dtype=float) -> np.ndarray:
+    """Set field name of the frozen dataclass obj to a read-only array copy of dtype."""
+    arr = np.array(getattr(obj, name), dtype=dtype)
     arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
     return arr
 
 
 @dataclass(frozen=True)
 class DebyeModel:
-    """Multi-term Debye relaxation: eps_inf plus a sum of (delta_eps, tau_ps) terms.
-
-    If eps_static is given it must equal eps_inf + sum(delta_eps); the declared
-    static value is redundant but catches transcription slips in hand-written
-    parameter sets.
-    """
+    """Multi-term Debye relaxation: eps_inf plus a sum of (delta_eps, tau_ps) terms."""
 
     name: str
     eps_inf: float
     terms: tuple[tuple[float, float], ...] = ()
-    eps_static: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.eps_inf) or self.eps_inf < 1.0:
@@ -58,11 +53,6 @@ class DebyeModel:
             total += delta
         if total == math.inf:
             raise DomainError("eps_inf + sum(delta_eps) is not finite")
-        if self.eps_static is not None:
-            if abs(total - self.eps_static) > 1e-9 * max(1.0, abs(self.eps_static)):
-                raise DomainError(
-                    f"declared eps_static {self.eps_static} != eps_inf + sum(delta_eps) = {total}"
-                )
 
 
 @dataclass(frozen=True)
@@ -74,10 +64,8 @@ class TabulatedModel:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        freqs = _readonly(self.frequencies, float)
-        vals = _readonly(self.values, complex)
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "values", vals)
+        freqs = _readonly(self, "frequencies")
+        vals = _readonly(self, "values", complex)
         if freqs.ndim != 1 or freqs.size < 2:
             raise DomainError("tabulated model needs at least two frequency samples")
         if vals.shape != freqs.shape:
@@ -144,15 +132,17 @@ def _neat_slope(model: LiquidModel, nu: np.ndarray) -> np.ndarray:
     """d(eps_neat)/d(nu) (1/THz) at each frequency of an array eval_neat accepts.
 
     Debye: delta*2*pi*i*tau/(1 - i*x)**2 per term, as delta*2*pi*i*tau*w*w
-    with w = 1/(1 - i*x), which cannot overflow. Table: the interpolating
-    segment's slope; at an interior knot the segment above, at the top knot
-    the last.
+    with w = 1/(1 - i*x), |w| <= 1. Where 2*pi*tau*delta alone leaves the
+    float range (the slope itself may not), the term is formed as
+    2*pi*i*tau*w*(delta*w) instead. Table: the interpolating segment's slope;
+    at an interior knot the segment above, at the top knot the last.
     """
     if isinstance(model, DebyeModel):
         slope = np.zeros(nu.shape, dtype=complex)
         for delta, tau in model.terms:
             w = 1.0 / (1.0 - 2j * math.pi * tau * nu)
-            slope += (2j * math.pi * tau * delta) * w * w
+            c = 2j * math.pi * tau * delta
+            slope += c * w * w if math.isfinite(c.imag) else 2j * math.pi * tau * w * (delta * w)
         return slope
     f, v = model.frequencies, model.values
     k = np.clip(np.searchsorted(f, nu, side="right") - 1, 0, f.size - 2)

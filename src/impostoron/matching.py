@@ -29,7 +29,6 @@ from .mixing import (
     cm_invert_concentration,
 )
 from .polaron import (
-    DEFAULT_TOL,
     _crossing_loss,
     _refine_root,
     eps_doped,  # noqa: F401  (bound here as before, for callers that use matching.eps_doped)
@@ -102,20 +101,20 @@ def match_frequency(
     liquid2: LiquidModel,
     nu0: float,
     bracket: tuple[float, float] = (0.1, 3.0),
-    tol: float = DEFAULT_TOL,
 ) -> ImpostoronSolution:
     """Concentration pair whose zero crossings both land on nu0 (THz).
 
     freq_residual reports the round-trip disagreement of the two independent
-    zero-crossing solves; profile_residual reports how unequal the Lorentzian
-    widths remain (frequency matching does not equalize them): B1/eps2_1 -
-    B2/eps2_2 at nu0 itself, each term the closed form of _profile.
+    zero-crossing solves, each a find_nu0 at its DEFAULT_TOL on the bracket
+    clipped to both liquids' validity; profile_residual reports how unequal
+    the Lorentzian widths remain (frequency matching does not equalize them):
+    B1/eps2_1 - B2/eps2_2 at nu0 itself, each term the closed form of _profile.
     """
     ce1 = ce_for_nu0(liquid1, nu0)
     ce2 = ce_for_nu0(liquid2, nu0)
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
-    res1 = find_nu0(DopedLiquid(liquid1, ce1), (lo, hi), tol)
-    res2 = find_nu0(DopedLiquid(liquid2, ce2), (lo, hi), tol)
+    res1 = find_nu0(DopedLiquid(liquid1, ce1), (lo, hi))
+    res2 = find_nu0(DopedLiquid(liquid2, ce2), (lo, hi))
     at = np.array([nu0])
     t1, t2 = float(_profile(liquid1, at)[0]), float(_profile(liquid2, at)[0])
     residual, note = t1 - t2, ""
@@ -141,16 +140,18 @@ def _profile(liquid: LiquidModel, nu: np.ndarray) -> np.ndarray:
 
     At each nu the concentration is ce_for_nu0's closed form, eps2 the loss
     at the crossing and B = d(eps')/d(nu) in closed form, as in find_nu0. A
-    node is undefined where ce_for_nu0 would raise or where eps2 is zero.
+    node is undefined where ce_for_nu0 would raise, where eps2 is zero or
+    where |eps_neat + 2|^2 or B leaves the float range.
     """
     neat = eval_neat(liquid, nu)
     lf, lf_pole = _local_field(neat)
-    eps2 = _crossing_loss(neat)[0]
-    L = _local_field(1j * eps2)[0]  # the local-field sum of eps = i*eps2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a node undefined
+        eps2 = _crossing_loss(neat)[0]
+        L = _local_field(1j * eps2)[0]  # the local-field sum of eps = i*eps2
+        slope = _mix_slope(lf, _neat_slope(liquid, nu), L, nu).real
     ce = _invert(L, lf, nu).real
     # eps2 > 0 only where the loss at the crossing is defined and non-zero
-    ok = (eps2 > 0.0) & ~lf_pole & np.isfinite(ce) & (ce >= 0.0)
-    slope = _mix_slope(lf, _neat_slope(liquid, nu), L, nu).real
+    ok = (eps2 > 0.0) & ~lf_pole & np.isfinite(ce) & (ce >= 0.0) & np.isfinite(slope)
     return np.where(ok, slope / np.where(ok, eps2, 1.0), np.nan)
 
 

@@ -46,10 +46,8 @@ class Spectrum:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        freqs = _readonly(self.frequencies)
-        vals = _readonly(self.values)
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "values", vals)
+        freqs = _readonly(self, "frequencies")
+        vals = _readonly(self, "values")
         if freqs.ndim != 1 or freqs.size < 2:
             raise DomainError("spectrum needs at least two samples")
         if vals.shape != freqs.shape:
@@ -172,11 +170,14 @@ def find_nu0(
     neat = eval_neat(doped.liquid, at)
     eps = cm_mix(neat, doped.ce, at)
     lf, L = _local_field(neat)[0], _local_field(eps)[0]
-    slope = _mix_slope(lf, _neat_slope(doped.liquid, at), L, at)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        slope_B = float(_mix_slope(lf, _neat_slope(doped.liquid, at), L, at)[0].real)
+    if not math.isfinite(slope_B):
+        raise DomainError(f"slope d(eps')/d(nu) at nu0 = {nu0!r} THz leaves the float range")
     return PolaronResonance(
         nu0=nu0,
         eps_imag_at_nu0=float(eps[0].imag),
-        slope_B=float(slope[0].real),
+        slope_B=slope_B,
         ce=doped.ce,
         alternatives=tuple(roots[1:]),
     )
@@ -190,15 +191,17 @@ def _crossing_loss(neat):
     root of the resulting quadratic is the physical branch (it vanishes with
     the neat loss). Returns (eps2, R, pole) as arrays: pole marks neat values
     at eps = -2, where R is undefined; eps2 holds where 0 <= R <= 1/4 and is
-    0 elsewhere.
+    0 elsewhere. Past |eps_neat| of about 1.3e154, |eps_neat + 2|^2 overflows
+    and R is NaN; callers run this under np.errstate(over="ignore",
+    invalid="ignore"), since the overflow can also be inf - inf.
     """
     neat = np.atleast_1d(np.asarray(neat, dtype=complex))
     # hypot gives |neat| as abs() of a Python complex does; numpy's abs of a
     # complex array can differ from it in the last bit
     denom = np.hypot(neat.real, neat.imag) ** 2 + 4.0 * neat.real + 4.0  # |neat + 2|^2
     pole = denom <= 0
-    r = neat.imag / np.where(pole, 1.0, denom)
-    rp = np.where(pole | (r <= 0.0) | (r > 0.25), 0.0, r)
+    r = np.where(np.isfinite(denom), neat.imag / np.where(pole, 1.0, denom), math.nan)
+    rp = np.where(~pole & (r > 0.0) & (r <= 0.25), r, 0.0)
     # algebraically (1 - sqrt(1 - 16 R^2)) / (2 R); this form avoids
     # cancellation for small R
     return 8.0 * rp / (1.0 + np.sqrt(1.0 - 16.0 * rp * rp)), r, pole
@@ -210,9 +213,12 @@ def eps_imag_at_nu0(neat_at_nu0: complex) -> float:
     The scalar form of _crossing_loss. Requires 0 <= R <= 1/4.
     """
     neat = complex(neat_at_nu0)
-    eps2, r, pole = (v.item() for v in _crossing_loss(neat))
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps2, r, pole = (v.item() for v in _crossing_loss(neat))
     if pole:
         raise SingularityError("local-field ratio diverges: permittivity too close to -2")
+    if math.isnan(r):
+        raise DomainError(f"neat permittivity {neat} too large: |eps_neat + 2|^2 overflows")
     if r < 0:
         raise DomainError(f"neat loss must be >= 0, got eps'' = {neat.imag}")
     if r > 0.25:

@@ -74,10 +74,8 @@ class TimeTrace:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        times = _readonly(self.times)
-        values = _readonly(self.values)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        times = _readonly(self, "times")
+        values = _readonly(self, "values")
         _uniform_step(times, "time")
         if values.shape != times.shape:
             raise DomainError("times and values must have equal length")
@@ -98,12 +96,9 @@ class FieldMap2D:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = _readonly(self.t_grid)
-        tau = _readonly(self.tau_grid)
-        vals = _readonly(self.values)
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "tau_grid", tau)
-        object.__setattr__(self, "values", vals)
+        t = _readonly(self, "t_grid")
+        tau = _readonly(self, "tau_grid")
+        vals = _readonly(self, "values")
         _uniform_step(t, "probe-time")
         _uniform_step(tau, "delay")
         if vals.shape != (tau.size, t.size):
@@ -224,24 +219,27 @@ def synth_map(
     )
 
 
-def gaussian_probe(t_grid, carrier: float = 0.7, width: float = 0.5) -> TimeTrace:
-    """Single-cycle probe pulse: cos(2 pi carrier t) * exp(-t^2 / (2 width^2))."""
+def gaussian_probe(t_grid) -> TimeTrace:
+    """Single-cycle probe pulse cos(2 pi 0.7 t) * exp(-t^2 / (2 * 0.5^2)) on t_grid (ps).
+
+    A 0.7 THz cosine under a Gaussian envelope of 0.5 ps standard deviation.
+    """
     t = np.asarray(t_grid, dtype=float)
-    if carrier <= 0 or width <= 0:
-        raise DomainError("probe carrier and width must be positive")
-    vals = np.cos(2.0 * math.pi * carrier * t) * np.exp(-(t**2) / (2.0 * width**2))
+    vals = np.cos(2.0 * math.pi * 0.7 * t) * np.exp(-(t**2) / (2.0 * 0.5**2))
     return TimeTrace(times=t, values=vals)
 
 
-def add_noise(obj, snr_db: float, rng) -> "TimeTrace | FieldMap2D":
+def add_noise(obj, snr_db: float, seed: int) -> "TimeTrace | FieldMap2D":
     """Additive white Gaussian noise at the given SNR (dB, power ratio to RMS).
 
-    rng is a numpy Generator or a non-negative integer seed.
+    seed, a non-negative Python or numpy integer, seeds numpy's default_rng,
+    so equal seeds give equal noise.
     """
-    if isinstance(rng, (int, np.integer)):
-        if rng < 0:
-            raise DomainError(f"noise seed must be >= 0, got {rng}")
-        rng = np.random.default_rng(rng)
+    if not isinstance(seed, (int, np.integer)):
+        raise DomainError(f"noise seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise DomainError(f"noise seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     values = obj.values
     rms = float(np.sqrt(np.mean(values**2)))
     if rms == 0:
@@ -364,7 +362,7 @@ def spectrum_of(trace: TimeTrace, window: str | None = "hann", onset: float = 0.
     if x.size < _MIN_SAMPLES:
         raise GridError(f"fewer than {_MIN_SAMPLES} samples at or after onset {onset:g} ps")
     n = x.size
-    if window is None or window == "none":
+    if window is None:
         w = np.ones(n)
     elif window == "hann":
         w = np.hanning(n)

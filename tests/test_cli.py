@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from impostoron import __version__
 from impostoron.cli import build_parser, data_dir, resolve_data_path, run
 from impostoron.errors import DataFileError
 from impostoron.signal import StepModel, TimeTrace, remove_step, write_trace_csv
@@ -345,14 +347,42 @@ class TestSynthAndExtract:
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "term, argv, message",
+    [
+        ("1e300, 1.0", ["ce-for-nu0", "--nu0", "0.01"], "too large: |eps_neat + 2|^2 overflows"),
+        ("1e308, 10.0", ["nu0", "--ce", "0.005", "--bracket", "0.001,0.02"],
+         "slope d(eps')/d(nu) at nu0 = 0.007"),
+    ],
+    ids=["crossing-loss", "slope"],
+)
+def test_overflow_exits_3(tmp_path, capsys, term, argv, message):
+    liq = tmp_path / "huge.liq"
+    liq.write_text(f"name = huge\ntype = debye\neps_inf = 2.0\nterm = {term}\n")
+    assert run([argv[0], "--liquid", str(liq), *argv[1:]]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_out_files_carry_metadata(tmp_path):
-    out = tmp_path / "nu0.csv"
-    assert run(["nu0", "--liquid", "water.liq", "--ce", "60", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("# impostoron ")
-    assert lines[1].startswith("# input-sha256 liquid: ")
-    assert re.fullmatch(r"# input-sha256 liquid: [0-9a-f]{64}", lines[1])
-    assert lines[2] == "key,value"
+    # the header README documents: the version, one input-sha256 line per
+    # liquid file, and for synth the seed, then the table's column line
+    def sha(name):
+        return hashlib.sha256((data_dir() / name).read_bytes()).hexdigest()
+
+    cases = [
+        (["nu0", "--liquid", "water.liq", "--ce", "60"],
+         [f"# input-sha256 liquid: {sha('water.liq')}", "key,value"]),
+        (["match", "--liquid-a", "ipa.liq", "--liquid-b", "eg.liq", "--nu0", "0.7"],
+         [f"# input-sha256 a: {sha('ipa.liq')}", f"# input-sha256 b: {sha('eg.liq')}",
+          "key,value"]),
+        (["synth", "--liquid", "water.liq", "--ce", "40", "--n", "64", "--seed", "7"],
+         [f"# input-sha256 liquid: {sha('water.liq')}", "# seed: 7", "tau_ps,amplitude"]),
+    ]
+    for argv, header in cases:
+        out = tmp_path / f"{argv[0]}.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[: len(header) + 1] == [f"# impostoron {__version__}", *header]
 
 
 def test_parser_builds_without_side_effects():

@@ -13,6 +13,7 @@ from impostoron.errors import (
     UnreachableFrequencyError,
 )
 from impostoron.matching import (
+    PROFILE_SCAN_POINTS,
     _profile,
     _shared_bracket,
     ce_for_nu0,
@@ -20,7 +21,7 @@ from impostoron.matching import (
     match_profiles,
 )
 from impostoron.mixing import DopedLiquid, alpha_el
-from impostoron.polaron import eps_imag_at_nu0, find_nu0, lineshape
+from impostoron.polaron import DEFAULT_TOL, eps_imag_at_nu0, find_nu0, lineshape
 
 DISPERSIONLESS = DebyeModel("d2449", 2.449, ())
 #: one-term Debye pairs with one profile match in (0.2, 2.0) THz: the pair
@@ -38,6 +39,11 @@ MATCHED_PAIRS = {
 
 
 class TestCeForNu0:
+    def test_overflowing_neat_permittivity_raises(self):
+        huge = DebyeModel("huge", 2.0, ((1e300, 1.0),))
+        with pytest.raises(DomainError, match="too large"):
+            ce_for_nu0(huge, 0.01)
+
     def test_dispersionless_reference_concentration(self):
         ce = ce_for_nu0(DISPERSIONLESS, 0.7)
         # the 2.449 host was constructed to need about 25 uM for a 0.7 THz
@@ -145,9 +151,8 @@ class TestMatchFrequency:
 
     def test_dispersionless_round_trip_residual(self):
         other = DebyeModel("d3000", 3.0, ())
-        tol = 1e-7
-        sol = match_frequency(DISPERSIONLESS, other, 0.7, (0.1, 3.0), tol)
-        assert sol.freq_residual < 2.0 * tol
+        sol = match_frequency(DISPERSIONLESS, other, 0.7, (0.1, 3.0))
+        assert sol.freq_residual < 2.0 * DEFAULT_TOL
 
     @pytest.mark.parametrize(
         "a, b, nu0", [("ipa", "water", 0.7), ("eg", "ipa", 0.9), ("water", "eg", 0.6)]
@@ -257,6 +262,14 @@ class TestMatchProfiles:
             match=r"no profile-matched impostoron in range \[0\.2, 2\] THz",
         ):
             match_profiles(liquids["ipa"], liquids["water"], (0.2, 2.0))
+
+    def test_overflowing_nodes_are_skipped(self):
+        # |eps_neat + 2|^2 overflows at every scan node but the first, so
+        # the profile is undefined there; the pair is still degenerate
+        tab = TabulatedModel("steep", np.array([1.0, 2.0]), np.array([4.0 + 2.0j, 1e160 + 2.0j]))
+        sol = match_profiles(tab, tab, (1.0, 2.0))
+        assert sol.degenerate and sol.nu0 == 1.0
+        assert sol.skipped_nodes == PROFILE_SCAN_POINTS - 1
 
     def test_empty_shared_bracket(self, liquids):
         tab = TabulatedModel(

@@ -111,6 +111,13 @@ class TestFindNu0:
         with pytest.raises(DomainError, match="tolerance"):
             find_nu0(DopedLiquid(DISPERSIONLESS, CE25), tol=0.0)
 
+    def test_overflowing_slope_raises(self):
+        # the crossing near 0.007 THz is found, but d(eps')/d(nu) there is
+        # about 5e309, beyond the float range
+        big = DebyeModel("big", 2.0, ((1e308, 10.0),))
+        with pytest.raises(DomainError, match=r"slope d\(eps'\)/d\(nu\) at nu0 = 0\.007"):
+            find_nu0(DopedLiquid(big, Concentration.from_micromolar(0.005)), (1e-3, 0.02))
+
     def test_multiple_crossings_reported_as_alternatives(self):
         # piecewise host whose real part dips below the doping threshold
         # twice inside the bracket: two upward crossings
@@ -163,6 +170,12 @@ class TestEpsImagAtNu0:
     def test_local_field_pole(self):
         with pytest.raises(SingularityError, match="close to -2"):
             eps_imag_at_nu0(-2.0 + 0.0j)
+
+    def test_overflowing_neat_value_rejected(self):
+        # |eps_neat + 2|^2 exceeds the float range above |eps_neat| of about 1.3e154
+        for neat in (1e300 + 6e298j, -1e308 + 1j):
+            with pytest.raises(DomainError, match=r"too large: \|eps_neat \+ 2\|\^2 overflows"):
+                eps_imag_at_nu0(neat)
 
     def test_small_loss_linear_regime(self):
         # for R -> 0 the physical root behaves as 4R

@@ -209,16 +209,10 @@ class TestSynthMap:
 
 class TestGaussianProbe:
     def test_shape(self):
-        p = gaussian_probe(TGRID, carrier=0.7, width=0.5)
+        p = gaussian_probe(TGRID)
         assert p.values[32] == pytest.approx(1.0, rel=1e-12)  # t = 0
         env = np.exp(-(TGRID**2) / (2 * 0.5**2))
         assert np.all(np.abs(p.values) <= env + 1e-12)
-
-    def test_validation(self):
-        with pytest.raises(DomainError, match="positive"):
-            gaussian_probe(TGRID, carrier=0.0)
-        with pytest.raises(DomainError, match="positive"):
-            gaussian_probe(TGRID, width=-1.0)
 
 
 class TestAddNoise:
@@ -229,12 +223,6 @@ class TestAddNoise:
         c = add_noise(tr, 20.0, 6)
         np.testing.assert_array_equal(a.values, b.values)
         assert np.any(a.values != c.values)
-
-    def test_generator_equivalent_to_seed(self, doped_water):
-        tr = synth_oscillation(doped_water, TAU)
-        a = add_noise(tr, 20.0, 5)
-        b = add_noise(tr, 20.0, np.random.default_rng(5))
-        np.testing.assert_array_equal(a.values, b.values)
 
     def test_noise_level_matches_snr(self):
         rng_vals = np.sin(np.arange(32768) * 0.05)
@@ -259,6 +247,12 @@ class TestAddNoise:
         for seed in (-1, np.int64(-7)):
             with pytest.raises(DomainError, match=f"noise seed must be >= 0, got {seed}"):
                 add_noise(tr, 20.0, seed)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        tr = TimeTrace(times=np.arange(32) * 0.1, values=np.ones(32))
+        with pytest.raises(DomainError, match=re.escape(f"must be an integer, got {seed!r}")):
+            add_noise(tr, 20.0, seed)
 
     @pytest.mark.parametrize("snr_db", [-1e4, -1e308, float("-inf"), float("nan")])
     def test_overflowing_noise_level_rejected(self, snr_db):
