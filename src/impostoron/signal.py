@@ -132,13 +132,10 @@ class StepModel:
             raise DomainError("step parameters must be finite")
 
     def evaluate(self, tau) -> np.ndarray:
-        return _exp_rise(np.asarray(tau, dtype=float), self.amplitude, self.onset, self.rise_time)
-
-
-def _exp_rise(tau: np.ndarray, amplitude, onset, rise_time) -> np.ndarray:
-    """The step of StepModel at the delays tau; remove_step fits its parameters."""
-    d = tau - onset
-    return np.where(d >= 0, amplitude * (1.0 - np.exp(-np.maximum(d, 0.0) / rise_time)), 0.0)
+        d = np.asarray(tau, dtype=float) - self.onset
+        return np.where(
+            d >= 0, self.amplitude * (1.0 - np.exp(-np.maximum(d, 0.0) / self.rise_time)), 0.0
+        )
 
 
 @dataclass(frozen=True)
@@ -287,10 +284,79 @@ def cut_at_max(fmap: FieldMap2D) -> TimeTrace:
 
 
 def _lowpass(values: np.ndarray, dt: float, cutoff: float) -> np.ndarray:
+    """Zero the Fourier components above cutoff along the last axis."""
+    n = values.shape[-1]
     spec = np.fft.rfft(values)
-    freqs = np.fft.rfftfreq(values.size, d=dt)
-    spec[freqs > cutoff] = 0.0
-    return np.fft.irfft(spec, n=values.size)
+    spec[..., np.fft.rfftfreq(n, d=dt) > cutoff] = 0.0
+    return np.fft.irfft(spec, n=n)
+
+
+#: Evaluation cap of the step fit; one evaluation filters the model and its
+#: Jacobian once.
+_STEP_FIT_MAX_EVALS = 200
+#: Relative cost reduction or relative parameter step at which the fit stops.
+_STEP_FIT_TOL = 1e-10
+
+
+def _fit_step(tau, target, a0, dt, cutoff):
+    """Levenberg-Marquardt fit of the low-passed step to target, from (a0, 0, 1 ps).
+
+    Returns (p, status, nfev, cost) with cost = 0.5 * sum(residual**2);
+    status 2 stops on the cost reduction, 3 on the parameter step and 0 at
+    the evaluation cap.
+    """
+    lower = np.array([-np.inf, tau[0], 1e-3])
+    upper = np.array([np.inf, tau[-1], tau[-1] - tau[0]])
+
+    def evaluate(p):
+        """Cost, residual and Jacobian rows (partials by a, onset, rise) at p."""
+        a, onset, rise = p
+        d = tau - onset
+        on = d >= 0
+        e = np.where(on, np.exp(-np.maximum(d, 0.0) / rise), 0.0)
+        g = np.where(on, 1.0 - e, 0.0)
+        rows = np.stack((a * g, g, -a * e / rise, -a * e * (d / rise) / rise))
+        rows = _lowpass(rows, dt, cutoff)
+        resid = rows[0] - target
+        return 0.5 * float(resid @ resid), resid, rows[1:]
+
+    p = np.clip([a0, 0.0, 1.0], lower, upper)
+    cost, resid, jac = evaluate(p)
+    nfev, lam, grow, col_sq = 1, 1e-3, 2.0, np.zeros(3)
+    while nfev < _STEP_FIT_MAX_EVALS:
+        jtj = jac @ jac.T
+        # Marquardt scaling by the largest squared column norm seen so far
+        col_sq = np.maximum(col_sq, np.diag(jtj))
+        damp = np.where(col_sq > 0, col_sq, 1.0)
+        grad = jac @ resid
+        # a parameter on a bound that descent pushes outwards stays put
+        free = ~(((p <= lower) & (grad > 0)) | ((p >= upper) & (grad < 0)))
+        system = (jtj + lam * np.diag(damp))[np.ix_(free, free)]
+        step = np.zeros(3)
+        step[free] = np.linalg.lstsq(system, -grad[free], rcond=None)[0]
+        trial = np.clip(p + step, lower, upper)
+        new_cost, new_resid, new_jac = evaluate(trial)
+        nfev += 1
+        step = trial - p
+        root = np.sqrt(damp)
+        small_step = np.linalg.norm(root * step) <= _STEP_FIT_TOL * np.linalg.norm(root * p)
+        if new_cost < cost:
+            # Nielsen's update: the damping falls only as far as the
+            # quadratic model predicted the drop
+            predicted = -(step @ grad) - 0.5 * (step @ jtj @ step)
+            gain = (cost - new_cost) / predicted if predicted > 0 else 1.0
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            grow = 2.0
+            small_drop = cost - new_cost <= _STEP_FIT_TOL * cost
+            p, cost, resid, jac = trial, new_cost, new_resid, new_jac
+            if small_drop:
+                return p, 2, nfev, cost
+        else:
+            lam *= grow
+            grow *= 2.0
+        if small_step:
+            return p, 3, nfev, cost
+    return p, 0, nfev, cost
 
 
 def remove_step(
@@ -301,6 +367,18 @@ def remove_step(
     The fit compares low-pass-filtered copies of trace and model (cutoff =
     band_lo / 2) so the in-band oscillation cannot bias the step parameters;
     the returned residual is the raw trace minus the unfiltered fitted step.
+
+    The fit is Levenberg-Marquardt on the trace divided by its largest |value|,
+    so it does not depend on the trace's scale. The Jacobian is in closed form
+    (with d = tau - onset and e = exp(-d/rise) for d >= 0, the columns are
+    1 - e, -a*e/rise and -a*e*d/rise**2) and goes through the same linear
+    low-pass as the model. It starts from onset 0 and rise 1 ps, clipped into
+    the box onset in [tau_0, tau_end], rise in [1e-3 ps, span]; the amplitude
+    is free. Each step is clipped into the same box, and a parameter on a
+    bound that descent pushes outwards is held there. The fit stops when an
+    accepted step lowers the cost by at most a relative 1e-10, or a step moves
+    the column-norm-scaled parameters by at most a relative 1e-10, and fails
+    with StepFitError at the evaluation cap.
     """
     if band_lo <= 0:
         raise DomainError(f"band lower edge must be positive, got {band_lo} THz")
@@ -314,39 +392,28 @@ def remove_step(
             TimeTrace(times=times, values=np.zeros_like(x)),
             StepModel(amplitude=0.0, rise_time=1.0, onset=0.0),
         )
+    span = float(times[-1] - times[0])
+    if span < 1e-3:
+        raise DomainError(
+            f"delay span {span:g} ps is below the 1e-3 ps shortest rise time of the step fit"
+        )
 
-    dt = trace.dt
-    cutoff = band_lo / 2.0
-    target = _lowpass(x, dt, cutoff)
-
-    def objective(p):
-        return _lowpass(_exp_rise(times, *p), dt, cutoff) - target
-
+    peak = float(np.max(np.abs(x)))
+    target = _lowpass(x / peak, trace.dt, band_lo / 2.0)
     tail = target[int(0.75 * target.size) :]
     a0 = float(np.mean(tail))
     if a0 == 0.0:
         a0 = float(target[np.argmax(np.abs(target))])
-    span = float(times[-1] - times[0])
-    x0 = np.array([a0, 0.0, 1.0])
-    bounds = (
-        [-np.inf, float(times[0]), 1e-3],
-        [np.inf, float(times[-1]), span],
-    )
-    # imported here, not at module level: this fit is the package's only scipy
-    # use, and the import would dominate the start-up of every other CLI call
-    from scipy.optimize import least_squares
-
-    fit = least_squares(objective, x0, bounds=bounds)
-    if not fit.success:
+    p, status, nfev, cost = _fit_step(times, target, a0, trace.dt, band_lo / 2.0)
+    a, t0, r = float(p[0]) * peak, float(p[1]), float(p[2])
+    if status == 0:
         raise StepFitError(
-            f"step fit failed (status {fit.status}): {fit.message}; "
-            f"last parameters a={fit.x[0]:g}, onset={fit.x[1]:g} ps, rise={fit.x[2]:g} ps"
+            f"step fit failed (status {status}): no convergence within {nfev} evaluations, "
+            f"cost {cost * peak * peak:g}; "
+            f"last parameters a={a:g}, onset={t0:g} ps, rise={r:g} ps"
         )
-    a, t0, r = (float(v) for v in fit.x)
-    return (
-        TimeTrace(times=times, values=x - _exp_rise(times, *fit.x)),
-        StepModel(amplitude=a, rise_time=r, onset=t0),
-    )
+    step = StepModel(amplitude=a, rise_time=r, onset=t0)
+    return TimeTrace(times=times, values=x - step.evaluate(times)), step
 
 
 def spectrum_of(trace: TimeTrace, window: str | None = "hann", onset: float = 0.0) -> Spectrum:

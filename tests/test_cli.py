@@ -13,7 +13,14 @@ import pytest
 from impostoron import __version__
 from impostoron.cli import build_parser, data_dir, resolve_data_path, run
 from impostoron.errors import DataFileError
-from impostoron.signal import StepModel, TimeTrace, remove_step, write_trace_csv
+from impostoron.signal import (
+    FieldMap2D,
+    StepModel,
+    TimeTrace,
+    remove_step,
+    write_map_csv,
+    write_trace_csv,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -303,6 +310,20 @@ class TestSynthAndExtract:
         assert code == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dtau", [0.02, 2e-5])  # delay spans 0.62 and 0.00062 ps
+    def test_extract_short_delay_span_exits_0_or_3(self, tmp_path, dtau):
+        tau = (np.arange(32) - 8) * dtau
+        t = (np.arange(16) - 8) * 0.05
+        delay = np.where(tau >= 0, 1.0, 0.0) + 0.1 * np.cos(2 * np.pi * 0.7 * tau)
+        path = tmp_path / "map.csv"
+        fmap = FieldMap2D(t_grid=t, tau_grid=tau, values=np.outer(delay, np.cos(t)))
+        with open(path, "w") as fh:
+            write_map_csv(fmap, fh)
+        code = run(["extract", "--input", str(path),
+                    "--out-oscillation", str(tmp_path / "osc.csv"),
+                    "--out-spectrum", str(tmp_path / "spec.csv")])
+        assert code in (0, 3)
+
     @pytest.mark.parametrize(
         "size",
         [
@@ -390,8 +411,8 @@ def test_parser_builds_without_side_effects():
     assert parser.prog == "impostoron"
 
 
-# Runs in a fresh interpreter: the CLI commands that need no step fit must not
-# import scipy, and the first remove_step call must import it and work.
+# Runs in a fresh interpreter: the package needs numpy alone, so no CLI
+# command, the step fit (remove_step) included, may import scipy.
 _SCIPY_PROBE = """
 import json, sys
 import impostoron, impostoron.cli
@@ -406,13 +427,17 @@ commands = [
     ["synth", "--liquid", "water.liq", "--ce", "40", "--map", "--n", "64"],
 ]
 codes = [impostoron.cli.run(argv + ["--out", out]) for argv in commands]
-loaded_before = "scipy" in sys.modules
+loaded = {"commands": "scipy" in sys.modules}
 with open(trace_csv) as fh:
     _, step = remove_step(read_trace_csv(fh))
+loaded["remove_step"] = "scipy" in sys.modules
+# the synth command above left its map in out
+codes.append(impostoron.cli.run(["extract", "--input", out, "--out-oscillation",
+                                 out + ".osc", "--out-spectrum", out + ".spec"]))
+loaded["extract"] = "scipy" in sys.modules
 print(json.dumps({
     "codes": codes,
-    "loaded_before": loaded_before,
-    "loaded_after": "scipy" in sys.modules,
+    "loaded": loaded,
     "step": [repr(step.amplitude), repr(step.rise_time), repr(step.onset)],
 }))
 """
@@ -433,9 +458,8 @@ def test_cli_commands_without_step_fit_leave_scipy_unloaded(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
-    assert got["codes"] == [0, 0, 0, 0]
-    assert not got["loaded_before"]
-    assert got["loaded_after"]
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0, 0, 0, 0]
+    assert got["loaded"] == {"commands": False, "remove_step": False, "extract": False}
     _, step = remove_step(trace)
     assert got["step"] == [repr(step.amplitude), repr(step.rise_time), repr(step.onset)]

@@ -387,6 +387,19 @@ class TestRemoveStep:
         with pytest.raises(DomainError, match="band lower edge"):
             remove_step(tr, band_lo=0.0)
 
+    def test_span_under_the_start_rise(self):
+        # the 1 ps start rise lies above this 0.62 ps span and is clipped to it
+        tau = (np.arange(32) - 8) * 0.02
+        step = StepModel(amplitude=0.8, rise_time=0.1, onset=0.0)
+        _, fit = remove_step(TimeTrace(times=tau, values=step.evaluate(tau)))
+        assert 1e-3 <= fit.rise_time <= tau[-1] - tau[0]
+
+    def test_span_under_the_shortest_rise(self):
+        tau = (np.arange(32) - 8) * 2e-5
+        tr = TimeTrace(times=tau, values=np.where(tau >= 0, 1.0, 0.0))
+        with pytest.raises(DomainError, match=r"delay span 0\.00062 ps is below"):
+            remove_step(tr)
+
 
 class TestSpectrumOf:
     def test_bin_cosine_exact_without_window(self):
