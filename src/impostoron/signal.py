@@ -259,18 +259,27 @@ def add_noise(obj, snr_db: float, seed: int) -> "TimeTrace | FieldMap2D":
 
 
 def fourier_filter_2d(fmap: FieldMap2D, bandwidth: float = FILTER_BANDWIDTH) -> FieldMap2D:
-    """Zero all 2D Fourier components with radial frequency above bandwidth (THz)."""
-    if bandwidth <= 0:
+    """Zero all 2D Fourier components with radial frequency above bandwidth (THz).
+
+    The map is real, so it takes a real FFT along probe time. A probe-time
+    column above bandwidth lies outside the radius at every delay frequency,
+    so only the columns at or below bandwidth go through the delay-axis FFT,
+    the radial mask and its inverse; the inverse real FFT fills the others
+    with zeros. The result is that of zeroing the full 2D spectrum outside
+    the radius.
+    """
+    if not bandwidth > 0:
         raise DomainError(f"filter bandwidth must be positive, got {bandwidth} THz")
-    f_t = np.fft.fftfreq(fmap.t_grid.size, d=fmap.dt)
+    n_t = fmap.t_grid.size
+    f_t = np.fft.rfftfreq(n_t, d=fmap.dt)
+    f_t = f_t[f_t <= bandwidth]
     f_tau = np.fft.fftfreq(fmap.tau_grid.size, d=fmap.dtau)
-    radial = np.sqrt(f_tau[:, None] ** 2 + f_t[None, :] ** 2)
-    spec = np.fft.fft2(fmap.values)
-    spec[radial > bandwidth] = 0.0
+    spec = np.fft.fft(np.fft.rfft(fmap.values, axis=1)[:, : f_t.size], axis=0)
+    spec[np.sqrt(f_tau[:, None] ** 2 + f_t[None, :] ** 2) > bandwidth] = 0.0
     return FieldMap2D(
         t_grid=fmap.t_grid,
         tau_grid=fmap.tau_grid,
-        values=np.fft.ifft2(spec).real,
+        values=np.fft.irfft(np.fft.ifft(spec, axis=0), n=n_t, axis=1),
     )
 
 
@@ -380,7 +389,7 @@ def remove_step(
     the column-norm-scaled parameters by at most a relative 1e-10, and fails
     with StepFitError at the evaluation cap.
     """
-    if band_lo <= 0:
+    if not band_lo > 0:
         raise DomainError(f"band lower edge must be positive, got {band_lo} THz")
     times = trace.times
     if not (times[0] < 0.0 < times[-1]):

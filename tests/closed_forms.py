@@ -5,7 +5,8 @@ cm_invert_concentration(1j*eps2, neat, nu0) and ce_for_nu0 compute through
 complex arithmetic: the real and imaginary parts of the concentration for a
 purely imaginary doped permittivity i*eps2, and the difference of two
 liquids' concentrations for a shared crossing. The synthesized oscillation is
-written out as its cosine sum, term by term.
+written out as its cosine sum, term by term, and the 2D Fourier filter as one
+complex FFT of the whole map.
 
 For Debye liquids two high-precision references follow, both in mpmath and
 neither calling the package's formulas: the profile match of a pair, with
@@ -22,7 +23,7 @@ from impostoron.constants import CONSTANTS
 from impostoron.dielectric import DebyeModel, LiquidModel, eval_neat
 from impostoron.mixing import DopedLiquid, alpha_el
 from impostoron.polaron import eps_imag_at_nu0, lineshape
-from impostoron.signal import DEFAULT_BAND
+from impostoron.signal import DEFAULT_BAND, FieldMap2D
 
 
 def ce_real_part(eps2: float, neat: complex, nu0: float) -> float:
@@ -87,6 +88,23 @@ def dense_oscillation(doped: DopedLiquid, tau, band=DEFAULT_BAND) -> np.ndarray:
     s *= dnu
     s[tau < 0] = 0.0
     return s
+
+
+def dense_fourier_filter_2d(fmap: FieldMap2D, bandwidth: float) -> FieldMap2D:
+    """fourier_filter_2d as one complex 2D FFT over every probe-time column.
+
+    Zeroes each component of fft2(values) whose radial frequency
+    sqrt(f_tau**2 + f_t**2) exceeds bandwidth (THz) and keeps the real part
+    of the inverse. bandwidth must be positive.
+    """
+    f_t = np.fft.fftfreq(fmap.t_grid.size, d=fmap.dt)
+    f_tau = np.fft.fftfreq(fmap.tau_grid.size, d=fmap.dtau)
+    radial = np.sqrt(f_tau[:, None] ** 2 + f_t[None, :] ** 2)
+    spec = np.fft.fft2(fmap.values)
+    spec[radial > bandwidth] = 0.0
+    return FieldMap2D(
+        t_grid=fmap.t_grid, tau_grid=fmap.tau_grid, values=np.fft.ifft2(spec).real
+    )
 
 
 def _mp_alpha_1thz() -> mp.mpf:
