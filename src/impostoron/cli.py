@@ -288,6 +288,9 @@ def _cmd_synth(args, parser):
         parser.error(f"--dtau must keep --n x --dtau finite, got {args.n} x {args.dtau}")
     path, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
+    if args.map:  # the probe grid first: it rejects a --dt that leaves it under 16 samples
+        nt = int(round(_PROBE_SPAN / args.dt))
+        probe = signal.gaussian_probe((np.arange(nt) - nt // 2) * args.dt)
     tau = (np.arange(args.n) - args.n // 8) * args.dtau
     osc = signal.synth_oscillation(doped, tau, args.band)
     step = signal.StepModel(
@@ -295,9 +298,6 @@ def _cmd_synth(args, parser):
     )
     meta = _meta(("liquid", path)) + [f"seed: {args.seed}"]
     if args.map:
-        nt = int(round(_PROBE_SPAN / args.dt))
-        t = (np.arange(nt) - nt // 2) * args.dt
-        probe = signal.gaussian_probe(t)
         fmap = signal.synth_map(doped, probe, step, tau, args.band)
         if args.noise_snr_db is not None:
             fmap = signal.add_noise(fmap, args.noise_snr_db, args.seed)

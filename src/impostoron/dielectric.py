@@ -101,28 +101,41 @@ def _check_nu(nu):
     return arr, hi
 
 
+def _neat(model: LiquidModel, arr: np.ndarray) -> np.ndarray:
+    """Complex permittivity of the neat liquid at each frequency of a float array.
+
+    The formula alone: eval_neat checks arr first. A root search calls it
+    directly on nodes inside a bracket whose ends eval_neat has accepted,
+    since eval_neat's checks hold at every frequency between two that pass.
+    """
+    if isinstance(model, DebyeModel):
+        eps = np.full(arr.shape, complex(model.eps_inf), dtype=complex)
+        for delta, tau in model.terms:
+            x = 2.0 * math.pi * arr * tau
+            eps += delta * (1.0 + 1j * x) / (1.0 + x * x)
+        return eps
+    re = np.interp(arr, model.frequencies, model.values.real)
+    im = np.interp(arr, model.frequencies, model.values.imag)
+    return re + 1j * im
+
+
 def eval_neat(model: LiquidModel, nu):
     """Complex permittivity of the neat liquid at nu (THz, scalar or array)."""
     # a scalar is evaluated as a one-element array, so it rounds exactly as
     # the same frequency inside an array does
     arr, nu_hi = _check_nu(nu)
     if isinstance(model, DebyeModel):
-        eps = np.full(arr.shape, complex(model.eps_inf), dtype=complex)
         for delta, tau in model.terms:
-            x_hi = 2.0 * math.pi * nu_hi * tau  # the largest x, rounded as below
+            x_hi = 2.0 * math.pi * nu_hi * tau  # the largest x, rounded as in _neat
             if x_hi * x_hi == math.inf or delta * x_hi == math.inf:
                 raise DomainError(f"frequency {nu_hi:g} THz overflows '{model.name}'")
-            x = 2.0 * math.pi * arr * tau
-            eps += delta * (1.0 + 1j * x) / (1.0 + x * x)
     else:
         lo, hi = model.frequencies[0], model.frequencies[-1]
         if np.any(arr < lo) or np.any(arr > hi):
             raise RangeError(
                 f"frequency outside tabulated range [{lo:g}, {hi:g}] THz for '{model.name}'"
             )
-        re = np.interp(arr, model.frequencies, model.values.real)
-        im = np.interp(arr, model.frequencies, model.values.imag)
-        eps = re + 1j * im
+    eps = _neat(model, arr)
     if np.isscalar(nu) or np.ndim(nu) == 0:
         return eps.item()
     return eps

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dielectric import LiquidModel, _neat_slope, eval_neat, validity_range
+from .dielectric import LiquidModel, _neat, _neat_slope, eval_neat, validity_range
 from .errors import (
     DomainError,
     NoProfileMatchError,
@@ -23,9 +23,11 @@ from .errors import (
 from .mixing import (
     Concentration,
     DopedLiquid,
+    _alpha,
     _invert,
     _local_field,
     _mix_slope,
+    alpha_el,
     cm_invert_concentration,
 )
 from .polaron import (
@@ -141,18 +143,44 @@ def _profile(liquid: LiquidModel, nu: np.ndarray) -> np.ndarray:
     At each nu the concentration is ce_for_nu0's closed form, eps2 the loss
     at the crossing and B = d(eps')/d(nu) in closed form, as in find_nu0. A
     node is undefined where ce_for_nu0 would raise, where eps2 is zero or
-    where |eps_neat + 2|^2 or B leaves the float range.
+    where |eps_neat + 2|^2 or B leaves the float range. Raises where
+    eval_neat or alpha_el rejects nu.
     """
-    neat = eval_neat(liquid, nu)
+    return _profile_of(liquid, nu, eval_neat(liquid, nu), alpha_el(nu))
+
+
+def _profile_of(
+    liquid: LiquidModel, nu: np.ndarray, neat: np.ndarray, alpha: np.ndarray
+) -> np.ndarray:
+    """_profile from neat = eval_neat(liquid, nu) and alpha = alpha_el(nu), unchecked."""
     lf, lf_pole = _local_field(neat)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a node undefined
         eps2 = _crossing_loss(neat)[0]
         L = _local_field(1j * eps2)[0]  # the local-field sum of eps = i*eps2
         slope = _mix_slope(lf, _neat_slope(liquid, nu), L, nu).real
-    ce = _invert(L, lf, nu).real
+    ce = _invert(L, lf, alpha).real
     # eps2 > 0 only where the loss at the crossing is defined and non-zero
     ok = (eps2 > 0.0) & ~lf_pole & np.isfinite(ce) & (ce >= 0.0) & np.isfinite(slope)
     return np.where(ok, slope / np.where(ok, eps2, 1.0), np.nan)
+
+
+def _g_norm(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """(t1 - t2) normalized by the mean of the two profiles, 0 where that mean is."""
+    mean = 0.5 * (t1 + t2)
+    zero = mean == 0.0
+    return np.where(zero, 0.0, (t1 - t2) / np.where(zero, 1.0, mean))
+
+
+def _g_round(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.ndarray:
+    """_g_norm of the liquids' _profile arrays on nodes inside a scanned bracket.
+
+    The scan's _profile accepted both ends of the bracket, and the checks of
+    eval_neat and alpha_el hold between two accepted frequencies, so this
+    skips them; undefined nodes are NaN, as in _profile.
+    """
+    alpha = _alpha(nu)
+    t1 = _profile_of(liquid1, nu, _neat(liquid1, nu), alpha)
+    return _g_norm(t1, _profile_of(liquid2, nu, _neat(liquid2, nu), alpha))
 
 
 def match_profiles(
@@ -165,25 +193,22 @@ def match_profiles(
     Solves g(nu) = B1/eps2_1 - B2/eps2_2 = 0 over the bracket, where each
     B_i is evaluated at the concentration that puts liquid i's crossing at nu.
     Convergence is judged on g normalized by the mean of the two terms.
-    One vector evaluation on PROFILE_SCAN_POINTS grid nodes brackets the
-    sign changes; nodes where a liquid's profile is undefined are skipped
-    and counted in `skipped_nodes`. When |g| stays below PROFILE_TOL on
-    every defined node the pair is degenerate. Each sign change is bisected
-    to float resolution, ROUND_LEVELS steps per vector evaluation, and its
-    root is the bisection point of least |g|. Each B_i is d(eps_i')/d(nu) in
-    closed form, as in find_nu0. The lowest root nu* is then
-    match_frequency's solution at nu*, marked profile-matched.
+    One vector evaluation of _profile on PROFILE_SCAN_POINTS grid nodes,
+    both ends of the bracket included, validates the bracket and brackets
+    the sign changes; nodes where a liquid's profile is undefined are
+    skipped and counted in `skipped_nodes`. When |g| stays below PROFILE_TOL
+    on every defined node the pair is degenerate. Each sign change is
+    bisected to float resolution, and its root is the bisection point of
+    least |g|; each round evaluates the 2**ROUND_LEVELS - 1 nodes of one
+    bisection tree through the unchecked kernels (_g_round), undefined
+    nodes NaN as in the scan. Each B_i is d(eps_i')/d(nu) in closed form,
+    as in find_nu0. The lowest root nu* is then match_frequency's solution
+    at nu*, marked profile-matched.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
+    grid = np.linspace(lo, hi, PROFILE_SCAN_POINTS)  # holds lo and hi themselves
+    vals = _g_norm(_profile(liquid1, grid), _profile(liquid2, grid))
 
-    def g_norm(nu: np.ndarray) -> np.ndarray:
-        t1, t2 = _profile(liquid1, nu), _profile(liquid2, nu)
-        mean = 0.5 * (t1 + t2)
-        zero = mean == 0.0
-        return np.where(zero, 0.0, (t1 - t2) / np.where(zero, 1.0, mean))
-
-    grid = np.linspace(lo, hi, PROFILE_SCAN_POINTS)
-    vals = g_norm(grid)
     finite = np.isfinite(vals)
     skipped = int(np.count_nonzero(~finite))
 
@@ -207,7 +232,10 @@ def match_profiles(
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
             continue
-        _, _, best = _refine_root(g_norm, float(grid[i]), float(grid[i + 1]), float(vals[i]), 0.0)
+        _, _, best = _refine_root(
+            lambda nu: _g_round(liquid1, liquid2, nu),
+            float(grid[i]), float(grid[i + 1]), float(vals[i]), 0.0,
+        )
         roots.append(best)
 
     if not roots:

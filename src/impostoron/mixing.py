@@ -61,6 +61,17 @@ class DopedLiquid:
     ce: Concentration
 
 
+def _alpha(arr: np.ndarray) -> np.ndarray:
+    """Free-electron polarizability (m^3, complex) at each frequency of a float array.
+
+    The formula alone: alpha_el checks arr and raises where it leaves the
+    float range. That range holds at every frequency between two in it.
+    """
+    omega = 2.0 * math.pi * arr * 1e12  # rad/s
+    c = CONSTANTS
+    return -c.elementary_charge**2 / (c.vacuum_permittivity * c.electron_mass * (omega**2 + 0j))
+
+
 def alpha_el(nu):
     """Free-electron polarizability (m^3) at nu (THz, scalar or array).
 
@@ -68,13 +79,9 @@ def alpha_el(nu):
     Raises DomainError where it leaves the float range.
     """
     arr = _check_nu(nu)[0]  # scalars round as array elements
-    omega = 2.0 * math.pi * arr * 1e12  # rad/s
-    c = CONSTANTS
     try:
         with np.errstate(all="raise"):
-            out = -c.elementary_charge**2 / (
-                c.vacuum_permittivity * c.electron_mass * (omega**2 + 0j)
-            )
+            out = _alpha(arr)
     except FloatingPointError:
         nu_range = f"[{arr.min():g}, {arr.max():g}]"
         raise DomainError(f"alpha_el leaves the float range at nu in {nu_range} THz") from None
@@ -98,17 +105,15 @@ def _checked_local_field(eps):
     return lf
 
 
-def _mix(lf_neat, ce_mol, nu):
-    """Doped permittivity (1 + 2L)/(1 - L), L = lf_neat + ce*N_A*alpha_el(nu)/3.
+def _mix(lf_neat, ce_mol, alpha):
+    """Doped permittivity (1 + 2L)/(1 - L), L = lf_neat + ce*N_A*alpha/3.
 
     lf_neat is the neat local-field ratio, ce_mol the concentration in
-    mol/m^3; both broadcast against nu. Returns (eps, divergent) with
-    divergent marking |1 - L| below CM_SINGULARITY_EPS, where eps is
-    meaningless. The one copy of the mixing relation.
+    mol/m^3 and alpha the array alpha_el(nu); they broadcast. Returns (eps,
+    divergent) with divergent marking |1 - L| below CM_SINGULARITY_EPS,
+    where eps is meaningless. The one copy of the mixing relation.
     """
-    # alpha_el of an array: for a scalar nu it would return a Python complex,
-    # whose division by 3 rounds otherwise than numpy's
-    L = lf_neat + ce_mol * CONSTANTS.avogadro * alpha_el(np.atleast_1d(nu)) / 3.0
+    L = lf_neat + ce_mol * CONSTANTS.avogadro * alpha / 3.0
     denom = 1.0 - L
     divergent = np.abs(denom) < CM_SINGULARITY_EPS
     return (1.0 + 2.0 * L) / np.where(divergent, 1.0, denom), divergent
@@ -127,9 +132,35 @@ def _mix_slope(lf_neat, neat_slope, L, nu):
     return 3.0 * dL / (1.0 - L) ** 2
 
 
-def _invert(lf_eps, lf_neat, nu):
-    """Concentration (complex, mol/m^3) mapping local-field ratio lf_neat onto lf_eps at nu."""
-    return 3.0 * (lf_eps - lf_neat) / (CONSTANTS.avogadro * alpha_el(np.atleast_1d(nu)))
+def _invert(lf_eps, lf_neat, alpha):
+    """Concentration (complex, mol/m^3) mapping local-field ratio lf_neat onto lf_eps.
+
+    alpha is the array alpha_el(nu) at the frequencies of the ratios.
+    """
+    return 3.0 * (lf_eps - lf_neat) / (CONSTANTS.avogadro * alpha)
+
+
+def _cm(neat, ce: Concentration, nu: np.ndarray, alpha) -> np.ndarray:
+    """cm_mix on a float array nu of at least one dimension, as an array.
+
+    alpha maps nu to alpha_el(nu): alpha_el itself, or _alpha on nodes
+    inside a bracket whose ends alpha_el has accepted.
+    """
+    try:
+        with np.errstate(over="raise"):
+            out, divergent = _mix(_checked_local_field(neat), ce.mol_per_m3, alpha(nu))
+    except FloatingPointError:
+        # |alpha_el| is largest at the lowest frequency
+        raise DomainError(
+            f"electron term overflows at nu = {np.min(nu):g} THz, ce = {ce.micromolar:g} uM"
+        ) from None
+    if np.any(divergent):
+        nu_arr = np.broadcast_to(np.asarray(nu, dtype=float), divergent.shape)
+        nu_bad = float(nu_arr[divergent][0])
+        raise SingularityError(
+            f"Clausius-Mossotti divergence at nu = {nu_bad:g} THz, ce = {ce.micromolar:g} uM"
+        )
+    return out
 
 
 def cm_mix(neat, ce: Concentration, nu):
@@ -139,20 +170,9 @@ def cm_mix(neat, ce: Concentration, nu):
     the combined local-field sum approaches 1, and DomainError when the
     electron term ce*N_A*alpha_el(nu) leaves the float range.
     """
-    try:
-        with np.errstate(over="raise"):
-            out, divergent = _mix(_checked_local_field(neat), ce.mol_per_m3, nu)
-    except FloatingPointError:
-        # |alpha_el| is largest at the lowest frequency
-        raise DomainError(
-            f"electron term overflows at nu = {np.min(nu):g} THz, ce = {ce.micromolar:g} uM"
-        ) from None
-    if np.any(divergent):
-        nu_arr = np.broadcast_to(np.asarray(nu, dtype=float), divergent.shape)
-        nu_bad = float(np.atleast_1d(nu_arr)[np.atleast_1d(divergent)][0])
-        raise SingularityError(
-            f"Clausius-Mossotti divergence at nu = {nu_bad:g} THz, ce = {ce.micromolar:g} uM"
-        )
+    # alpha_el of an array: for a scalar nu it would return a Python complex,
+    # whose division by 3 rounds otherwise than numpy's
+    out = _cm(neat, ce, np.atleast_1d(nu), alpha_el)
     if np.ndim(neat) == np.ndim(nu) == 0:
         return out.item()
     return out
@@ -164,5 +184,6 @@ def cm_invert_concentration(eps, neat, nu) -> complex:
     The imaginary part is a consistency residual: it vanishes exactly when the
     pair (eps, neat) is reachable by doping with real concentration.
     """
-    return _invert(_checked_local_field(eps), _checked_local_field(neat), nu).item()
+    lf_eps, lf_neat = _checked_local_field(eps), _checked_local_field(neat)
+    return _invert(lf_eps, lf_neat, alpha_el(np.atleast_1d(nu))).item()
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dielectric import _neat_slope, _readonly, eval_neat
+from .dielectric import _neat, _neat_slope, _readonly, eval_neat
 from .errors import (
     DegenerateLineshapeError,
     DomainError,
@@ -20,7 +20,7 @@ from .errors import (
     NoResonanceError,
     SingularityError,
 )
-from .mixing import Concentration, DopedLiquid, _local_field, _mix_slope, cm_mix
+from .mixing import Concentration, DopedLiquid, _alpha, _cm, _local_field, _mix_slope, cm_mix
 
 #: Number of pre-scan points used to bracket sign changes of eps'.
 SCAN_POINTS = 400
@@ -32,7 +32,7 @@ DEFAULT_TOL = 1e-6
 #: Bisection levels resolved per call of the refined function: each call
 #: evaluates the 2**ROUND_LEVELS - 1 interior nodes of the bracket's
 #: bisection tree at once.
-ROUND_LEVELS = 5
+ROUND_LEVELS = 8
 
 #: Most bisection steps one refinement takes.
 MAX_BISECTIONS = 200
@@ -78,6 +78,18 @@ def eps_doped(doped: DopedLiquid, nu):
     return cm_mix(eval_neat(doped.liquid, nu), doped.ce, nu)
 
 
+def _eps_real(doped: DopedLiquid, nu: np.ndarray) -> np.ndarray:
+    """eps_doped(doped, nu).real on nodes inside a bracket whose ends it accepted.
+
+    Skips the checks that hold between two accepted frequencies (the
+    frequency range, eval_neat's overflow guard, the table range and
+    alpha_el's float range) and keeps the per-node ones: a node on the
+    local-field pole or the Clausius-Mossotti divergence raises
+    SingularityError, an overflow DomainError, as eps_doped does.
+    """
+    return _cm(_neat(doped.liquid, nu), doped.ce, nu, _alpha).real
+
+
 def _bisection_tree(a: float, b: float) -> np.ndarray:
     """The 2**ROUND_LEVELS + 1 nodes of [a, b]'s bisection tree, in order.
 
@@ -97,8 +109,10 @@ def _refine_root(f, a: float, b: float, fa: float, tol: float) -> tuple[float, f
     """Bisect [a, b] for a sign change of f, ROUND_LEVELS steps per call of f.
 
     f maps an array of points to an array of values, NaN where f is
-    undefined. Each call evaluates the interior nodes of the bisection tree
-    of the current bracket; the steps then walk that tree. A step moves a
+    undefined. Each call evaluates the 2**ROUND_LEVELS - 1 interior nodes of
+    the bisection tree of the current bracket; the steps then walk that
+    tree. Every node lies inside [a, b], so f may skip the checks that the
+    caller's scan has passed at the bracket's ends. A step moves a
     up to mid when f(mid) has the sign of f(a) (negative or not), b down to
     mid otherwise. Bisection stops when b - a <= tol, when mid rounds onto
     an end of the bracket, when f(mid) == 0 (the bracket collapses onto mid)
@@ -139,12 +153,15 @@ def find_nu0(
 ) -> PolaronResonance:
     """Lowest rising zero crossing of eps'(nu) inside the bracket.
 
-    A uniform pre-scan of SCAN_POINTS points locates sign changes from negative
-    to non-negative; each is bisected until its bracket is at most tol (THz)
-    wide, ROUND_LEVELS bisection steps per vector evaluation of eps', and
-    its midpoint is the crossing. The lowest crossing is returned, any
-    further ones are listed in `alternatives`. slope_B is d(eps')/d(nu) at
-    nu0 in closed form (mixing._mix_slope).
+    A uniform pre-scan of SCAN_POINTS points, both ends of the bracket
+    included, locates sign changes from negative to non-negative. The scan
+    goes through eps_doped and so validates the whole bracket. Each sign
+    change is bisected until its bracket is at most tol (THz) wide, and its
+    midpoint is the crossing; each round evaluates the 2**ROUND_LEVELS - 1
+    nodes of one bisection tree through the unchecked kernels (_eps_real).
+    The lowest crossing is returned, any further ones are listed in
+    `alternatives`. slope_B is d(eps')/d(nu) at nu0 in closed form
+    (mixing._mix_slope).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
@@ -152,14 +169,13 @@ def find_nu0(
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
 
-    def re_eps(nu):
-        return np.real(eps_doped(doped, nu))
-
-    grid = np.linspace(lo, hi, SCAN_POINTS)
-    f = re_eps(grid)
+    grid = np.linspace(lo, hi, SCAN_POINTS)  # holds lo and hi themselves
+    f = np.real(eps_doped(doped, grid))
     roots = []
     for i in np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0)):
-        a, b, _ = _refine_root(re_eps, float(grid[i]), float(grid[i + 1]), float(f[i]), tol)
+        a, b, _ = _refine_root(
+            lambda nu: _eps_real(doped, nu), float(grid[i]), float(grid[i + 1]), float(f[i]), tol
+        )
         roots.append(0.5 * (a + b))
 
     if not roots:

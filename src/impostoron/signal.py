@@ -176,10 +176,17 @@ def synth_oscillation(
         )
     n = tau.size
     dnu = 1.0 / (n * dtau)
-    freqs = np.arange(n // 2 + 1) * dnu
-    sel = (freqs >= lo) & (freqs <= hi)
-    if np.count_nonzero(sel) < 2:
-        count = "only one spectral bin" if np.any(sel) else "no spectral bins"
+    if math.isfinite(dnu):
+        # a bin frequency past the float range lies above the band, and as
+        # inf it is left out as such
+        with np.errstate(over="ignore"):
+            freqs = np.arange(n // 2 + 1) * dnu
+        sel = (freqs >= lo) & (freqs <= hi)
+        found = np.count_nonzero(sel)
+    else:  # a delay step near the float minimum: every bin but DC lies past the band
+        found = 0
+    if found < 2:
+        count = "only one spectral bin" if found else "no spectral bins"
         raise GridError(
             f"synthesis band [{lo:g}, {hi:g}] THz contains {count} of the {n}-sample "
             f"delay grid with dtau {dtau:g} ps; the line shape needs at least two"
@@ -275,7 +282,11 @@ def fourier_filter_2d(fmap: FieldMap2D, bandwidth: float = FILTER_BANDWIDTH) -> 
     f_t = f_t[f_t <= bandwidth]
     f_tau = np.fft.fftfreq(fmap.tau_grid.size, d=fmap.dtau)
     spec = np.fft.fft(np.fft.rfft(fmap.values, axis=1)[:, : f_t.size], axis=0)
-    spec[np.sqrt(f_tau[:, None] ** 2 + f_t[None, :] ** 2) > bandwidth] = 0.0
+    # below a delay step of about 1e-154 ps the square of a delay frequency
+    # overflows; as inf it exceeds any finite bandwidth, and for an infinite
+    # one the component is rightly kept, so the mask is the exact one
+    with np.errstate(over="ignore"):
+        spec[np.sqrt(f_tau[:, None] ** 2 + f_t[None, :] ** 2) > bandwidth] = 0.0
     return FieldMap2D(
         t_grid=fmap.t_grid,
         tau_grid=fmap.tau_grid,

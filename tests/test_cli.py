@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impostoron import __version__
+from impostoron import __version__, signal
 from impostoron.cli import build_parser, data_dir, resolve_data_path, run
 from impostoron.errors import DataFileError
 from impostoron.signal import (
@@ -162,6 +162,21 @@ class TestCeForNu0Command:
     def test_overflowing_frequency_exits_3(self, capsys):
         assert run(["ce-for-nu0", "--liquid", "water.liq", "--nu0", "1e200"]) == 3
         assert "frequency 1e+200 THz overflows" in capsys.readouterr().err
+
+    def test_frequency_overflowing_alpha_el_prints_only_the_message(self):
+        # a process of its own, so a numpy warning would reach its stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "impostoron", "ce-for-nu0", "--liquid",
+             "dispersionless.liq", "--nu0", "1.7e308"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "alpha_el leaves the float range at nu in [1.7e+308, 1.7e+308] THz\n"
+        )
 
     def test_round_trip_with_nu0_command(self, capsys):
         assert run(["ce-for-nu0", "--liquid", "eg.liq", "--nu0", "0.9"]) == 0
@@ -336,6 +351,20 @@ class TestSynthAndExtract:
         code = run(["synth", "--liquid", "water.liq", "--ce", "40", *size])
         assert code == 3
         assert "synth request too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "size", [["--dt", "1", "--n", "64"], ["--dt", "100", "--n", "16777217"]]
+    )
+    def test_synth_map_checks_the_probe_grid_first(self, capsys, monkeypatch, size):
+        # under 16 probe samples: rejected before any delay-axis work
+        def unreachable(*args, **kwargs):
+            raise AssertionError("delay grid built before the probe grid was checked")
+
+        monkeypatch.setattr(signal, "synth_oscillation", unreachable)
+        monkeypatch.setattr(signal, "synth_map", unreachable)
+        code = run(["synth", "--liquid", "water.liq", "--ce", "40", "--map", *size])
+        assert code == 3
+        assert "time grid needs at least 16 samples" in capsys.readouterr().err
 
     def test_synth_trace_bounded_by_its_own_length(self, tmp_path):
         # a trace of 65537 delays holds 65537 samples, far inside 2^24

@@ -86,10 +86,13 @@ class TestAlphaEl:
             with pytest.raises(DomainError):
                 alpha_el(bad)
 
-    @pytest.mark.parametrize("nu, shown", [(1e200, "1e+200"), (1e-200, "1e-200")])
+    @pytest.mark.parametrize(
+        "nu, shown", [(1e200, "1e+200"), (1e-200, "1e-200"), (1.7e308, "1.7e+308")]
+    )
     def test_out_of_float_range_names_the_frequency(self, nu, shown):
         # (2 pi nu)**2 in rad/s overflows above about 2e141 THz and
-        # vanishes below about 2e-167 THz
+        # vanishes below about 2e-167 THz; 2 pi nu itself overflows near
+        # 1.7e308 THz, inside the same guard
         with pytest.raises(DomainError, match=re.escape(f"[{shown}, {shown}] THz")):
             alpha_el(nu)
         with pytest.raises(DomainError, match=re.escape(shown)):

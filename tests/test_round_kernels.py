@@ -1,0 +1,226 @@
+"""The refinement rounds of the root searches against the checked path.
+
+find_nu0 and match_profiles validate their bracket once, on the scan, and
+then evaluate each round of bisection nodes through unchecked kernels
+(polaron._eps_real, matching._g_round). Those must give bit for bit what
+the checked functions give on the same nodes, the roots must not depend on
+how many bisection levels one round resolves, and the searches must still
+raise the errors and messages of the checked path.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_scalar_oracle import BASE_PAIRS, twin
+
+from impostoron import polaron
+from impostoron.dielectric import DebyeModel, TabulatedModel, validity_range
+from impostoron.errors import DomainError, ImpostoronError, RangeError, SingularityError
+from impostoron.matching import _g_norm, _g_round, _profile, match_profiles
+from impostoron.mixing import Concentration, DopedLiquid
+from impostoron.polaron import _eps_real, eps_doped, find_nu0
+
+#: the round depth the package uses, and the one it used before
+DEPTHS = (5, polaron.ROUND_LEVELS)
+
+
+def bits(values):
+    """The float64 bit patterns of an array, so NaNs and signed zeros compare too."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the ImpostoronError it raises."""
+    try:
+        return f(*args)
+    except ImpostoronError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def debye_models(draw):
+    terms = draw(
+        st.lists(st.tuples(st.floats(0.05, 80.0), st.floats(0.01, 20.0)), max_size=3)
+    )
+    return DebyeModel("d", draw(st.floats(1.0, 6.0)), tuple(terms))
+
+
+@st.composite
+def table_models(draw, liquids):
+    if draw(st.booleans()):
+        return twin(liquids[draw(st.sampled_from(["ipa", "eg", "water"]))])
+    # knots anywhere in eps', metallic and near the -2 pole included; every
+    # table covers 0.5-1 THz, so any two share nodes
+    freqs = np.union1d([0.5, 1.0], draw(st.lists(st.floats(0.02, 5.0), max_size=4)))
+    n = freqs.size
+    re = draw(st.lists(st.floats(-6.0, 12.0), min_size=n, max_size=n))
+    im = draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n))
+    return TabulatedModel("t", freqs, np.array(re) + 1j * np.array(im))
+
+
+@st.composite
+def nodes_for(draw, *models):
+    lo, hi = 0.02, 6.0
+    for model in models:
+        vlo, vhi = validity_range(model)
+        lo, hi = max(lo, vlo), min(hi, vhi)
+    values = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=40))
+    return np.array(values)
+
+
+def liquid_models(liquids):
+    return st.one_of(debye_models(), table_models(liquids))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), ce_um=st.floats(0.0, 400.0))
+def test_find_nu0_round_is_eps_doped(liquids, data, ce_um):
+    doped = DopedLiquid(data.draw(liquid_models(liquids)), Concentration.from_micromolar(ce_um))
+    nu = data.draw(nodes_for(doped.liquid))
+    want = outcome(lambda: eps_doped(doped, nu).real)
+    got = outcome(_eps_real, doped, nu)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_match_profiles_round_is_profile(liquids, data):
+    liquid1 = data.draw(liquid_models(liquids))
+    liquid2 = data.draw(liquid_models(liquids))
+    nu = data.draw(nodes_for(liquid1, liquid2))
+    want = _g_norm(_profile(liquid1, nu), _profile(liquid2, nu))
+    np.testing.assert_array_equal(bits(_g_round(liquid1, liquid2, nu)), bits(want))
+
+
+def test_round_kernels_on_the_reference_liquids(liquids):
+    nu = np.linspace(0.05, 3.5, 301)
+    models = [*liquids.values(), *(twin(liquids[s]) for s in ("ipa", "eg", "water"))]
+    for model in models:
+        doped = DopedLiquid(model, Concentration.from_micromolar(40.0))
+        np.testing.assert_array_equal(bits(_eps_real(doped, nu)), bits(eps_doped(doped, nu).real))
+        for other in models:
+            want = _g_norm(_profile(model, nu), _profile(other, nu))
+            np.testing.assert_array_equal(bits(_g_round(model, other, nu)), bits(want))
+
+
+# --------------------------------------------------------------------------
+# Depth independence: every round node is a bisection midpoint, so the walk
+# and the roots do not depend on how many levels one round resolves
+# --------------------------------------------------------------------------
+
+
+def match_pairs(liquids):
+    def pair(label, f1=1.0, f2=1.0):
+        (d1, t1), (d2, t2) = BASE_PAIRS[label]
+        return (
+            DebyeModel(f"{label}1", 2.2, ((d1 * f1, t1),)),
+            DebyeModel(f"{label}2", 2.2, ((d2, t2 * f2),)),
+        )
+
+    a, b = pair("a/b")
+    return [
+        pair("a/b"), pair("A/B"), pair("a/b", 1.07, 0.93), pair("A/B", 0.95, 1.08),
+        (twin(a), b), (a, twin(b)),
+        (liquids["ipa"], liquids["water"]), (liquids["eg"], liquids["water"]),
+        (liquids["dispersionless"], liquids["ipa"]), (liquids["eg"], liquids["eg"]),
+    ]
+
+
+def solve_all(liquids):
+    """repr of every find_nu0 and match_profiles outcome, errors included."""
+    models = [*liquids.values(), *(twin(liquids[s]) for s in ("ipa", "eg", "water"))]
+    out = []
+    for model in models:
+        for ce in (10.0, 25.0, 60.0, 150.0):
+            doped = DopedLiquid(model, Concentration.from_micromolar(ce))
+            for tol in (1e-6, 1e-9, 1e-300):
+                out.append(repr(outcome(find_nu0, doped, (0.1, 3.0), tol)))
+    for pair in match_pairs(liquids):
+        for bracket in ((0.2, 2.0), (0.2, 3.0)):
+            out.append(repr(outcome(match_profiles, *pair, bracket)))
+    return out
+
+
+def test_roots_do_not_depend_on_the_round_depth(liquids, monkeypatch):
+    results = {}
+    for depth in (1, *DEPTHS):
+        monkeypatch.setattr(polaron, "ROUND_LEVELS", depth)
+        results[depth] = solve_all(liquids)
+    assert sum("PolaronResonance(" in r for r in results[1]) > 50
+    assert sum("profile_matched=True" in r for r in results[1]) > 10
+    for depth in DEPTHS:
+        assert results[depth] == results[1]
+
+
+# --------------------------------------------------------------------------
+# Errors: the scan raises what eps_doped and _profile raise; the rounds keep
+# the per-node singularities
+# --------------------------------------------------------------------------
+
+DEBYE = DebyeModel("x", 2.2, ((1.0, 1.0),))
+OVERFLOW = "frequency 1e+160 THz overflows 'x'"
+
+
+def test_find_nu0_overflow_at_the_upper_end():
+    doped = DopedLiquid(DEBYE, Concentration.from_micromolar(25.0))
+    with pytest.raises(DomainError, match=re.escape(OVERFLOW)):
+        find_nu0(doped, (0.1, 1e160))
+
+
+def test_match_profiles_overflow_at_the_upper_end():
+    with pytest.raises(DomainError, match=re.escape(OVERFLOW)):
+        match_profiles(DEBYE, DebyeModel("y", 2.2, ((25.0, 0.3),)), (0.2, 1e160))
+
+
+def test_find_nu0_bracket_leaving_the_table(liquids):
+    doped = DopedLiquid(twin(liquids["water"]), Concentration.from_micromolar(25.0))
+    message = "frequency outside tabulated range [0.05, 3.5] THz for 'water-table'"
+    with pytest.raises(RangeError, match=re.escape(message)):
+        find_nu0(doped, (0.01, 3.0))
+
+
+def knot_table(level, value):
+    """Table whose only rising crossing lies in one scan cell [a, b] of find_nu0 on (1, 2).
+
+    eps' is -3 up to a, 1 from b on, and value at the node that bisecting
+    [a, b] toward a reaches on the given level: a + (b - a)/2**level, formed
+    as the bisection tree forms it. Returns the table and that node.
+    """
+    grid = np.linspace(1.0, 2.0, polaron.SCAN_POINTS)
+    a, b = float(grid[100]), float(grid[101])
+    node = b
+    for _ in range(level):
+        node = 0.5 * (a + node)
+    freqs = np.array([1.0, a, node, b, 2.0])
+    values = np.array([-3.0, -3.0, value, 1.0, 1.0]) + 0j
+    return TabulatedModel("knot", freqs, values), node
+
+
+def test_find_nu0_on_the_local_field_pole():
+    model, _ = knot_table(2, -2.0)
+    with pytest.raises(SingularityError, match="local-field ratio diverges"):
+        find_nu0(DopedLiquid(model, Concentration(0.0)), (1.0, 2.0))
+
+
+def test_find_nu0_on_the_clausius_mossotti_divergence():
+    model, node = knot_table(2, 3.0001e12)  # 1 - L = 3/(eps + 2), below 1e-12 at the knot alone
+    message = f"Clausius-Mossotti divergence at nu = {node:g} THz, ce = 0 uM"
+    with pytest.raises(SingularityError, match=re.escape(message)):
+        find_nu0(DopedLiquid(model, Concentration(0.0)), (1.0, 2.0))
+
+
+def test_a_deeper_round_meets_an_off_path_singular_node(monkeypatch):
+    # the pole sits on level 6, left of the bisection path: a round of 5
+    # levels never evaluates it, one of 6 or more does
+    doped = DopedLiquid(knot_table(6, -2.0)[0], Concentration(0.0))
+    monkeypatch.setattr(polaron, "ROUND_LEVELS", 5)
+    find_nu0(doped, (1.0, 2.0))
+    monkeypatch.setattr(polaron, "ROUND_LEVELS", 6)
+    with pytest.raises(SingularityError, match="local-field ratio diverges"):
+        find_nu0(doped, (1.0, 2.0))

@@ -141,6 +141,13 @@ class TestSynthOscillation:
         with pytest.raises(GridError, match="no spectral bins"):
             synth_oscillation(doped_water, np.arange(20) * 0.01)
 
+    @pytest.mark.parametrize("dtau", [1e-320, 1e-311])
+    def test_band_without_bins_at_a_step_near_the_float_minimum(self, doped_water, dtau):
+        # the bin step 1/(n*dtau) is inf at 1e-320 ps; at 1e-311 ps it is
+        # finite but the upper bins overflow. Neither may warn.
+        with pytest.raises(GridError, match="no spectral bins of the 1024-sample"):
+            synth_oscillation(doped_water, (np.arange(1024) - 128) * dtau)
+
     @pytest.mark.parametrize("band", [(0.0, 2.0), (2.0, 1.0)])
     def test_bad_band(self, doped_water, band):
         with pytest.raises(DomainError, match="bad synthesis band"):
@@ -303,6 +310,21 @@ class TestFourierFilter2D:
         frac = np.mean(np.sqrt(f_tau[:, None] ** 2 + f_t[None, :] ** 2) <= 1.0)
         ratio = np.var(out.values) / np.var(m.values)
         assert 0.8 * frac < ratio < 1.2 * frac
+
+    @pytest.mark.parametrize("bandwidth", [4.0, math.inf])
+    def test_delay_step_whose_frequencies_overflow_when_squared(self, bandwidth):
+        # every non-zero delay frequency of a 1e-160 ps step squares past the
+        # float range, and of a 1e-100 ps step lies far above any finite
+        # bandwidth: both grids give the same mask, so the same map
+        values = np.random.default_rng(3).normal(size=(16, 16))
+        t = np.arange(16) * 0.05
+        out = [
+            fourier_filter_2d(
+                FieldMap2D(t_grid=t, tau_grid=np.arange(16) * dtau, values=values), bandwidth
+            ).values
+            for dtau in (1e-160, 1e-100)
+        ]
+        np.testing.assert_array_equal(out[0], out[1])
 
     def test_bad_bandwidth(self):
         m = FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=np.ones((512, 64)))
