@@ -31,6 +31,30 @@ def _readonly(obj, name: str, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_axis(grid: np.ndarray, label: str, min_size: int) -> float:
+    """The span of a sampled axis: 1-D, min_size samples or more, finite, strictly increasing."""
+    if grid.ndim != 1 or grid.size < min_size:
+        raise DomainError(f"{label} needs at least {min_size} samples")
+    # NaN fails every comparison, and between finite ends an increasing grid
+    # is finite. As Python floats, an overflowing span becomes inf without a warning.
+    lo, hi = float(grid[0]), float(grid[-1])
+    if not (np.all(grid[1:] > grid[:-1]) and -math.inf < lo and hi < math.inf):
+        raise DomainError(f"{label} must be finite and strictly increasing")
+    if hi - lo == math.inf:
+        raise DomainError(f"{label} span exceeds the float range")
+    return hi - lo
+
+
+def _finite_field(obj, name: str, shape: tuple, label: str, dtype=float) -> np.ndarray:
+    """_readonly, for a field that must have the given shape and finite values."""
+    arr = _readonly(obj, name, dtype)
+    if arr.shape != shape:
+        raise DomainError(f"{label} and grid must have equal length: shape {arr.shape}, need {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{label} must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class DebyeModel:
     """Multi-term Debye relaxation: eps_inf plus a sum of (delta_eps, tau_ps) terms."""
@@ -57,7 +81,7 @@ class DebyeModel:
 
 @dataclass(frozen=True)
 class TabulatedModel:
-    """Measured complex permittivity on a strictly increasing frequency grid (THz)."""
+    """Measured complex permittivity on a positive frequency grid (THz), checked by _check_axis."""
 
     name: str
     frequencies: np.ndarray = field(repr=False)
@@ -65,17 +89,10 @@ class TabulatedModel:
 
     def __post_init__(self):
         freqs = _readonly(self, "frequencies")
-        vals = _readonly(self, "values", complex)
-        if freqs.ndim != 1 or freqs.size < 2:
-            raise DomainError("tabulated model needs at least two frequency samples")
-        if vals.shape != freqs.shape:
-            raise DomainError("frequency and permittivity arrays must have equal length")
-        if not np.all(np.isfinite(freqs)) or freqs[0] <= 0:
-            raise DomainError("tabulated frequencies must be finite and positive")
-        if np.any(np.diff(freqs) <= 0):
-            raise DomainError("tabulated frequencies must be strictly increasing")
-        if not np.all(np.isfinite(vals.view(float))):
-            raise DomainError("tabulated permittivities must be finite")
+        _check_axis(freqs, "tabulated frequency grid", 2)
+        if freqs[0] <= 0:
+            raise DomainError("tabulated frequencies must be positive")
+        vals = _finite_field(self, "values", freqs.shape, "tabulated permittivities", complex)
         if np.any(vals.imag < 0):
             raise DomainError("tabulated loss eps'' must be >= 0 (passive medium)")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dielectric import _neat, _neat_slope, _readonly, eval_neat
+from .dielectric import _check_axis, _finite_field, _neat, _neat_slope, _readonly, eval_neat
 from .errors import (
     DegenerateLineshapeError,
     DomainError,
@@ -40,25 +40,14 @@ MAX_BISECTIONS = 200
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real-valued samples on a strictly increasing frequency grid (THz)."""
+    """Real-valued samples on a frequency grid (THz), checked by _check_axis."""
 
     frequencies: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        freqs = _readonly(self, "frequencies")
-        vals = _readonly(self, "values")
-        if freqs.ndim != 1 or freqs.size < 2:
-            raise DomainError("spectrum needs at least two samples")
-        if vals.shape != freqs.shape:
-            raise DomainError("frequency and value arrays must have equal length")
-        if np.any(freqs[1:] <= freqs[:-1]):
-            raise DomainError("spectrum frequencies must be strictly increasing")
-        if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(vals))):
-            raise DomainError("spectrum samples must be finite")
-        # Python floats: an overflowing span becomes inf without a numpy warning
-        if float(freqs[-1]) - float(freqs[0]) == math.inf:
-            raise DomainError("spectrum frequency span exceeds the float range")
+        _check_axis(_readonly(self, "frequencies"), "spectrum frequency grid", 2)
+        _finite_field(self, "values", self.frequencies.shape, "spectrum samples")
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ frequencies need no conversion).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dielectric import _readonly
+from .dielectric import _check_axis, _finite_field, _readonly
 from .errors import (
     DegenerateLineshapeError,
     DomainError,
@@ -50,71 +50,47 @@ _GRID_RTOL = 1e-9
 
 
 def _uniform_step(grid: np.ndarray, label: str) -> float:
-    if grid.ndim != 1 or grid.size < _MIN_SAMPLES:
-        raise DomainError(f"{label} grid needs at least {_MIN_SAMPLES} samples")
-    if not np.all(np.isfinite(grid)):
-        raise DomainError(f"{label} grid must be finite")
-    if np.any(grid[1:] <= grid[:-1]):
-        raise DomainError(f"{label} grid must be increasing")
-    # Python floats: an overflowing span becomes inf without a numpy warning
-    span = float(grid[-1]) - float(grid[0])
-    if span == math.inf:
-        raise DomainError(f"{label} grid span exceeds the float range")
-    step = span / (grid.size - 1)
-    if np.max(np.abs(np.diff(grid) - step)) > _GRID_RTOL * step:
-        raise DomainError(f"{label} grid spacing is not uniform")
+    """The step of a sampled axis (_check_axis) of _MIN_SAMPLES or more uniform samples.
+
+    A spacing may differ from the step by _GRID_RTOL of it, or by 4 ulp of the grid's largest
+    |value| if more: rounding the values of an exactly uniform grid moves its spacings less.
+    """
+    step = _check_axis(grid, label, _MIN_SAMPLES) / (grid.size - 1)
+    rounding = 4.0 * math.ulp(max(-float(grid[0]), float(grid[-1])))
+    if np.max(np.abs(np.diff(grid) - step)) > max(_GRID_RTOL * step, rounding):
+        raise DomainError(f"{label} spacing is not uniform")
     return step
 
 
 @dataclass(frozen=True)
 class TimeTrace:
-    """Real samples on a uniform time grid (ps)."""
+    """Real samples on a uniform time grid (ps) of step dt, checked by _uniform_step."""
 
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    dt: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        times = _readonly(self, "times")
-        values = _readonly(self, "values")
-        _uniform_step(times, "time")
-        if values.shape != times.shape:
-            raise DomainError("times and values must have equal length")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("trace values must be finite")
-
-    @property
-    def dt(self) -> float:
-        return float((self.times[-1] - self.times[0]) / (self.times.size - 1))
+        object.__setattr__(self, "dt", _uniform_step(_readonly(self, "times"), "time grid"))
+        _finite_field(self, "values", self.times.shape, "trace values")
 
 
 @dataclass(frozen=True)
 class FieldMap2D:
-    """Real field samples over probe time (columns) and delay (rows), both ps."""
+    """Real field over probe time (columns) and delay (rows), both ps, checked by _uniform_step."""
 
     t_grid: np.ndarray = field(repr=False)
     tau_grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    dt: float = field(init=False, repr=False, compare=False)
+    dtau: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = _readonly(self, "t_grid")
         tau = _readonly(self, "tau_grid")
-        vals = _readonly(self, "values")
-        _uniform_step(t, "probe-time")
-        _uniform_step(tau, "delay")
-        if vals.shape != (tau.size, t.size):
-            raise DomainError(
-                f"map shape {vals.shape} does not match (n_tau, n_t) = ({tau.size}, {t.size})"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("map values must be finite")
-
-    @property
-    def dt(self) -> float:
-        return float((self.t_grid[-1] - self.t_grid[0]) / (self.t_grid.size - 1))
-
-    @property
-    def dtau(self) -> float:
-        return float((self.tau_grid[-1] - self.tau_grid[0]) / (self.tau_grid.size - 1))
+        object.__setattr__(self, "dt", _uniform_step(t, "probe-time grid"))
+        object.__setattr__(self, "dtau", _uniform_step(tau, "delay grid"))
+        _finite_field(self, "values", (tau.size, t.size), "map values")
 
 
 @dataclass(frozen=True)
@@ -166,7 +142,7 @@ def synth_oscillation(
     H is applied at the given delays.
     """
     tau = np.asarray(tau_grid, dtype=float)
-    dtau = _uniform_step(tau, "delay")
+    dtau = _uniform_step(tau, "delay grid")
     lo, hi = float(band[0]), float(band[1])
     if not (0 < lo < hi):
         raise DomainError(f"bad synthesis band [{lo}, {hi}] THz")
@@ -255,9 +231,7 @@ def add_noise(obj, snr_db: float, seed: int) -> "TimeTrace | FieldMap2D":
     if not math.isfinite(sigma):
         raise DomainError(f"SNR {snr_db:g} dB is out of range: its noise level is not finite")
     noisy = values + rng.normal(0.0, sigma, size=values.shape)
-    if isinstance(obj, TimeTrace):
-        return TimeTrace(times=obj.times, values=noisy)
-    return FieldMap2D(t_grid=obj.t_grid, tau_grid=obj.tau_grid, values=noisy)
+    return replace(obj, values=noisy)
 
 
 # --------------------------------------------------------------------------
@@ -278,20 +252,20 @@ def fourier_filter_2d(fmap: FieldMap2D, bandwidth: float = FILTER_BANDWIDTH) -> 
     if not bandwidth > 0:
         raise DomainError(f"filter bandwidth must be positive, got {bandwidth} THz")
     n_t = fmap.t_grid.size
-    f_t = np.fft.rfftfreq(n_t, d=fmap.dt)
+    # below a step of about 1e-308/n ps the upper bin frequencies overflow, and
+    # once the bin step 1/(n*step) is inf DC is 0*inf: it is set to its exact 0.
+    # Below a delay step of about 1e-154 ps the square of a delay frequency
+    # overflows. As inf a frequency exceeds any finite bandwidth, and for an
+    # infinite one the component is rightly kept, so the mask is the exact one
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_t = np.fft.rfftfreq(n_t, d=fmap.dt)
+        f_tau = np.fft.fftfreq(fmap.tau_grid.size, d=fmap.dtau)
+    f_t[0] = f_tau[0] = 0.0
     f_t = f_t[f_t <= bandwidth]
-    f_tau = np.fft.fftfreq(fmap.tau_grid.size, d=fmap.dtau)
     spec = np.fft.fft(np.fft.rfft(fmap.values, axis=1)[:, : f_t.size], axis=0)
-    # below a delay step of about 1e-154 ps the square of a delay frequency
-    # overflows; as inf it exceeds any finite bandwidth, and for an infinite
-    # one the component is rightly kept, so the mask is the exact one
     with np.errstate(over="ignore"):
         spec[np.sqrt(f_tau[:, None] ** 2 + f_t[None, :] ** 2) > bandwidth] = 0.0
-    return FieldMap2D(
-        t_grid=fmap.t_grid,
-        tau_grid=fmap.tau_grid,
-        values=np.fft.irfft(np.fft.ifft(spec, axis=0), n=n_t, axis=1),
-    )
+    return replace(fmap, values=np.fft.irfft(np.fft.ifft(spec, axis=0), n=n_t, axis=1))
 
 
 def cut_at_max(fmap: FieldMap2D) -> TimeTrace:
@@ -436,8 +410,8 @@ def remove_step(
     return TimeTrace(times=times, values=x - step.evaluate(times)), step
 
 
-def spectrum_of(trace: TimeTrace, window: str | None = "hann", onset: float = 0.0) -> Spectrum:
-    """One-sided amplitude spectrum of the trace restricted to times >= onset.
+def spectrum_of(trace: TimeTrace, onset: float = 0.0) -> Spectrum:
+    """One-sided Hann-windowed amplitude spectrum of the trace restricted to times >= onset.
 
     Amplitudes are scaled so a pure cosine of amplitude A at a bin frequency
     reports A (coherent window gain compensated); the DC and Nyquist bins
@@ -449,12 +423,7 @@ def spectrum_of(trace: TimeTrace, window: str | None = "hann", onset: float = 0.
     if x.size < _MIN_SAMPLES:
         raise GridError(f"fewer than {_MIN_SAMPLES} samples at or after onset {onset:g} ps")
     n = x.size
-    if window is None:
-        w = np.ones(n)
-    elif window == "hann":
-        w = np.hanning(n)
-    else:
-        raise DomainError(f"unknown window '{window}'")
+    w = np.hanning(n)
     spec = np.fft.rfft(x * w)
     freqs = np.fft.rfftfreq(n, d=dt)
     amps = np.abs(spec) * (2.0 / np.sum(w))

@@ -266,11 +266,11 @@ def test_criterion_10_filter_and_spectrum_invariants(liquids):
         assert float(np.max(np.abs(passed.values - tone))) <= 1e-9
 
         rng = np.random.default_rng(11)
-        for window, n in ((None, 300), ("hann", 301)):
+        for n in (300, 301):
             x = rng.normal(size=n)
             tr = TimeTrace(times=np.arange(n) * 0.07, values=x)
-            amps = spectrum_of(tr, window=window).values
-            w = np.ones(n) if window is None else np.hanning(n)
+            amps = spectrum_of(tr).values
+            w = np.hanning(n)
             mid = amps[1:-1] if n % 2 == 0 else amps[1:]
             recon = (np.sum(w) ** 2 / n) * (
                 amps[0] ** 2

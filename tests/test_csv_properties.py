@@ -52,6 +52,7 @@ def round_trip(write, read, obj):
 def test_trace_round_trip_bit_exact(data):
     times = data.draw(grids(16))
     trace = TimeTrace(times=times, values=data.draw(arrays(float, times.size, elements=finite)))
+    assert trace.dt == (times[-1] - times[0]) / (times.size - 1)
     back = round_trip(write_trace_csv, read_trace_csv, trace)
     assert back.times.tobytes() == trace.times.tobytes()
     assert back.values.tobytes() == trace.values.tobytes()
@@ -73,6 +74,8 @@ def test_map_round_trip_bit_exact(data):
     t, tau = data.draw(grids(16)), data.draw(grids(16))
     values = data.draw(arrays(float, (tau.size, t.size), elements=finite))
     fmap = FieldMap2D(t_grid=t, tau_grid=tau, values=values)
+    assert fmap.dt == (t[-1] - t[0]) / (t.size - 1)
+    assert fmap.dtau == (tau[-1] - tau[0]) / (tau.size - 1)
     back = round_trip(write_map_csv, read_map_csv, fmap)
     assert back.t_grid.tobytes() == fmap.t_grid.tobytes()
     assert back.tau_grid.tobytes() == fmap.tau_grid.tobytes()

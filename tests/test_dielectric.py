@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -94,7 +95,7 @@ class TestTabulatedModel:
 
     def test_validation(self):
         nu = np.array([0.2, 0.5])
-        with pytest.raises(DomainError, match="at least two"):
+        with pytest.raises(DomainError, match="at least 2 samples"):
             TabulatedModel("t", np.array([0.2]), np.array([1.0 + 0j]))
         with pytest.raises(DomainError, match="increasing"):
             TabulatedModel("t", np.array([0.5, 0.2]), np.ones(2, complex))
@@ -104,6 +105,27 @@ class TestTabulatedModel:
             TabulatedModel("t", nu, np.ones(3, complex))
         with pytest.raises(DomainError, match="passive"):
             TabulatedModel("t", nu, np.array([1 + 1j, 1 - 1j]))
+        with pytest.raises(DomainError, match="tabulated permittivities must be finite"):
+            TabulatedModel("t", nu, np.array([1 + 1j, complex(1, math.inf)]))
+
+    @pytest.mark.parametrize(
+        "freqs, msg",
+        [
+            ([[0.2, 0.5]], "at least 2 samples"),
+            ([0.2, 0.2], "strictly increasing"),
+            ([0.2, math.nan], "finite and strictly increasing"),
+            ([math.nan, 0.5], "finite and strictly increasing"),
+            ([0.2, math.inf], "finite and strictly increasing"),
+            ([-math.inf, 0.5], "finite and strictly increasing"),
+            ([0.0, 0.5], "positive"),
+        ],
+    )
+    def test_bad_grid_rejected(self, freqs, msg):
+        freqs = np.asarray(freqs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=msg):
+                TabulatedModel("t", freqs, np.ones(freqs.shape, complex))
 
     def test_arrays_are_frozen(self):
         m = self._table()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,16 +57,23 @@ class TestSpectrum:
     @pytest.mark.parametrize(
         "freqs, vals, msg",
         [
-            ([0.1], [1.0], "at least two samples"),
+            ([0.1], [1.0], "at least 2 samples"),
             ([0.1, 0.2], [1.0], "equal length"),
             ([0.2, 0.1], [1.0, 2.0], "strictly increasing"),
             ([0.1, 0.1], [1.0, 2.0], "strictly increasing"),
             ([0.1, 0.2], [1.0, float("nan")], "finite"),
+            ([[0.1, 0.2]], [[1.0, 2.0]], "at least 2 samples"),
+            ([float("nan"), 0.2], [1.0, 2.0], "finite and strictly increasing"),
+            ([0.1, math.inf], [1.0, 2.0], "finite and strictly increasing"),
+            ([-math.inf, 0.1], [1.0, 2.0], "finite and strictly increasing"),
+            ([-1.7e308, 1.7e308], [1.0, 2.0], "span exceeds"),
         ],
     )
     def test_rejects_bad_arrays(self, freqs, vals, msg):
-        with pytest.raises(DomainError, match=msg):
-            Spectrum(np.asarray(freqs, float), np.asarray(vals, float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=msg):
+                Spectrum(np.asarray(freqs, float), np.asarray(vals, float))
 
 
 class TestFindNu0:

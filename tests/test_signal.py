@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -86,21 +87,61 @@ class TestTimeTrace:
         [
             (np.arange(8) * 0.1, np.zeros(8), "at least 16 samples"),
             (np.arange(20) ** 1.5, np.zeros(20), "not uniform"),
-            (-np.arange(20.0), np.zeros(20), "must be increasing"),
+            (-np.arange(20.0), np.zeros(20), "strictly increasing"),
             (np.arange(20) * 0.1, np.zeros(19), "equal length"),
             (np.arange(20) * 0.1, np.full(20, np.nan), "must be finite"),
             (1.7e308 * (2 * np.arange(16) / 15 - 1), np.zeros(16), "span exceeds"),
+            (np.zeros((4, 5)), np.zeros((4, 5)), "at least 16 samples"),
+            (np.r_[np.arange(19.0), 18.0], np.zeros(20), "strictly increasing"),
+            (np.r_[np.nan, np.arange(19.0)], np.zeros(20), "finite and strictly increasing"),
+            (np.r_[np.arange(19.0), np.inf], np.zeros(20), "finite and strictly increasing"),
+            (np.r_[-np.inf, np.arange(19.0)], np.zeros(20), "finite and strictly increasing"),
+            # one sample off by 3e-9 of the step: beyond _GRID_RTOL, far above rounding
+            (np.arange(20) * 0.1 + np.where(np.arange(20) == 10, 3e-10, 0.0),
+             np.zeros(20), "not uniform"),
+            # near 1.5e6 ps, one sample off by 1e-8 ps: ~40 ulp, beyond the rounding floor
+            ((np.arange(2**24 - 16, 2**24) - 2**21) * 0.1 + np.where(np.arange(16) == 8, 1e-8, 0.0),
+             np.zeros(16), "not uniform"),
         ],
     )
     def test_validation(self, times, values, msg):
-        with pytest.raises(DomainError, match=msg):
-            TimeTrace(times=times, values=values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=msg):
+                TimeTrace(times=times, values=values)
+
+    def test_grid_uniform_up_to_the_rounding_of_its_values(self):
+        # the last delays of `synth --n 16777216`: near 1.5e6 ps a spacing
+        # of 0.1 ps carries rounding above 1e-9 of it, yet the grid is exact
+        n = 16777216
+        times = (np.arange(n - 16, n) - n // 8) * 0.1
+        assert TimeTrace(times=times, values=np.zeros(16)).dt == (times[-1] - times[0]) / 15
 
 
 class TestFieldMap2D:
     def test_shape_mismatch_reported(self):
-        with pytest.raises(DomainError, match=r"does not match \(n_tau, n_t\)"):
+        with pytest.raises(DomainError, match=r"equal length: shape \(64, 512\), need \(512, 64\)"):
             FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=np.zeros((64, 512)))
+
+    @pytest.mark.parametrize("axis", ["t_grid", "tau_grid"])
+    @pytest.mark.parametrize(
+        "grid, msg",
+        [
+            (np.arange(8) * 0.1, "at least 16 samples"),
+            (np.arange(20) ** 1.5, "not uniform"),
+            (-np.arange(20.0), "strictly increasing"),
+            (np.r_[np.arange(19.0), np.nan], "finite and strictly increasing"),
+            (np.r_[-np.inf, np.arange(19.0)], "finite and strictly increasing"),
+            (1.7e308 * (2 * np.arange(16) / 15 - 1), "span exceeds"),
+        ],
+    )
+    def test_bad_grid_rejected(self, axis, grid, msg):
+        grids = {"t_grid": TGRID, "tau_grid": TAU, axis: grid}
+        shape = (np.size(grids["tau_grid"]), np.size(grids["t_grid"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=msg):
+                FieldMap2D(**grids, values=np.zeros(shape))
 
     def test_dt_dtau(self):
         m = FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=np.zeros((512, 64)))
@@ -167,15 +208,15 @@ class TestSynthOscillation:
         n, dtau = 1024, 0.1
         tau = np.arange(n) * dtau
         tr = synth_oscillation(doped_water, tau)
-        spec = spectrum_of(tr, window=None, onset=0.0)
+        readback = np.abs(np.fft.rfft(tr.values)) * 2 / n
         dnu = 1.0 / (n * dtau)
         freqs = np.arange(n // 2 + 1) * dnu
         sel = (freqs >= 0.2) & (freqs <= 2.0)
         ls = lineshape(doped_water, freqs[sel]).values
         expected = ls / ls.max() * dnu
-        np.testing.assert_allclose(spec.values[sel], expected, atol=1e-12)
+        np.testing.assert_allclose(readback[sel], expected, atol=1e-12)
         # and nothing outside the band
-        assert np.max(spec.values[~sel]) < 1e-12
+        assert np.max(readback[~sel]) < 1e-12
 
     @pytest.mark.parametrize("stem", ["water", "ipa", "eg"])
     @pytest.mark.parametrize(
@@ -189,7 +230,8 @@ class TestSynthOscillation:
     )
     def test_matches_dense_cosine_sum(self, liquids, stem, n, dtau, jitter):
         # the delay grid `synth` lays out; jitter moves each sample by up to
-        # jitter*dtau, so every spacing stays within _GRID_RTOL = 1e-9 of dtau
+        # jitter*dtau, so every spacing stays within _GRID_RTOL = 1e-9 of dtau,
+        # the tolerance where it exceeds the rounding of the grid's values
         rng = np.random.default_rng(n)
         tau = (np.arange(n) - n // 8) * dtau + rng.uniform(-jitter, jitter, n) * dtau
         doped = DopedLiquid(liquids[stem], Concentration.from_micromolar(40.0))
@@ -326,6 +368,28 @@ class TestFourierFilter2D:
         ]
         np.testing.assert_array_equal(out[0], out[1])
 
+    @pytest.mark.parametrize("bandwidth", [4.0, math.inf])
+    @pytest.mark.parametrize("tiny", [1e-310, 4e-310])
+    @pytest.mark.parametrize("axis", ["tau_grid", "t_grid"])
+    def test_step_whose_bin_frequencies_overflow(self, axis, tiny, bandwidth):
+        # 1/(16 * 1e-310 ps) is inf, so DC would be 0*inf: it must stay an
+        # exact 0 without an "invalid value" warning; 1/(16 * 4e-310 ps) is
+        # finite but twice it is not. The map must be that of a 1e-100 ps
+        # step, every non-zero frequency of that axis above the bandwidth
+        values = np.random.default_rng(3).normal(size=(16, 16))
+        out = [
+            fourier_filter_2d(
+                FieldMap2D(
+                    **{"t_grid": np.arange(16) * 0.05, "tau_grid": np.arange(16) * 0.05,
+                       axis: np.arange(16) * step},
+                    values=values,
+                ),
+                bandwidth,
+            ).values
+            for step in (tiny, 1e-100)
+        ]
+        np.testing.assert_array_equal(out[0], out[1])
+
     def test_bad_bandwidth(self):
         m = FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=np.ones((512, 64)))
         for bandwidth in (0.0, float("nan")):
@@ -427,41 +491,42 @@ class TestRemoveStep:
 
 class TestSpectrumOf:
     def test_bin_cosine_exact_without_window(self):
+        # the rectangular readback of a cosine on bin k of spectrum_of's grid
         n, dt = 256, 0.05
         t = np.arange(n) * dt
         k, amp = 10, 1.3
         tr = TimeTrace(times=t, values=amp * np.cos(2 * np.pi * (k / (n * dt)) * t))
-        s = spectrum_of(tr, window=None)
-        assert s.values[k] == pytest.approx(amp, rel=1e-12)
-        assert np.max(np.delete(s.values, k)) < 1e-12
+        readback = np.abs(np.fft.rfft(tr.values)) * 2 / n
+        assert spectrum_of(tr).frequencies[k] == k / (n * dt)
+        assert readback[k] == pytest.approx(amp, rel=1e-12)
+        assert np.max(np.delete(readback, k)) < 1e-12
 
     def test_bin_cosine_with_hann(self):
         n, dt = 256, 0.05
         t = np.arange(n) * dt
         k, amp = 10, 1.3
         tr = TimeTrace(times=t, values=amp * np.cos(2 * np.pi * (k / (n * dt)) * t))
-        s = spectrum_of(tr, window="hann")
+        s = spectrum_of(tr)
         assert s.values[k] == pytest.approx(amp, rel=1e-4)
 
     def test_dc_and_nyquist_not_doubled(self):
         n, dt = 256, 0.05
         t = np.arange(n) * dt
         assert spectrum_of(
-            TimeTrace(times=t, values=np.full(n, 0.7)), window=None
+            TimeTrace(times=t, values=np.full(n, 0.7))
         ).values[0] == pytest.approx(0.7, rel=1e-12)
         alt = 0.9 * np.cos(np.pi * np.arange(n))  # Nyquist cosine
         assert spectrum_of(
-            TimeTrace(times=t, values=alt), window=None
+            TimeTrace(times=t, values=alt)
         ).values[-1] == pytest.approx(0.9, rel=1e-12)
 
-    @pytest.mark.parametrize("window", [None, "hann"])
-    @pytest.mark.parametrize("n", [300, 301])
-    def test_parseval(self, window, n):
+    @pytest.mark.parametrize("n", [300, 301], ids=["300-hann", "301-hann"])
+    def test_parseval(self, n):
         rng = np.random.default_rng(11)
         x = rng.normal(size=n)
         tr = TimeTrace(times=np.arange(n) * 0.07, values=x)
-        s = spectrum_of(tr, window=window)
-        w = np.ones(n) if window is None else np.hanning(n)
+        s = spectrum_of(tr)
+        w = np.hanning(n)
         amps = s.values
         # undo the one-sided scaling to recover |X_k|, then apply Parseval;
         # even n carries an un-doubled Nyquist bin, odd n does not
@@ -476,8 +541,8 @@ class TestSpectrumOf:
         vals = rng.normal(size=TAU.size)
         full = TimeTrace(times=TAU, values=vals)
         trimmed = TimeTrace(times=TAU[TAU >= 0], values=vals[TAU >= 0])
-        a = spectrum_of(full, window="hann", onset=0.0)
-        b = spectrum_of(trimmed, window="hann", onset=0.0)
+        a = spectrum_of(full, onset=0.0)
+        b = spectrum_of(trimmed, onset=0.0)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.frequencies, b.frequencies)
 
@@ -485,11 +550,6 @@ class TestSpectrumOf:
         tr = TimeTrace(times=np.arange(32) * 0.1, values=np.ones(32))
         with pytest.raises(GridError, match="fewer than 16 samples"):
             spectrum_of(tr, onset=2.0)
-
-    def test_unknown_window(self):
-        tr = TimeTrace(times=np.arange(32) * 0.1, values=np.ones(32))
-        with pytest.raises(DomainError, match="unknown window 'hamming'"):
-            spectrum_of(tr, window="hamming")
 
 
 class TestPeakReport:
@@ -599,7 +659,7 @@ class TestCsvRoundTrips:
         wide = "".join(f"{1.7e308 * (2 * i / 15 - 1)!r},0.0\n" for i in range(16))
         with pytest.raises(DomainError, match="time grid span exceeds"):
             read_trace_csv(io.StringIO("tau_ps,amplitude\n" + wide))
-        with pytest.raises(DomainError, match="frequency span exceeds"):
+        with pytest.raises(DomainError, match="frequency grid span exceeds"):
             read_spectrum_csv(io.StringIO("nu_THz,amplitude\n-1.7e308,0.0\n1.7e308,0.0\n"))
 
     def test_comments_and_blank_lines_skipped(self):
