@@ -24,9 +24,22 @@ import numpy as np
 from .errors import DataFileError, DomainError, ParseError, RangeError
 
 def _readonly(obj, name: str, dtype=float) -> np.ndarray:
-    """Set field name of the frozen dataclass obj to a read-only array copy of dtype."""
-    arr = np.array(getattr(obj, name), dtype=dtype)
-    arr.setflags(write=False)
+    """Set field name of the frozen dataclass obj to a read-only array of dtype.
+
+    The field is copied unless it is already a plain read-only ndarray of dtype
+    that owns its data: no one else can write such an array, so it is kept as
+    is. Writing to it after setflags(write=True), or through a writeable view
+    taken before it was made read-only, is the caller's act.
+    """
+    arr = getattr(obj, name)
+    if not (
+        type(arr) is np.ndarray
+        and arr.dtype == dtype
+        and not arr.flags.writeable
+        and arr.flags.owndata
+    ):
+        arr = np.array(arr, dtype=dtype)
+        arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
 

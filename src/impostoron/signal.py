@@ -247,7 +247,8 @@ def fourier_filter_2d(fmap: FieldMap2D, bandwidth: float = FILTER_BANDWIDTH) -> 
     so only the columns at or below bandwidth go through the delay-axis FFT,
     the radial mask and its inverse; the inverse real FFT fills the others
     with zeros. The result is that of zeroing the full 2D spectrum outside
-    the radius.
+    the radius. Its values are the inverse FFT's own array, made read-only,
+    so the returned map holds them without a copy.
     """
     if not bandwidth > 0:
         raise DomainError(f"filter bandwidth must be positive, got {bandwidth} THz")
@@ -256,45 +257,65 @@ def fourier_filter_2d(fmap: FieldMap2D, bandwidth: float = FILTER_BANDWIDTH) -> 
     # once the bin step 1/(n*step) is inf DC is 0*inf: it is set to its exact 0.
     # Below a delay step of about 1e-154 ps the square of a delay frequency
     # overflows. As inf a frequency exceeds any finite bandwidth, and for an
-    # infinite one the component is rightly kept, so the mask is the exact one
+    # infinite one the component is rightly kept, so the mask is the exact one.
+    # Map values near the float maximum overflow the FFT sums to inf or nan:
+    # FieldMap2D rejects the result as non-finite, and that is the error raised
     with np.errstate(over="ignore", invalid="ignore"):
         f_t = np.fft.rfftfreq(n_t, d=fmap.dt)
         f_tau = np.fft.fftfreq(fmap.tau_grid.size, d=fmap.dtau)
-    f_t[0] = f_tau[0] = 0.0
-    f_t = f_t[f_t <= bandwidth]
-    spec = np.fft.fft(np.fft.rfft(fmap.values, axis=1)[:, : f_t.size], axis=0)
-    with np.errstate(over="ignore"):
+        f_t[0] = f_tau[0] = 0.0
+        f_t = f_t[f_t <= bandwidth]
+        spec = np.fft.fft(np.fft.rfft(fmap.values, axis=1)[:, : f_t.size], axis=0)
         spec[np.sqrt(f_tau[:, None] ** 2 + f_t[None, :] ** 2) > bandwidth] = 0.0
-    return replace(fmap, values=np.fft.irfft(np.fft.ifft(spec, axis=0), n=n_t, axis=1))
+        values = np.fft.irfft(np.fft.ifft(spec, axis=0), n=n_t, axis=1)
+    values.setflags(write=False)
+    return replace(fmap, values=values)
 
 
 def cut_at_max(fmap: FieldMap2D) -> TimeTrace:
     """Delay trace at the probe time with the largest |E|; ties take smaller t."""
-    col_peak = np.max(np.abs(fmap.values), axis=0)
+    v = fmap.values
+    col_peak = np.maximum(v.max(axis=0), -v.min(axis=0))
     if np.all(col_peak == 0):
         raise NoSignalError("all-zero field map: no probe maximum to cut at")
     i = int(np.argmax(col_peak))
-    return TimeTrace(times=fmap.tau_grid, values=fmap.values[:, i])
+    return TimeTrace(times=fmap.tau_grid, values=v[:, i])
 
 
-def _lowpass(values: np.ndarray, dt: float, cutoff: float) -> np.ndarray:
-    """Zero the Fourier components above cutoff along the last axis."""
-    n = values.shape[-1]
-    spec = np.fft.rfft(values)
-    spec[..., np.fft.rfftfreq(n, d=dt) > cutoff] = 0.0
-    return np.fft.irfft(spec, n=n)
+def _bin_scales(n: int, dt: float, cutoff: float) -> np.ndarray:
+    """The scale of each rfft bin at or below cutoff: the square root of its Parseval weight.
+
+    For n real samples whose spectrum is zero above cutoff, the sum of squares
+    is sum_k w_k |X_k|**2 over the kept bins, with w_0 = 1/n, w_k = 2/n and
+    1/n for a kept Nyquist bin (n even).
+    """
+    keep = int(np.count_nonzero(np.fft.rfftfreq(n, d=dt) <= cutoff))
+    weights = np.full(keep, 2.0 / n)
+    weights[0] = 1.0 / n
+    if n % 2 == 0 and keep == n // 2 + 1:
+        weights[-1] = 1.0 / n
+    return np.sqrt(weights)
 
 
-#: Evaluation cap of the step fit; one evaluation filters the model and its
-#: Jacobian once.
+def _kept_bins(values: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """rfft of values along the last axis on the kept bins, times scales, as a real view.
+
+    The dot products of these rows are those of the low-passed rows in time.
+    """
+    return (np.fft.rfft(values)[..., : scales.size] * scales).view(float)
+
+
+#: Evaluation cap of the step fit; one evaluation transforms the model and
+#: its Jacobian once.
 _STEP_FIT_MAX_EVALS = 200
 #: Relative cost reduction or relative parameter step at which the fit stops.
 _STEP_FIT_TOL = 1e-10
 
 
-def _fit_step(tau, target, a0, dt, cutoff):
+def _fit_step(tau, target, a0, scales):
     """Levenberg-Marquardt fit of the low-passed step to target, from (a0, 0, 1 ps).
 
+    target holds the kept bins of the low-passed trace (_kept_bins with scales).
     Returns (p, status, nfev, cost) with cost = 0.5 * sum(residual**2);
     status 2 stops on the cost reduction, 3 on the parameter step and 0 at
     the evaluation cap.
@@ -310,7 +331,7 @@ def _fit_step(tau, target, a0, dt, cutoff):
         e = np.where(on, np.exp(-np.maximum(d, 0.0) / rise), 0.0)
         g = np.where(on, 1.0 - e, 0.0)
         rows = np.stack((a * g, g, -a * e / rise, -a * e * (d / rise) / rise))
-        rows = _lowpass(rows, dt, cutoff)
+        rows = _kept_bins(rows, scales)
         resid = rows[0] - target
         return 0.5 * float(resid @ resid), resid, rows[1:]
 
@@ -361,12 +382,16 @@ def remove_step(
     The fit compares low-pass-filtered copies of trace and model (cutoff =
     band_lo / 2) so the in-band oscillation cannot bias the step parameters;
     the returned residual is the raw trace minus the unfiltered fitted step.
+    The comparison runs on the rfft bins at or below the cutoff, each scaled
+    by the square root of its Parseval weight (1/n for DC and a kept Nyquist
+    bin, 2/n for the others): the cost is then half the sum of squares of the
+    low-passed residual in time, without transforming back.
 
     The fit is Levenberg-Marquardt on the trace divided by its largest |value|,
     so it does not depend on the trace's scale. The Jacobian is in closed form
     (with d = tau - onset and e = exp(-d/rise) for d >= 0, the columns are
-    1 - e, -a*e/rise and -a*e*d/rise**2) and goes through the same linear
-    low-pass as the model. It starts from onset 0 and rise 1 ps, clipped into
+    1 - e, -a*e/rise and -a*e*d/rise**2) and goes through the same kept,
+    scaled bins as the model. It starts from onset 0 and rise 1 ps, clipped into
     the box onset in [tau_0, tau_end], rise in [1e-3 ps, span]; the amplitude
     is free. Each step is clipped into the same box, and a parameter on a
     bound that descent pushes outwards is held there. The fit stops when an
@@ -393,12 +418,14 @@ def remove_step(
         )
 
     peak = float(np.max(np.abs(x)))
-    target = _lowpass(x / peak, trace.dt, band_lo / 2.0)
+    scales = _bin_scales(x.size, trace.dt, band_lo / 2.0)
+    spec = np.fft.rfft(x / peak)[: scales.size]
+    target = np.fft.irfft(spec, n=x.size)
     tail = target[int(0.75 * target.size) :]
     a0 = float(np.mean(tail))
     if a0 == 0.0:
         a0 = float(target[np.argmax(np.abs(target))])
-    p, status, nfev, cost = _fit_step(times, target, a0, trace.dt, band_lo / 2.0)
+    p, status, nfev, cost = _fit_step(times, (spec * scales).view(float), a0, scales)
     a, t0, r = float(p[0]) * peak, float(p[1]), float(p[2])
     if status == 0:
         raise StepFitError(
@@ -423,6 +450,12 @@ def spectrum_of(trace: TimeTrace, onset: float = 0.0) -> Spectrum:
     if x.size < _MIN_SAMPLES:
         raise GridError(f"fewer than {_MIN_SAMPLES} samples at or after onset {onset:g} ps")
     n = x.size
+    # checked in the order rfftfreq forms the bins: the largest is (n // 2) * (1 / (n * dt))
+    if not math.isfinite(n // 2 * (1.0 / (n * dt))):
+        raise GridError(
+            f"time step {dt:g} ps is too small for a {n}-sample spectrum: "
+            "its bin frequencies exceed the float range"
+        )
     w = np.hanning(n)
     spec = np.fft.rfft(x * w)
     freqs = np.fft.rfftfreq(n, d=dt)

@@ -311,6 +311,23 @@ class TestSynthAndExtract:
         assert code == 3
         assert "not found" in capsys.readouterr().err
 
+    def test_extract_map_whose_transform_overflows_prints_only_the_message(self, tmp_path):
+        grid = np.arange(16) * 0.1
+        path = tmp_path / "map.csv"
+        with open(path, "w") as fh:
+            write_map_csv(FieldMap2D(grid, grid, np.full((16, 16), 1.5e308)), fh)
+        # a process of its own, so a numpy warning would reach its stderr
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "impostoron",
+             "extract", "--input", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "map values must be finite\n"
+
     @pytest.mark.parametrize(
         "row, message",
         [

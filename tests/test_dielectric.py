@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -9,12 +10,65 @@ from impostoron.dielectric import (
     DebyeModel,
     TabulatedModel,
     _neat_slope,
+    _readonly,
     eval_neat,
     load_liquid_file,
     loads_liquid,
     validity_range,
 )
 from impostoron.errors import DomainError, ParseError, RangeError
+
+
+@dataclass(frozen=True)
+class Holder:
+    values: object
+
+
+class Owned(np.ndarray):
+    """An ndarray subclass; an instance made by its constructor owns its data."""
+
+
+def read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def owned_subclass():
+    arr = Owned(4)
+    arr[:] = np.arange(4.0)
+    assert arr.flags.owndata
+    return read_only(arr)
+
+
+class TestReadonly:
+    def test_keeps_a_read_only_owned_array_of_the_dtype(self):
+        arr = read_only(np.arange(4.0))
+        holder = Holder(arr)
+        assert _readonly(holder, "values") is arr
+        assert holder.values is arr
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.arange(4.0),  # writeable
+            lambda: read_only(np.arange(4.0)[:]),  # read-only view of a writeable base
+            lambda: [0.0, 1.0, 2.0, 3.0],
+            lambda: read_only(np.arange(4)),  # another dtype
+            owned_subclass,
+        ],
+        ids=["writeable", "view", "list", "int", "subclass"],
+    )
+    def test_copies_anything_else(self, make):
+        arg = make()
+        holder = Holder(arg)
+        arr = _readonly(holder, "values")
+        assert arr is not arg and holder.values is arr
+        assert type(arr) is np.ndarray and arr.dtype == float
+        assert not arr.flags.writeable and arr.flags.owndata
+        np.testing.assert_array_equal(arr, [0.0, 1.0, 2.0, 3.0])
+        if isinstance(arg, np.ndarray) and arg.flags.writeable:
+            arg[0] = 9.0
+            assert arr[0] == 0.0
 
 
 class TestDebyeModel:

@@ -6,6 +6,9 @@ import warnings
 import numpy as np
 import pytest
 from closed_forms import dense_oscillation
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from impostoron.dielectric import DebyeModel
 from impostoron.errors import (
@@ -390,6 +393,32 @@ class TestFourierFilter2D:
         ]
         np.testing.assert_array_equal(out[0], out[1])
 
+    def test_result_holds_the_inverse_transform_uncopied(self, monkeypatch):
+        made = []
+        irfft = np.fft.irfft
+
+        def recording_irfft(*args, **kwargs):
+            made.append(irfft(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+        m = FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=np.ones((512, 64)))
+        out = fourier_filter_2d(m)
+        assert out.values is made[-1]
+        assert not out.values.flags.writeable and out.values.flags.owndata
+        # the read-only grids pass on to the result uncopied
+        assert out.t_grid is m.t_grid and out.tau_grid is m.tau_grid
+
+    def test_values_whose_transform_overflows_rejected(self):
+        # finite values near the float maximum: the FFT sums overflow to inf
+        # and nan, which the result's check reports without a numpy warning
+        grid = np.arange(16) * 0.1
+        m = FieldMap2D(t_grid=grid, tau_grid=grid, values=np.full((16, 16), 1.5e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="map values must be finite"):
+                fourier_filter_2d(m)
+
     def test_bad_bandwidth(self):
         m = FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=np.ones((512, 64)))
         for bandwidth in (0.0, float("nan")):
@@ -414,6 +443,49 @@ class TestCutAtMax:
         vals = np.linspace(0.1, 1.0, 512)[:, None] * probe_vals[None, :]
         tr = cut_at_max(FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=vals))
         np.testing.assert_array_equal(tr.values, vals[:, 20])
+
+    def test_picks_a_column_whose_peak_is_negative(self):
+        vals = np.zeros((512, 64))
+        vals[100, 10] = 0.5
+        vals[200, 30] = -0.9
+        vals[300, 50] = 0.8
+        tr = cut_at_max(FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=vals))
+        np.testing.assert_array_equal(tr.values, vals[:, 30])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tie_of_opposite_signs_breaks_toward_smaller_time(self, sign):
+        vals = np.zeros((512, 64))
+        vals[100, 20] = sign
+        vals[300, 40] = -sign
+        tr = cut_at_max(FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=vals))
+        np.testing.assert_array_equal(tr.values, vals[:, 20])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        vals=st.tuples(st.integers(16, 24), st.integers(16, 24)).flatmap(
+            lambda shape: arrays(
+                float,
+                shape,
+                # small integers make ties between columns and signs common
+                elements=st.one_of(
+                    st.integers(-2, 2).map(float), st.floats(-1e300, 1e300, allow_nan=False)
+                ),
+            )
+        )
+    )
+    def test_column_that_the_largest_absolute_value_picks(self, vals):
+        fmap = FieldMap2D(
+            t_grid=np.arange(vals.shape[1]) * 0.1,
+            tau_grid=np.arange(vals.shape[0]) * 0.1,
+            values=vals,
+        )
+        col_peak = np.max(np.abs(vals), axis=0)
+        if np.all(col_peak == 0):
+            with pytest.raises(NoSignalError):
+                cut_at_max(fmap)
+            return
+        tr = cut_at_max(fmap)
+        np.testing.assert_array_equal(tr.values, vals[:, int(np.argmax(col_peak))])
 
     def test_all_zero_map_rejected(self):
         m = FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=np.zeros((512, 64)))
@@ -550,6 +622,16 @@ class TestSpectrumOf:
         tr = TimeTrace(times=np.arange(32) * 0.1, values=np.ones(32))
         with pytest.raises(GridError, match="fewer than 16 samples"):
             spectrum_of(tr, onset=2.0)
+
+    @pytest.mark.parametrize("tiny", [1e-310, 4e-310])
+    def test_step_whose_bin_frequencies_overflow(self, tiny):
+        # 1/(16 * 1e-310 ps) is inf, so DC would be 0*inf; 1/(16 * 4e-310 ps)
+        # is finite, but the Nyquist bin, 8 times it, is not
+        tr = TimeTrace(times=np.arange(16) * tiny, values=np.ones(16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="bin frequencies exceed the float range"):
+                spectrum_of(tr)
 
 
 class TestPeakReport:

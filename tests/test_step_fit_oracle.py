@@ -23,10 +23,12 @@ CUTOFF = signal.BAND_LO / 2.0
 STEP = StepModel(amplitude=0.8, rise_time=1.1, onset=0.0)
 
 
-def lowpass(values, dt):
+def lowpass(values, dt, cutoff=CUTOFF):
+    """values with their Fourier components above cutoff zeroed, along the last axis."""
+    n = values.shape[-1]
     spec = np.fft.rfft(values)
-    spec[np.fft.rfftfreq(values.size, d=dt) > CUTOFF] = 0.0
-    return np.fft.irfft(spec, n=values.size)
+    spec[..., np.fft.rfftfreq(n, d=dt) > cutoff] = 0.0
+    return np.fft.irfft(spec, n=n)
 
 
 def reference_objective(trace):
@@ -61,9 +63,15 @@ def cost(objective, step):
     return 0.5 * float(r @ r)
 
 
-@pytest.mark.parametrize("leak", [0.0, 0.05, 0.2])
-def test_parameters_agree_with_least_squares(liquids, leak):
-    tau = (np.arange(512) - 64) * 0.1
+def sizes(cases, default, more):
+    """cases at the default delay count under their own ids, then at each of more."""
+    params = [pytest.param(*case, default, id="-".join(map(str, case))) for case in cases]
+    return params + [pytest.param(*case, n) for n in more for case in cases]
+
+
+@pytest.mark.parametrize("leak, n", sizes([(0.0,), (0.05,), (0.2,)], 512, [511, 4097]))
+def test_parameters_agree_with_least_squares(liquids, leak, n):
+    tau = (np.arange(n) - 64) * 0.1
     water = liquids["water"]
     osc = synth_oscillation(DopedLiquid(water, ce_for_nu0(water, 0.7)), tau).values
     trace = TimeTrace(times=tau, values=STEP.evaluate(tau) + leak * osc)
@@ -83,15 +91,60 @@ NOISY = [
 ]
 
 
-@pytest.mark.parametrize("stem, ce, snr", NOISY)
-def test_cost_no_worse_than_least_squares(liquids, stem, ce, snr):
-    tau = (np.arange(4096) - 64) * 0.1
+#: The step-fit cost has a cusp at every delay sample, where a sample's step
+#: value switches on. Here remove_step stops in the minimum past the 1.1 ps
+#: sample (onset 1.138 ps), least_squares in the one before it (1.003 ps),
+#: at a cost 0.3% lower.
+CUSP = ("eg", 40.0, 10.0, 4097)
+
+
+@pytest.mark.parametrize("stem, ce, snr, n", sizes(NOISY, 4096, [4097]))
+def test_cost_no_worse_than_least_squares(request, liquids, stem, ce, snr, n):
+    if (stem, ce, snr, n) == CUSP:
+        request.applymarker(
+            pytest.mark.xfail(strict=True, reason="local minimum one delay sample away")
+        )
+    tau = (np.arange(n) - 64) * 0.1
     doped = DopedLiquid(liquids[stem], Concentration.from_micromolar(ce))
     clean = TimeTrace(times=tau, values=STEP.evaluate(tau) + synth_oscillation(doped, tau).values)
     trace = add_noise(clean, snr, seed=NOISY.index((stem, ce, snr)))
     _, ref_cost, objective = reference_fit(trace)
     _, step = remove_step(trace)
     assert cost(objective, step) <= ref_cost * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "n, cutoff, keep",
+    [
+        (512, CUTOFF, 11),  # even n, the fit's own cutoff
+        (511, CUTOFF, 11),  # odd n
+        (64, 0.01, 1),  # below the first bin: DC only
+        (64, 5.0, 33),  # at Nyquist: every bin, Nyquist kept
+        (64, 100.0, 33),  # above Nyquist
+        (63, 100.0, 32),  # odd n, every bin, no Nyquist bin
+    ],
+)
+def test_kept_bins_give_the_time_domain_products(n, cutoff, keep):
+    # the fit's cost, J J^T and J r, from the Parseval-weighted kept bins,
+    # against the same products of the low-passed rows in time
+    dt = 0.1
+    rng = np.random.default_rng(n)
+    rows, x = rng.normal(size=(4, n)), rng.normal(size=n)
+    scales = signal._bin_scales(n, dt, cutoff)
+    assert scales.size == keep
+    bins = signal._kept_bins(rows, scales)
+    resid = bins[0] - signal._kept_bins(x, scales)
+    lp = lowpass(rows, dt, cutoff)
+    lp_resid = lp[0] - lowpass(x, dt, cutoff)
+    assert 0.5 * resid @ resid == pytest.approx(0.5 * lp_resid @ lp_resid, rel=1e-12)
+    jtj, lp_jtj = bins[1:] @ bins[1:].T, lp[1:] @ lp[1:].T
+    jtr, lp_jtr = bins[1:] @ resid, lp[1:] @ lp_resid
+    # an entry is compared on the scale of its Cauchy-Schwarz bound, which a
+    # near-orthogonal pair of rows undercuts by far
+    norms = np.sqrt(np.diag(lp_jtj))
+    assert np.all(np.abs(jtj - lp_jtj) <= 1e-12 * np.outer(norms, norms)), jtj - lp_jtj
+    bound = norms * np.sqrt(lp_resid @ lp_resid)
+    assert np.all(np.abs(jtr - lp_jtr) <= 1e-12 * bound), jtr - lp_jtr
 
 
 def test_evaluation_cap_raises_step_fit_error(monkeypatch):
