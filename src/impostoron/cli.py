@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import math
 import os
@@ -22,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, signal
-from .dielectric import _read_text, eval_neat, load_liquid_file
+from .dielectric import _read_text, eval_neat, loads_liquid
 from .errors import DataFileError, GridError, ImpostoronError
-from .matching import ce_for_nu0, match_frequency, match_profiles
+from .matching import PROFILE_BRACKET, ce_for_nu0, match_frequency, match_profiles
 from .mixing import Concentration, DopedLiquid, cm_mix
-from .polaron import find_nu0, lineshape, lorentz_lineshape
+from .polaron import DEFAULT_BRACKET, DEFAULT_TOL, find_nu0, lineshape, lorentz_lineshape
 
 _PROBE_SPAN = 6.4  # ps, fixed probe-time window of `synth --map`
 
@@ -58,37 +57,21 @@ def resolve_data_path(name: str) -> Path:
     raise DataFileError(f"liquid file '{name}' not found (searched: {', '.join(searched)})")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _meta(*inputs: tuple[str, Path]) -> list[str]:
-    lines = [f"impostoron {__version__}"]
-    for label, path in inputs:
-        lines.append(f"input-sha256 {label}: {_sha256(path)}")
-    return lines
+def _meta(*inputs: tuple[str, str]) -> list[str]:
+    """The version line and one input-sha256 line per (label, digest) pair."""
+    return [f"impostoron {__version__}"] + [f"input-sha256 {k}: {sha}" for k, sha in inputs]
 
 
 def _output(path: str | None):
     """stdout by default, a file when --out is given."""
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
-
-
-def _write_kv(out, meta, pairs):
-    """The meta comments and a key,value table, to stdout or the file out."""
-    with _output(out) as fh:
-        signal._write_meta(fh, meta)
-        fh.write("key,value\n")
-        for key, value in pairs:
-            fh.write(f"{key},{value}\n")
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
 
 
 def _liquid(name):
-    """Path and model of the liquid file name, searched as resolve_data_path does."""
+    """SHA-256 and model of the liquid file name, searched as resolve_data_path does."""
     path = resolve_data_path(name)
-    return path, load_liquid_file(path)
+    text, sha = _read_text(path, "liquid")
+    return sha, loads_liquid(text, source=str(path))
 
 
 def _number(name, allow_zero=False):
@@ -147,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nu0", help="zero-crossing resonance of a doped liquid")
     add_doped(p, required=True)
-    p.add_argument("--bracket", type=_bracket, default=(0.1, 3.0))
-    p.add_argument("--tol", type=_number("--tol"), default=1e-6)
+    p.add_argument("--bracket", type=_bracket, default=DEFAULT_BRACKET)
+    p.add_argument("--tol", type=_number("--tol"), default=DEFAULT_TOL)
     p.add_argument("--out")
 
     p = sub.add_parser("ce-for-nu0", help="concentration that places the crossing at nu0")
@@ -162,13 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--nu0", type=_number("--nu0"))
     group.add_argument("--profile", action="store_true", help="match line-shape profiles too")
-    p.add_argument("--bracket", type=_bracket, default=(0.2, 2.0))
+    p.add_argument("--bracket", type=_bracket, default=PROFILE_BRACKET)
     p.add_argument("--out")
 
     p = sub.add_parser("lineshape", help="energy-loss line shape -Im[1/eps] on a grid")
     add_doped(p, required=True)
     p.add_argument("--lorentz", action="store_true", help="Lorentzian approximation instead")
-    p.add_argument("--bracket", type=_bracket, default=(0.1, 3.0))
+    p.add_argument("--bracket", type=_bracket, default=DEFAULT_BRACKET)
     add_common_grid(p)
     p.add_argument("--out")
 
@@ -203,17 +186,17 @@ def _grid(args, parser):
 
 
 def _cmd_eps(args, parser):
-    path, liquid = _liquid(args.liquid)
+    sha, liquid = _liquid(args.liquid)
     grid = _grid(args, parser)
     ce = Concentration.from_micromolar(args.ce)
     eps = cm_mix(eval_neat(liquid, grid), ce, grid)
     table = np.column_stack((grid, eps.real, eps.imag))
     with _output(args.out) as fh:
-        signal._write_table(fh, _meta(("liquid", path)), "nu_THz,eps_real,eps_imag", table)
+        signal._write_table(fh, _meta(("liquid", sha)), "nu_THz,eps_real,eps_imag", table)
 
 
 def _cmd_nu0(args, parser):
-    path, liquid = _liquid(args.liquid)
+    sha, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
     res = find_nu0(doped, args.bracket, args.tol)
     pairs = [
@@ -223,23 +206,25 @@ def _cmd_nu0(args, parser):
         ("ce_uM", repr(res.ce.micromolar)),
         ("alternatives_THz", ";".join(repr(v) for v in res.alternatives)),
     ]
-    _write_kv(args.out, _meta(("liquid", path)), pairs)
+    with _output(args.out) as fh:
+        signal._write_table(fh, _meta(("liquid", sha)), "key,value", pairs)
 
 
 def _cmd_ce_for_nu0(args, parser):
-    path, liquid = _liquid(args.liquid)
+    sha, liquid = _liquid(args.liquid)
     ce = ce_for_nu0(liquid, args.nu0)
     pairs = [
         ("ce_uM", repr(ce.micromolar)),
         ("ce_mol_per_m3", repr(ce.mol_per_m3)),
         ("nu0_THz", repr(args.nu0)),
     ]
-    _write_kv(args.out, _meta(("liquid", path)), pairs)
+    with _output(args.out) as fh:
+        signal._write_table(fh, _meta(("liquid", sha)), "key,value", pairs)
 
 
 def _cmd_match(args, parser):
-    path_a, liquid_a = _liquid(args.liquid_a)
-    path_b, liquid_b = _liquid(args.liquid_b)
+    sha_a, liquid_a = _liquid(args.liquid_a)
+    sha_b, liquid_b = _liquid(args.liquid_b)
     if args.profile:
         sol = match_profiles(liquid_a, liquid_b, args.bracket)
     else:
@@ -255,20 +240,20 @@ def _cmd_match(args, parser):
         ("note", sol.note),
         ("alternatives_THz", ";".join(repr(v) for v in sol.alternatives)),
     ]
-    _write_kv(args.out, _meta(("a", path_a), ("b", path_b)), pairs)
+    with _output(args.out) as fh:
+        signal._write_table(fh, _meta(("a", sha_a), ("b", sha_b)), "key,value", pairs)
 
 
 def _cmd_lineshape(args, parser):
-    path, liquid = _liquid(args.liquid)
+    sha, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
     grid = _grid(args, parser)
     if args.lorentz:
-        res = find_nu0(doped, args.bracket)
-        spec = lorentz_lineshape(res, grid)
+        spec = lorentz_lineshape(find_nu0(doped, args.bracket), grid)
     else:
         spec = lineshape(doped, grid)
     with _output(args.out) as fh:
-        signal.write_spectrum_csv(spec, fh, meta=_meta(("liquid", path)))
+        signal.write_spectrum_csv(spec, fh, meta=_meta(("liquid", sha)))
 
 
 def _cmd_synth(args, parser):
@@ -286,7 +271,7 @@ def _cmd_synth(args, parser):
         )
     if not math.isfinite(args.n * args.dtau):  # then every delay is finite
         parser.error(f"--dtau must keep --n x --dtau finite, got {args.n} x {args.dtau}")
-    path, liquid = _liquid(args.liquid)
+    sha, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
     if args.map:  # the probe grid first: it rejects a --dt that leaves it under 16 samples
         nt = int(round(_PROBE_SPAN / args.dt))
@@ -296,28 +281,24 @@ def _cmd_synth(args, parser):
     step = signal.StepModel(
         amplitude=float(np.max(np.abs(osc.values))), rise_time=1.0, onset=0.0
     )
-    meta = _meta(("liquid", path)) + [f"seed: {args.seed}"]
     if args.map:
-        fmap = signal.synth_map(doped, probe, step, tau, args.band)
-        if args.noise_snr_db is not None:
-            fmap = signal.add_noise(fmap, args.noise_snr_db, args.seed)
-        with _output(args.out) as fh:
-            signal.write_map_csv(fmap, fh, meta=meta)
+        data, write = signal.synth_map(doped, probe, step, tau, args.band), signal.write_map_csv
     else:
-        trace = signal.TimeTrace(times=tau, values=step.evaluate(tau) + osc.values)
-        if args.noise_snr_db is not None:
-            trace = signal.add_noise(trace, args.noise_snr_db, args.seed)
-        with _output(args.out) as fh:
-            signal.write_trace_csv(trace, fh, meta=meta)
+        data = signal.TimeTrace(times=tau, values=step.evaluate(tau) + osc.values)
+        write = signal.write_trace_csv
+    if args.noise_snr_db is not None:
+        data = signal.add_noise(data, args.noise_snr_db, args.seed)
+    with _output(args.out) as fh:
+        write(data, fh, meta=_meta(("liquid", sha)) + [f"seed: {args.seed}"])
 
 
 def _cmd_extract(args, parser):
     path = Path(args.input)
     if not path.exists():
         raise DataFileError(f"map file '{args.input}' not found")
-    fmap = signal.read_map_csv(io.StringIO(_read_text(path, "map")))
-    result = signal.extract(fmap, bandwidth=args.filter_thz, band_lo=args.band_lo)
-    meta = _meta(("map", path))
+    text, sha = _read_text(path, "map")
+    result = signal.extract(signal.read_map_csv(io.StringIO(text)), args.filter_thz, args.band_lo)
+    meta = _meta(("map", sha))
     with _output(args.out_oscillation) as fh:
         signal.write_trace_csv(result.oscillation, fh, meta=meta)
     with _output(args.out_spectrum) as fh:

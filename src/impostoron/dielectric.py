@@ -16,6 +16,7 @@ dimensionless without unit conversion (1/ps = 1 THz).
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -166,9 +167,7 @@ def eval_neat(model: LiquidModel, nu):
                 f"frequency outside tabulated range [{lo:g}, {hi:g}] THz for '{model.name}'"
             )
     eps = _neat(model, arr)
-    if np.isscalar(nu) or np.ndim(nu) == 0:
-        return eps.item()
-    return eps
+    return eps.item() if np.ndim(nu) == 0 else eps
 
 
 def _neat_slope(model: LiquidModel, nu: np.ndarray) -> np.ndarray:
@@ -293,21 +292,23 @@ def loads_liquid(text: str, source: str = "<string>") -> LiquidModel:
         raise ParseError(f"{source}: {exc}") from exc
 
 
-def _read_text(path, kind: str) -> str:
-    """The UTF-8 text of a data file; kind names the file in the error message.
+def _read_text(path, kind: str) -> tuple[str, str]:
+    """The text of a data file and the SHA-256 (hex) of its bytes, read once.
 
-    Raises ParseError for bytes that are not UTF-8 and DataFileError for a
-    path that cannot be read, a directory included.
+    The bytes decode as UTF-8 with CRLF and lone CR read as LF, as in text mode. Raises
+    ParseError for other bytes, DataFileError naming the kind of file for an unreadable path.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except OSError as exc:
         raise DataFileError(f"cannot read {kind} file '{path}': {exc.strerror}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n"), hashlib.sha256(data).hexdigest()
 
 
 def load_liquid_file(path) -> LiquidModel:
     """Read and parse a liquid model file."""
-    return loads_liquid(_read_text(path, "liquid"), source=str(path))
+    return loads_liquid(_read_text(path, "liquid")[0], source=str(path))

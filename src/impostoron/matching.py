@@ -31,6 +31,7 @@ from .mixing import (
     cm_invert_concentration,
 )
 from .polaron import (
+    DEFAULT_BRACKET,
     _crossing_loss,
     _refine_root,
     eps_doped,  # noqa: F401  (bound here as before, for callers that use matching.eps_doped)
@@ -43,6 +44,9 @@ PROFILE_TOL = 1e-8
 
 #: Pre-scan points for the profile-matching root search.
 PROFILE_SCAN_POINTS = 200
+
+#: Default search bracket (THz) of match_profiles and of the CLI's match.
+PROFILE_BRACKET = (0.2, 2.0)
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,8 @@ def _shared_bracket(
     liquid1: LiquidModel, liquid2: LiquidModel, bracket: tuple[float, float]
 ) -> tuple[float, float]:
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"bad bracket [{lo}, {hi}] THz")
     for liquid in (liquid1, liquid2):
         vlo, vhi = validity_range(liquid)
         lo = max(lo, vlo)
@@ -102,7 +108,7 @@ def match_frequency(
     liquid1: LiquidModel,
     liquid2: LiquidModel,
     nu0: float,
-    bracket: tuple[float, float] = (0.1, 3.0),
+    bracket: tuple[float, float] = DEFAULT_BRACKET,
 ) -> ImpostoronSolution:
     """Concentration pair whose zero crossings both land on nu0 (THz).
 
@@ -186,7 +192,7 @@ def _g_round(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.n
 def match_profiles(
     liquid1: LiquidModel,
     liquid2: LiquidModel,
-    bracket: tuple[float, float] = (0.2, 2.0),
+    bracket: tuple[float, float] = PROFILE_BRACKET,
 ) -> ImpostoronSolution:
     """Frequency at which both liquids can host identical Lorentzian lines.
 

@@ -85,9 +85,7 @@ def alpha_el(nu):
     except FloatingPointError:
         nu_range = f"[{arr.min():g}, {arr.max():g}]"
         raise DomainError(f"alpha_el leaves the float range at nu in {nu_range} THz") from None
-    if np.isscalar(nu) or np.ndim(nu) == 0:
-        return out.item()
-    return out
+    return out.item() if np.ndim(nu) == 0 else out
 
 
 def _local_field(eps):
@@ -163,27 +161,40 @@ def _cm(neat, ce: Concentration, nu: np.ndarray, alpha) -> np.ndarray:
     return out
 
 
+def _check_operands(nu, *permittivities) -> None:
+    """DomainError unless each permittivity is finite and all broadcast with nu."""
+    if not all(np.isfinite(eps).all() for eps in permittivities):
+        raise DomainError("permittivity must be finite")
+    try:
+        np.broadcast(*permittivities, nu)
+    except ValueError:
+        shapes = [np.shape(v) for v in (*permittivities, nu)]
+        raise DomainError(f"permittivity and frequency shapes {shapes} do not broadcast") from None
+
+
 def cm_mix(neat, ce: Concentration, nu):
     """Doped permittivity from the neat value(s) and concentration at nu (THz).
 
     Raises SingularityError when the mixing relation itself diverges, i.e.
-    the combined local-field sum approaches 1, and DomainError when the
-    electron term ce*N_A*alpha_el(nu) leaves the float range.
+    the combined local-field sum approaches 1, and DomainError for bad
+    operands (_check_operands) or when ce*N_A*alpha_el(nu) overflows.
     """
+    _check_operands(nu, neat)
     # alpha_el of an array: for a scalar nu it would return a Python complex,
     # whose division by 3 rounds otherwise than numpy's
     out = _cm(neat, ce, np.atleast_1d(nu), alpha_el)
-    if np.ndim(neat) == np.ndim(nu) == 0:
-        return out.item()
-    return out
+    return out.item() if np.ndim(neat) == np.ndim(nu) == 0 else out
 
 
-def cm_invert_concentration(eps, neat, nu) -> complex:
+def cm_invert_concentration(eps, neat, nu):
     """Concentration (complex, mol/m^3) that maps neat onto eps at nu (THz).
 
     The imaginary part is a consistency residual: it vanishes exactly when the
-    pair (eps, neat) is reachable by doping with real concentration.
+    pair (eps, neat) is reachable by doping with real concentration. A scalar
+    or an array, and DomainError for bad operands, as in cm_mix.
     """
+    _check_operands(nu, eps, neat)
     lf_eps, lf_neat = _checked_local_field(eps), _checked_local_field(neat)
-    return _invert(lf_eps, lf_neat, alpha_el(np.atleast_1d(nu))).item()
+    out = _invert(lf_eps, lf_neat, alpha_el(np.atleast_1d(nu)))
+    return out.item() if np.ndim(eps) == np.ndim(neat) == np.ndim(nu) == 0 else out
 

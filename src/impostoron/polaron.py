@@ -155,7 +155,7 @@ def find_nu0(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
         raise DomainError(f"bad bracket [{lo}, {hi}] THz")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
 
     grid = np.linspace(lo, hi, SCAN_POINTS)  # holds lo and hi themselves
@@ -218,6 +218,8 @@ def eps_imag_at_nu0(neat_at_nu0: complex) -> float:
     The scalar form of _crossing_loss. Requires 0 <= R <= 1/4.
     """
     neat = complex(neat_at_nu0)
+    if not np.isfinite(neat):
+        raise DomainError(f"neat permittivity must be finite, got {neat}")
     with np.errstate(over="ignore", invalid="ignore"):
         eps2, r, pole = (v.item() for v in _crossing_loss(neat))
     if pole:

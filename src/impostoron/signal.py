@@ -535,97 +535,95 @@ def extract(
 
 
 # --------------------------------------------------------------------------
-# CSV round-trip formats. Floats are written with repr so parsing returns
-# bit-identical values.
+# CSV tables: '#' meta lines, a header line, rows of as many comma-separated cells.
+# Floats are written with str (repr for a Python float), so they parse back bit-exactly.
 # --------------------------------------------------------------------------
 
+_HEADERS = {"trace": "tau_ps,amplitude", "spectrum": "nu_THz,amplitude"}
 _MAP_CORNER = "tau_ps\\t_ps"
 
 
-def _write_meta(fh, meta):
+def _write_table(fh, meta, header: str, rows) -> None:
+    """Each meta line as a '# ' comment, the header, then the rows of a 2D float array or a list."""
     for line in meta or ():
         fh.write(f"# {line}\n")
-
-
-def _write_table(fh, meta, header: str, table: np.ndarray) -> None:
-    """Meta comments, the header line, then each row of the 2D float table."""
-    _write_meta(fh, meta)
     fh.write(header + "\n")
-    for row in table:
-        fh.write(",".join(map(repr, row.tolist())) + "\n")
+    for row in map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows:
+        fh.write(",".join(map(str, row)) + "\n")
 
 
-def _data_lines(fh):
-    """(line number, text) of each line that is neither blank nor a comment."""
+def _float_row(cells, lineno, kind, width):
+    """The cells as floats; a DomainError naming the line unless they are width floats."""
+    try:
+        row = list(map(float, cells))
+    except ValueError:
+        raise DomainError(f"{kind} CSV line {lineno}: non-numeric cell") from None
+    if len(row) != width:
+        raise DomainError(f"{kind} CSV line {lineno}: {len(row)} values, the header has {width}")
+    return row
+
+
+def _check_header(kind, cells, lineno):
+    """A map header's probe times, None for a two-column table; DomainError for a wrong header."""
+    if kind in _HEADERS:
+        if cells != _HEADERS[kind].split(","):
+            raise DomainError(f"{kind} CSV must start with header '{_HEADERS[kind]}'")
+        return None
+    if not cells:
+        raise DomainError("empty map CSV")
+    if cells[0] != _MAP_CORNER:
+        raise DomainError(f"map CSV must start with corner cell '{_MAP_CORNER}'")
+    return np.array(_float_row(cells[1:], lineno, kind, len(cells) - 1))
+
+
+def _read_table(fh, kind: str):
+    """_check_header's result and the (rows, cells) float array of the kind table in fh.
+
+    Blank and '#' lines are skipped. The first other line is the header (its
+    stripped cells go to _check_header, [] if there is none); each later line
+    is a row of as many floats as the header has cells.
+    """
+    width = None
+    rows = []
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield lineno, line
+        cells = line.split(",")
+        if width is None:
+            header, width = _check_header(kind, [c.strip() for c in cells], lineno), len(cells)
+        else:
+            rows.append(_float_row(cells, lineno, kind, width))
+    if width is None:
+        _check_header(kind, [], None)  # raises
+    return header, np.array(rows).reshape(-1, width)
 
 
 def write_trace_csv(trace: TimeTrace, fh, meta=()) -> None:
-    _write_table(fh, meta, "tau_ps,amplitude", np.column_stack((trace.times, trace.values)))
-
-
-def _float_row(cells, lineno, kind):
-    try:
-        return [float(v) for v in cells]
-    except ValueError:
-        raise DomainError(f"{kind} CSV line {lineno}: non-numeric cell") from None
-
-
-def _read_two_columns(fh, header: str, kind: str) -> np.ndarray:
-    """(n, 2) array of the rows below the header line of a two-column CSV."""
-    lines = list(_data_lines(fh))
-    if not lines or [c.strip() for c in lines[0][1].split(",")] != header.split(","):
-        raise DomainError(f"{kind} CSV must start with header '{header}'")
-    rows = []
-    for lineno, line in lines[1:]:
-        cells = _float_row(line.split(","), lineno, kind)
-        if len(cells) != 2:
-            raise DomainError(f"{kind} CSV line {lineno}: {len(cells)} values, the header has 2")
-        rows.append(cells)
-    return np.array(rows).reshape(-1, 2)
+    _write_table(fh, meta, _HEADERS["trace"], np.column_stack((trace.times, trace.values)))
 
 
 def read_trace_csv(fh) -> TimeTrace:
-    data = _read_two_columns(fh, "tau_ps,amplitude", "trace")
+    data = _read_table(fh, "trace")[1]
     return TimeTrace(times=data[:, 0], values=data[:, 1])
 
 
 def write_spectrum_csv(spectrum: Spectrum, fh, meta=()) -> None:
     table = np.column_stack((spectrum.frequencies, spectrum.values))
-    _write_table(fh, meta, "nu_THz,amplitude", table)
+    _write_table(fh, meta, _HEADERS["spectrum"], table)
 
 
 def read_spectrum_csv(fh) -> Spectrum:
-    data = _read_two_columns(fh, "nu_THz,amplitude", "spectrum")
+    data = _read_table(fh, "spectrum")[1]
     return Spectrum(frequencies=data[:, 0], values=data[:, 1])
 
 
 def write_map_csv(fmap: FieldMap2D, fh, meta=()) -> None:
-    header = ",".join([_MAP_CORNER, *map(repr, fmap.t_grid.tolist())])
+    header = ",".join([_MAP_CORNER, *map(str, fmap.t_grid.tolist())])
     _write_table(fh, meta, header, np.column_stack((fmap.tau_grid, fmap.values)))
 
 
 def read_map_csv(fh) -> FieldMap2D:
-    lines = list(_data_lines(fh))
-    if not lines:
-        raise DomainError("empty map CSV")
-    head_lineno, head = lines[0]
-    head = head.split(",")
-    if head[0].strip() != _MAP_CORNER:
-        raise DomainError(f"map CSV must start with corner cell '{_MAP_CORNER}'")
-    t_grid = np.array(_float_row(head[1:], head_lineno, "map"))
-    taus = []
-    rows = []
-    for lineno, line in lines[1:]:
-        cells = _float_row(line.split(","), lineno, "map")
-        if len(cells) != t_grid.size + 1:
-            raise DomainError(
-                f"map CSV line {lineno}: {len(cells) - 1} values, the header has {t_grid.size}"
-            )
-        taus.append(cells[0])
-        rows.append(cells[1:])
-    return FieldMap2D(t_grid=t_grid, tau_grid=np.array(taus), values=np.array(rows))
+    """Each row of a map table is a delay, then one value per probe time of the header."""
+    t_grid, data = _read_table(fh, "map")
+    return FieldMap2D(t_grid=t_grid, tau_grid=data[:, 0], values=data[:, 1:])

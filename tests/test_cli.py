@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from impostoron import __version__, signal
 from impostoron.cli import build_parser, data_dir, resolve_data_path, run
+from impostoron.dielectric import _read_text, load_liquid_file
 from impostoron.errors import DataFileError
 from impostoron.signal import (
     FieldMap2D,
@@ -133,6 +135,101 @@ class TestDataResolution:
         assert "cannot read map file" in capsys.readouterr().err
 
 
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestInputsReadOnce:
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings_read_as_lf(self, tmp_path, capsys, newline):
+        lf_map = tmp_path / "lf.csv"
+        assert run(["synth", "--liquid", "water.liq", "--ce", "36", "--map",
+                    "--n", "256", "--out", str(lf_map)]) == 0
+        lf_liq = tmp_path / "lf.liq"
+        shutil.copy(data_dir() / "eg.liq", lf_liq)
+        other_map, other_liq = tmp_path / "other.csv", tmp_path / "other.liq"
+        for lf, other in ((lf_map, other_map), (lf_liq, other_liq)):
+            data = lf.read_bytes()
+            assert b"\r" not in data
+            other.write_bytes(data.replace(b"\n", newline.encode()))
+
+        assert load_liquid_file(other_liq) == load_liquid_file(lf_liq)
+        maps = [signal.read_map_csv(io.StringIO(_read_text(p, "map")[0]))
+                for p in (lf_map, other_map)]
+        for field in ("t_grid", "tau_grid", "values"):
+            assert getattr(maps[1], field).tobytes() == getattr(maps[0], field).tobytes()
+
+        def results(argv, path):
+            """Stdout and out files of argv on the input path, its hash masked."""
+            outs = [tmp_path / "osc.csv", tmp_path / "spec.csv"]
+            argv = [*argv, str(path)]
+            if argv[0] == "extract":
+                argv += ["--out-oscillation", str(outs[0]), "--out-spectrum", str(outs[1])]
+            assert run(argv) == 0
+            texts = [capsys.readouterr().out] + [o.read_text() for o in outs if o.exists()]
+            # the header hashes the bytes of the file as given
+            return [text.replace(sha256_of(path), "<sha256>") for text in texts]
+
+        for argv, lf, other in ((["nu0", "--ce", "30", "--liquid"], lf_liq, other_liq),
+                                (["extract", "--input"], lf_map, other_map)):
+            expected = results(argv, lf)
+            assert all("input-sha256" not in t or "<sha256>" in t for t in expected)
+            assert results(argv, other) == expected
+
+    def test_each_input_opened_once(self, tmp_path):
+        map_csv = tmp_path / "map.csv"
+        assert run(["synth", "--liquid", "water.liq", "--ce", "36", "--map",
+                    "--n", "256", "--out", str(map_csv)]) == 0
+        commands = [
+            ["nu0", "--liquid", "water.liq", "--ce", "40"],
+            ["match", "--liquid-a", "ipa.liq", "--liquid-b", "eg.liq", "--nu0", "0.7"],
+            ["extract", "--input", str(map_csv)],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", _OPEN_COUNTER, json.dumps(commands)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        opened = json.loads(proc.stdout.splitlines()[-1])
+        inputs = {
+            "nu0": [data_dir() / "water.liq"],
+            "match": [data_dir() / "ipa.liq", data_dir() / "eg.liq"],
+            "extract": [map_csv],
+        }
+        for command, paths in inputs.items():
+            code, counts = opened[command]
+            assert code == 0
+            assert [counts.get(os.path.realpath(p), 0) for p in paths] == [1] * len(paths)
+
+
+# Runs in a fresh interpreter: counts the `open` audit events of each command
+# by the real path opened.
+_OPEN_COUNTER = """
+import collections, contextlib, io, json, os, sys
+import impostoron.cli
+
+opened = collections.Counter()
+
+
+def count(event, args):
+    if event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
+        opened[os.path.realpath(os.fsdecode(args[0]))] += 1
+
+
+sys.addaudithook(count)
+result = {}
+for argv in json.loads(sys.argv[1]):
+    opened.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = impostoron.cli.run(argv)
+    result[argv[0]] = [code, dict(opened)]
+print(json.dumps(result))
+"""
+
+
 class TestNu0Command:
     def test_water_resonance(self, capsys):
         assert run(["nu0", "--liquid", "water.liq", "--ce", "60"]) == 0
@@ -223,6 +320,19 @@ class TestMatchCommand:
         code = run(["match", "--liquid-a", "ipa.liq", "--liquid-b", "water.liq", "--profile"])
         assert code == 3
         assert "no profile-matched impostoron" in capsys.readouterr().err
+
+    def test_infinite_bracket_end_prints_only_the_message(self):
+        # a process of its own, so a numpy warning would reach its stderr
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "impostoron", "match",
+             "--liquid-a", "ipa.liq", "--liquid-b", "eg.liq", "--profile", "--bracket", "0.2,inf"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "bad bracket [0.2, inf] THz\n"
 
     def test_profile_match_degenerate_pair(self, capsys):
         assert run(
@@ -331,7 +441,7 @@ class TestSynthAndExtract:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("1.0,0.5\n", "line 3: 1 values, the header has 2"),
+            ("1.0,0.5\n", "line 3: 2 values, the header has 3"),
             ("1.0,0.5,abc\n", "line 3: non-numeric cell"),
         ],
     )
@@ -434,7 +544,7 @@ def test_out_files_carry_metadata(tmp_path):
     # the header README documents: the version, one input-sha256 line per
     # liquid file, and for synth the seed, then the table's column line
     def sha(name):
-        return hashlib.sha256((data_dir() / name).read_bytes()).hexdigest()
+        return sha256_of(data_dir() / name)
 
     cases = [
         (["nu0", "--liquid", "water.liq", "--ce", "60"],

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,14 @@ class TestMatchProfiles:
         )
         with pytest.raises(DomainError, match="no shared validity"):
             match_profiles(liquids["ipa"], tab, (0.2, 0.9))
+
+    @pytest.mark.parametrize("bracket", [(0.1, math.inf), (math.nan, 2.0)])
+    def test_non_finite_bracket_end_rejected(self, liquids, bracket):
+        message = re.escape(f"bad bracket [{bracket[0]}, {bracket[1]}] THz")
+        with pytest.raises(DomainError, match=message):
+            match_profiles(liquids["ipa"], liquids["eg"], bracket)
+        with pytest.raises(DomainError, match=message):
+            match_frequency(liquids["ipa"], liquids["eg"], 0.7, bracket)
 
 
 def test_profile_residual_consistent_with_direct_recomputation():

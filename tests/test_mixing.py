@@ -185,6 +185,15 @@ class TestCmMix:
         with pytest.raises(SingularityError, match="close to -2"):
             cm_mix(-2.0 + 0.0j, Concentration(0.01), 0.7)
 
+    @pytest.mark.parametrize("neat", [complex("nan"), complex("inf"), np.array([3.0, math.nan])])
+    def test_non_finite_neat_value_rejected(self, neat):
+        with pytest.raises(DomainError, match="permittivity must be finite"):
+            cm_mix(neat, Concentration(0.01), 0.5)
+
+    def test_shapes_that_do_not_broadcast_rejected(self):
+        with pytest.raises(DomainError, match=re.escape("shapes [(3,), (2,)] do not broadcast")):
+            cm_mix(np.full(3, 3.0 + 1.0j), Concentration(0.01), np.array([0.5, 0.6]))
+
 
 class TestInversion:
     def test_mix_invert_round_trip(self):
@@ -240,6 +249,24 @@ class TestInversion:
         ref = 3 * (L_eps - L_neat) / (mp.mpf("6.02214076e23") * a)
         assert ce_real_part(eps2, neat, nu) == pytest.approx(float(ref.real), rel=1e-12)
         assert ce_imag_part(eps2, neat, nu) == pytest.approx(float(ref.imag), rel=1e-12)
+
+    def test_arrays_invert_element_by_element(self):
+        eps, neat, nu = np.array([0.3j, 1.0 + 0.5j]), np.array([3.7 + 0.9j, 5.0 + 2.0j]), 0.83
+        back = cm_invert_concentration(eps, neat, nu)
+        assert back.shape == (2,)
+        assert back.tolist() == [cm_invert_concentration(e, n, nu) for e, n in zip(eps, neat)]
+
+    @pytest.mark.parametrize(
+        "eps, neat, nu, message",
+        [
+            (complex("inf"), 3.0 + 1.0j, 0.7, "permittivity must be finite"),
+            (0.3j, complex("nan"), 0.7, "permittivity must be finite"),
+            (np.full(2, 0.3j), np.full(3, 3.0 + 1.0j), 0.7, "do not broadcast"),
+        ],
+    )
+    def test_bad_operands_rejected(self, eps, neat, nu, message):
+        with pytest.raises(DomainError, match=message):
+            cm_invert_concentration(eps, neat, nu)
 
     def test_imaginary_residual_flags_unreachable_pairs(self):
         # a doped value with *less* loss than the neat host cannot come from

@@ -116,8 +116,9 @@ class TestFindNu0:
             find_nu0(DopedLiquid(DISPERSIONLESS, CE25), bracket)
 
     def test_bad_tolerance_and_scan(self):
-        with pytest.raises(DomainError, match="tolerance"):
-            find_nu0(DopedLiquid(DISPERSIONLESS, CE25), tol=0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(DomainError, match="tolerance"):
+                find_nu0(DopedLiquid(DISPERSIONLESS, CE25), tol=tol)
 
     def test_overflowing_slope_raises(self):
         # the crossing near 0.007 THz is found, but d(eps')/d(nu) there is
@@ -178,6 +179,11 @@ class TestEpsImagAtNu0:
     def test_local_field_pole(self):
         with pytest.raises(SingularityError, match="close to -2"):
             eps_imag_at_nu0(-2.0 + 0.0j)
+
+    @pytest.mark.parametrize("neat", [complex("nan"), complex(math.inf, 1.0)])
+    def test_non_finite_neat_value_rejected(self, neat):
+        with pytest.raises(DomainError, match="neat permittivity must be finite"):
+            eps_imag_at_nu0(neat)
 
     def test_overflowing_neat_value_rejected(self):
         # |eps_neat + 2|^2 exceeds the float range above |eps_neat| of about 1.3e154
