@@ -2,8 +2,9 @@
 
 Subcommands: eps, nu0, ce-for-nu0, match, lineshape, synth, extract.
 Exit codes: 0 success, 2 usage error, 3 domain/model error (the library
-message goes to stderr verbatim). Liquid files are searched in the working
-directory, then $IMPOSTORON_DATA_DIR, then the packaged data directory.
+message goes to stderr verbatim) or a stdout closed before all output was
+written. Liquid files are searched in the working directory, then
+$IMPOSTORON_DATA_DIR, then the packaged data directory.
 All CSV output starts with '#'-prefixed metadata (tool version, input hash).
 """
 
@@ -333,7 +334,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's final flush of the unwritten rest cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("stdout closed before all output was written", file=sys.stderr)
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

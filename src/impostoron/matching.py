@@ -116,15 +116,14 @@ def match_frequency(
     zero-crossing solves, each a find_nu0 at its DEFAULT_TOL on the bracket
     clipped to both liquids' validity; profile_residual reports how unequal
     the Lorentzian widths remain (frequency matching does not equalize them):
-    B1/eps2_1 - B2/eps2_2 at nu0 itself, each term the closed form of _profile.
+    B1/eps2_1 - B2/eps2_2 at nu0 itself, both terms from one _profiles pass.
     """
     ce1 = ce_for_nu0(liquid1, nu0)
     ce2 = ce_for_nu0(liquid2, nu0)
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
     res1 = find_nu0(DopedLiquid(liquid1, ce1), (lo, hi))
     res2 = find_nu0(DopedLiquid(liquid2, ce2), (lo, hi))
-    at = np.array([nu0])
-    t1, t2 = float(_profile(liquid1, at)[0]), float(_profile(liquid2, at)[0])
+    t1, t2 = _profiles(liquid1, liquid2, np.array([nu0]))[:, 0].tolist()
     residual, note = t1 - t2, ""
     if math.isnan(t1) or math.isnan(t2):
         # with both concentrations found, only a lossless crossing (no finite
@@ -143,27 +142,45 @@ def match_frequency(
     )
 
 
-def _profile(liquid: LiquidModel, nu: np.ndarray) -> np.ndarray:
-    """B/eps2 of the liquid at each frequency of the array nu, NaN where undefined.
+def _profiles(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.ndarray:
+    """B/eps2 of both liquids at each frequency of the array nu, shape (2, nu.size).
 
-    At each nu the concentration is ce_for_nu0's closed form, eps2 the loss
-    at the crossing and B = d(eps')/d(nu) in closed form, as in find_nu0. A
-    node is undefined where ce_for_nu0 would raise, where eps2 is zero or
-    where |eps_neat + 2|^2 or B leaves the float range. Raises where
-    eval_neat or alpha_el rejects nu.
+    Row i is liquid i's profile, NaN where undefined. At each nu the
+    concentration is ce_for_nu0's closed form, eps2 the loss at the crossing
+    and B = d(eps')/d(nu) in closed form, as in find_nu0. A node is undefined
+    where ce_for_nu0 would raise, where eps2 is zero or where
+    |eps_neat + 2|^2 or B leaves the float range. Raises where eval_neat or
+    alpha_el rejects nu, checked in the order eval_neat(liquid1),
+    alpha_el(nu), eval_neat(liquid2).
     """
-    return _profile_of(liquid, nu, eval_neat(liquid, nu), alpha_el(nu))
+    neat1 = eval_neat(liquid1, nu)
+    alpha = alpha_el(nu)
+    neat = np.stack((neat1, eval_neat(liquid2, nu)))
+    return _profile_of(nu, neat, _slopes(liquid1, liquid2, nu), alpha)
+
+
+def _slopes(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.ndarray:
+    """_neat_slope of both liquids at nu, one row each."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a node undefined
+        return np.stack((_neat_slope(liquid1, nu), _neat_slope(liquid2, nu)))
 
 
 def _profile_of(
-    liquid: LiquidModel, nu: np.ndarray, neat: np.ndarray, alpha: np.ndarray
+    nu: np.ndarray, neat: np.ndarray, neat_slope: np.ndarray, alpha: np.ndarray
 ) -> np.ndarray:
-    """_profile from neat = eval_neat(liquid, nu) and alpha = alpha_el(nu), unchecked."""
+    """B/eps2 from the neat permittivity, its slope and alpha_el at nu, unchecked.
+
+    neat and neat_slope hold one row per liquid, eval_neat and _neat_slope
+    of that liquid at nu; nu and alpha = alpha_el(nu) broadcast over the
+    rows. Every operation is elementwise, so each row is bit for bit the
+    result of the same call on that row alone. Undefined nodes are NaN, as
+    in _profiles.
+    """
     lf, lf_pole = _local_field(neat)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a node undefined
         eps2 = _crossing_loss(neat)[0]
         L = _local_field(1j * eps2)[0]  # the local-field sum of eps = i*eps2
-        slope = _mix_slope(lf, _neat_slope(liquid, nu), L, nu).real
+        slope = _mix_slope(lf, neat_slope, L, nu).real
     ce = _invert(L, lf, alpha).real
     # eps2 > 0 only where the loss at the crossing is defined and non-zero
     ok = (eps2 > 0.0) & ~lf_pole & np.isfinite(ce) & (ce >= 0.0) & np.isfinite(slope)
@@ -178,15 +195,16 @@ def _g_norm(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 
 def _g_round(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.ndarray:
-    """_g_norm of the liquids' _profile arrays on nodes inside a scanned bracket.
+    """_g_norm of the liquids' profiles on nodes inside a scanned bracket, in one pass.
 
-    The scan's _profile accepted both ends of the bracket, and the checks of
-    eval_neat and alpha_el hold between two accepted frequencies, so this
-    skips them; undefined nodes are NaN, as in _profile.
+    The scan's _profiles accepted both ends of the bracket, and the checks
+    of eval_neat and alpha_el hold between two accepted frequencies, so this
+    skips them (_neat, _alpha) and runs _profile_of once on both liquids'
+    rows; undefined nodes are NaN, as in _profiles.
     """
-    alpha = _alpha(nu)
-    t1 = _profile_of(liquid1, nu, _neat(liquid1, nu), alpha)
-    return _g_norm(t1, _profile_of(liquid2, nu, _neat(liquid2, nu), alpha))
+    neat = np.stack((_neat(liquid1, nu), _neat(liquid2, nu)))
+    t = _profile_of(nu, neat, _slopes(liquid1, liquid2, nu), _alpha(nu))
+    return _g_norm(t[0], t[1])
 
 
 def match_profiles(
@@ -199,7 +217,7 @@ def match_profiles(
     Solves g(nu) = B1/eps2_1 - B2/eps2_2 = 0 over the bracket, where each
     B_i is evaluated at the concentration that puts liquid i's crossing at nu.
     Convergence is judged on g normalized by the mean of the two terms.
-    One vector evaluation of _profile on PROFILE_SCAN_POINTS grid nodes,
+    One vector evaluation of _profiles on PROFILE_SCAN_POINTS grid nodes,
     both ends of the bracket included, validates the bracket and brackets
     the sign changes; nodes where a liquid's profile is undefined are
     skipped and counted in `skipped_nodes`. When |g| stays below PROFILE_TOL
@@ -207,13 +225,14 @@ def match_profiles(
     bisected to float resolution, and its root is the bisection point of
     least |g|; each round evaluates the 2**ROUND_LEVELS - 1 nodes of one
     bisection tree through the unchecked kernels (_g_round), undefined
-    nodes NaN as in the scan. Each B_i is d(eps_i')/d(nu) in closed form,
-    as in find_nu0. The lowest root nu* is then match_frequency's solution
-    at nu*, marked profile-matched.
+    nodes NaN as in the scan. The scan and every round evaluate both
+    liquids in one array pass of _profile_of, one row per liquid. Each B_i
+    is d(eps_i')/d(nu) in closed form, as in find_nu0. The lowest root nu*
+    is then match_frequency's solution at nu*, marked profile-matched.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
     grid = np.linspace(lo, hi, PROFILE_SCAN_POINTS)  # holds lo and hi themselves
-    vals = _g_norm(_profile(liquid1, grid), _profile(liquid2, grid))
+    vals = _g_norm(*_profiles(liquid1, liquid2, grid))
 
     finite = np.isfinite(vals)
     skipped = int(np.count_nonzero(~finite))

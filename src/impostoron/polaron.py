@@ -83,14 +83,15 @@ def _bisection_tree(a: float, b: float) -> np.ndarray:
     """The 2**ROUND_LEVELS + 1 nodes of [a, b]'s bisection tree, in order.
 
     Each node is the float midpoint 0.5*(left + right) of its two neighbours
-    on the level above, exactly the point a bisection step computes.
+    on the level above, exactly the point a bisection step computes. The
+    levels are filled in place in one preallocated array, coarsest first.
     """
-    nodes = np.array([a, b])
-    for _ in range(ROUND_LEVELS):
-        finer = np.empty(2 * nodes.size - 1)
-        finer[0::2] = nodes
-        finer[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-        nodes = finer
+    step = 2**ROUND_LEVELS
+    nodes = np.empty(step + 1)
+    nodes[0], nodes[-1] = a, b
+    while step > 1:
+        nodes[step // 2 :: step] = 0.5 * (nodes[:-1:step] + nodes[step::step])
+        step //= 2
     return nodes
 
 
@@ -99,12 +100,13 @@ def _refine_root(f, a: float, b: float, fa: float, tol: float) -> tuple[float, f
 
     f maps an array of points to an array of values, NaN where f is
     undefined. Each call evaluates the 2**ROUND_LEVELS - 1 interior nodes of
-    the bisection tree of the current bracket; the steps then walk that
-    tree. Every node lies inside [a, b], so f may skip the checks that the
-    caller's scan has passed at the bracket's ends. A step moves a
-    up to mid when f(mid) has the sign of f(a) (negative or not), b down to
-    mid otherwise. Bisection stops when b - a <= tol, when mid rounds onto
-    an end of the bracket, when f(mid) == 0 (the bracket collapses onto mid)
+    the bisection tree of the current bracket (_bisection_tree); the steps
+    then walk that tree, reading only the nodes and values on their path.
+    Every node lies inside [a, b], so f may skip the checks that the
+    caller's scan has passed at the bracket's ends. A step moves a up to mid
+    when f(mid) has the sign of f(a) (negative or not), b down to mid
+    otherwise. Bisection stops when b - a <= tol, when mid rounds onto an
+    end of the bracket, when f(mid) == 0 (the bracket collapses onto mid)
     or after MAX_BISECTIONS steps. Returns the final bracket and the point of
     least |f| seen, a included.
     """

@@ -428,9 +428,16 @@ def remove_step(
     p, status, nfev, cost = _fit_step(times, (spec * scales).view(float), a0, scales)
     a, t0, r = float(p[0]) * peak, float(p[1]), float(p[2])
     if status == 0:
+        rescaled = cost * peak * peak
+        if not math.isfinite(rescaled):
+            # past the float range, as for a peak above about 1e154; decimals
+            # hold it, and only this message needs them
+            from decimal import Context, Decimal
+
+            rescaled = (Decimal(cost) * Decimal(peak) * Decimal(peak)).normalize(Context(prec=6))
         raise StepFitError(
             f"step fit failed (status {status}): no convergence within {nfev} evaluations, "
-            f"cost {cost * peak * peak:g}; "
+            f"cost {rescaled:g}; "
             f"last parameters a={a:g}, onset={t0:g} ps, rise={r:g} ps"
         )
     step = StepModel(amplitude=a, rise_time=r, onset=t0)

@@ -306,6 +306,35 @@ class TestEpsCommand:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # 30000 rows, far more than a pipe holds, so a write meets the closed pipe
+        (["eps", "--liquid", "water.liq", "--nu-step", "0.0001"], 1),
+        # closed before the child writes: the output waits in stdout's buffer
+        # until the final flush, which must not fail again at exit
+        (["nu0", "--liquid", "water.liq", "--ce", "40"], 0),
+    ],
+    ids=["after-first-line", "before-any-output"],
+)
+def test_closed_stdout_exits_3_without_traceback(argv, lines_read):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as in a shell pipeline
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "impostoron", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline() == f"# impostoron {__version__}\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 3
+    assert stderr == "stdout closed before all output was written\n"
+
+
 class TestMatchCommand:
     def test_frequency_match(self, capsys):
         assert run(

@@ -15,7 +15,7 @@ from impostoron.errors import (
 )
 from impostoron.matching import (
     PROFILE_SCAN_POINTS,
-    _profile,
+    _profiles,
     _shared_bracket,
     ce_for_nu0,
     match_frequency,
@@ -160,8 +160,8 @@ class TestMatchFrequency:
     )
     def test_profile_residual_is_the_profile_difference_at_nu0(self, liquids, a, b, nu0):
         sol = match_frequency(liquids[a], liquids[b], nu0)
-        at = np.array([nu0])
-        assert sol.profile_residual == _profile(liquids[a], at)[0] - _profile(liquids[b], at)[0]
+        t1, t2 = _profiles(liquids[a], liquids[b], np.array([nu0]))[:, 0]
+        assert sol.profile_residual == t1 - t2
         assert sol.note == ""
 
     def test_lossless_crossing_leaves_the_width_undefined(self, liquids):

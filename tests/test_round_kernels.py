@@ -5,7 +5,9 @@ then evaluate each round of bisection nodes through unchecked kernels
 (polaron._eps_real, matching._g_round). Those must give bit for bit what
 the checked functions give on the same nodes, the roots must not depend on
 how many bisection levels one round resolves, and the searches must still
-raise the errors and messages of the checked path.
+raise the errors and messages of the checked path. match_profiles runs both
+liquids in one array pass; each of its rows must be bit for bit the pass of
+that liquid alone.
 """
 
 import re
@@ -17,11 +19,11 @@ from hypothesis import strategies as st
 from test_scalar_oracle import BASE_PAIRS, twin
 
 from impostoron import polaron
-from impostoron.dielectric import DebyeModel, TabulatedModel, validity_range
+from impostoron.dielectric import DebyeModel, TabulatedModel, _neat_slope, eval_neat, validity_range
 from impostoron.errors import DomainError, ImpostoronError, RangeError, SingularityError
-from impostoron.matching import _g_norm, _g_round, _profile, match_profiles
-from impostoron.mixing import Concentration, DopedLiquid
-from impostoron.polaron import _eps_real, eps_doped, find_nu0
+from impostoron.matching import _g_norm, _g_round, _profile_of, _profiles, match_profiles
+from impostoron.mixing import Concentration, DopedLiquid, alpha_el
+from impostoron.polaron import _bisection_tree, _eps_real, eps_doped, find_nu0
 
 #: the round depth the package uses, and the one it used before
 DEPTHS = (5, polaron.ROUND_LEVELS)
@@ -30,6 +32,23 @@ DEPTHS = (5, polaron.ROUND_LEVELS)
 def bits(values):
     """The float64 bit patterns of an array, so NaNs and signed zeros compare too."""
     return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def profile(liquid, nu):
+    """The checked profile pass of one liquid alone: _profile_of on a single row."""
+    neat, alpha = eval_neat(liquid, nu), alpha_el(nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = _neat_slope(liquid, nu)
+    return _profile_of(nu, neat, slope, alpha)
+
+
+def assert_pair_kernels(liquid1, liquid2, nu):
+    """The scan's pair pass and a round give bit for bit the single-liquid passes."""
+    t1, t2 = profile(liquid1, nu), profile(liquid2, nu)
+    pair = _profiles(liquid1, liquid2, nu)
+    np.testing.assert_array_equal(bits(pair[0]), bits(t1))
+    np.testing.assert_array_equal(bits(pair[1]), bits(t2))
+    np.testing.assert_array_equal(bits(_g_round(liquid1, liquid2, nu)), bits(_g_norm(t1, t2)))
 
 
 def outcome(f, *args):
@@ -93,9 +112,7 @@ def test_find_nu0_round_is_eps_doped(liquids, data, ce_um):
 def test_match_profiles_round_is_profile(liquids, data):
     liquid1 = data.draw(liquid_models(liquids))
     liquid2 = data.draw(liquid_models(liquids))
-    nu = data.draw(nodes_for(liquid1, liquid2))
-    want = _g_norm(_profile(liquid1, nu), _profile(liquid2, nu))
-    np.testing.assert_array_equal(bits(_g_round(liquid1, liquid2, nu)), bits(want))
+    assert_pair_kernels(liquid1, liquid2, data.draw(nodes_for(liquid1, liquid2)))
 
 
 def test_round_kernels_on_the_reference_liquids(liquids):
@@ -105,8 +122,29 @@ def test_round_kernels_on_the_reference_liquids(liquids):
         doped = DopedLiquid(model, Concentration.from_micromolar(40.0))
         np.testing.assert_array_equal(bits(_eps_real(doped, nu)), bits(eps_doped(doped, nu).real))
         for other in models:
-            want = _g_norm(_profile(model, nu), _profile(other, nu))
-            np.testing.assert_array_equal(bits(_g_round(model, other, nu)), bits(want))
+            assert_pair_kernels(model, other, nu)
+
+
+def reference_tree(a, b, levels):
+    """The bisection tree built a level at a time, each level a new array."""
+    nodes = np.array([a, b])
+    for _ in range(levels):
+        finer = np.empty(2 * nodes.size - 1)
+        finer[0::2] = nodes
+        finer[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        nodes = finer
+    return nodes
+
+
+@pytest.mark.parametrize("levels", range(1, 9))
+@pytest.mark.parametrize(
+    "a, b",
+    [(1.0, 1.0 + 4 * np.spacing(1.0)), (0.9, 1.1), (0.2, 3.0)],
+    ids=["few-ulp", "binade", "wide"],
+)
+def test_bisection_tree_is_the_level_by_level_tree(monkeypatch, levels, a, b):
+    monkeypatch.setattr(polaron, "ROUND_LEVELS", levels)
+    np.testing.assert_array_equal(bits(_bisection_tree(a, b)), bits(reference_tree(a, b, levels)))
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +197,7 @@ def test_roots_do_not_depend_on_the_round_depth(liquids, monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# Errors: the scan raises what eps_doped and _profile raise; the rounds keep
+# Errors: the scan raises what eps_doped and _profiles raise; the rounds keep
 # the per-node singularities
 # --------------------------------------------------------------------------
 
@@ -176,6 +214,20 @@ def test_find_nu0_overflow_at_the_upper_end():
 def test_match_profiles_overflow_at_the_upper_end():
     with pytest.raises(DomainError, match=re.escape(OVERFLOW)):
         match_profiles(DEBYE, DebyeModel("y", 2.2, ((25.0, 0.3),)), (0.2, 1e160))
+
+
+def test_match_profiles_scan_checks_alpha_el_before_liquid_2():
+    # the scan checks eval_neat(liquid1), alpha_el, eval_neat(liquid2) in that
+    # order: alpha_el fails at 1e-170 THz before liquid 2 overflows at 1e160
+    with pytest.raises(DomainError, match=re.escape("alpha_el leaves the float range")):
+        match_profiles(DebyeModel("free", 2.2), DEBYE, (1e-170, 1e160))
+
+
+def test_match_profiles_scan_names_liquid_2_overflow():
+    # alpha_el holds up to about 2e141 THz; delta * x overflows from 3e7 THz on
+    strong = DebyeModel("y", 2.2, ((1e300, 1.0),))
+    with pytest.raises(DomainError, match=re.escape("frequency 1e+10 THz overflows 'y'")):
+        match_profiles(DebyeModel("free", 2.2), strong, (0.2, 1e10))
 
 
 def test_find_nu0_bracket_leaving_the_table(liquids):

@@ -14,7 +14,7 @@ import scalar_oracle as oracle
 from impostoron import matching
 from impostoron.dielectric import DebyeModel, TabulatedModel, eval_neat
 from impostoron.errors import ImpostoronError, NoResonanceError
-from impostoron.matching import _profile, _shared_bracket, match_frequency, match_profiles
+from impostoron.matching import _profiles, _shared_bracket, match_frequency, match_profiles
 from impostoron.mixing import Concentration, DopedLiquid
 from impostoron.polaron import find_nu0
 
@@ -72,14 +72,14 @@ def packaged_pairs(liquids):
 def check_scan(liquid1, liquid2):
     lo, hi = _shared_bracket(liquid1, liquid2, (0.2, 2.0))
     grid = np.linspace(lo, hi, 200)
-    for liquid in (liquid1, liquid2):
+    # one pass gives both liquids' profiles, a row each
+    for liquid, got in zip((liquid1, liquid2), _profiles(liquid1, liquid2, grid)):
         want = np.full(grid.shape, np.nan)
         for i, nu in enumerate(grid):
             try:
                 want[i] = oracle.profile_term(liquid, float(nu))
             except ImpostoronError:
                 pass
-        got = _profile(liquid, grid)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 

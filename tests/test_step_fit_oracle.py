@@ -147,15 +147,25 @@ def test_kept_bins_give_the_time_domain_products(n, cutoff, keep):
     assert np.all(np.abs(jtr - lp_jtr) <= 1e-12 * bound), jtr - lp_jtr
 
 
-def test_evaluation_cap_raises_step_fit_error(monkeypatch):
+def assert_capped_after_one_evaluation(monkeypatch, scale):
+    """remove_step on the leaky step times scale fails at a cap of 1 with the usual message."""
     tau = (np.arange(512) - 64) * 0.1
-    trace = TimeTrace(times=tau, values=STEP.evaluate(tau) + 0.05 * np.cos(1.4 * np.pi * tau))
+    values = scale * (STEP.evaluate(tau) + 0.05 * np.cos(1.4 * np.pi * tau))
     monkeypatch.setattr(signal, "_STEP_FIT_MAX_EVALS", 1)
     with pytest.raises(StepFitError) as info:
-        remove_step(trace)
+        remove_step(TimeTrace(times=tau, values=values))
     number = r"[-+0-9.e]+"
     assert re.fullmatch(
         rf"step fit failed \(status 0\): no convergence within 1 evaluations, cost {number}; "
         rf"last parameters a={number}, onset=0 ps, rise=1 ps",
         str(info.value),
     ), str(info.value)
+
+
+def test_evaluation_cap_raises_step_fit_error(monkeypatch):
+    assert_capped_after_one_evaluation(monkeypatch, 1.0)
+
+
+def test_evaluation_cap_message_is_finite_past_the_float_range(monkeypatch):
+    # cost times peak squared is about 4e398 here, past the float range
+    assert_capped_after_one_evaluation(monkeypatch, 1e200)
