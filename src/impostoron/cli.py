@@ -112,6 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"impostoron {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, help):
+        """The subparser of name, kept as args.parser so that usage errors name the subcommand."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(parser=p)
+        return p
+
     def add_common_grid(p):
         p.add_argument("--nu-min", type=_number("--nu-min"), default=0.2)
         p.add_argument("--nu-max", type=_number("--nu-max"), default=2.0)
@@ -124,23 +130,23 @@ def build_parser() -> argparse.ArgumentParser:
             "--ce", type=_number("--ce", allow_zero=True), help="concentration in uM", **ce
         )
 
-    p = sub.add_parser("eps", help="doped (or neat) permittivity table over a frequency grid")
+    p = command("eps", "doped (or neat) permittivity table over a frequency grid")
     add_doped(p, default=0.0)
     add_common_grid(p)
     p.add_argument("--out")
 
-    p = sub.add_parser("nu0", help="zero-crossing resonance of a doped liquid")
+    p = command("nu0", "zero-crossing resonance of a doped liquid")
     add_doped(p, required=True)
     p.add_argument("--bracket", type=_bracket, default=DEFAULT_BRACKET)
     p.add_argument("--tol", type=_number("--tol"), default=DEFAULT_TOL)
     p.add_argument("--out")
 
-    p = sub.add_parser("ce-for-nu0", help="concentration that places the crossing at nu0")
+    p = command("ce-for-nu0", "concentration that places the crossing at nu0")
     p.add_argument("--liquid", required=True)
     p.add_argument("--nu0", type=_number("--nu0"), required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("match", help="concentration pair matching two liquids' resonances")
+    p = command("match", "concentration pair matching two liquids' resonances")
     p.add_argument("--liquid-a", required=True)
     p.add_argument("--liquid-b", required=True)
     group = p.add_mutually_exclusive_group(required=True)
@@ -149,46 +155,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket", type=_bracket, default=PROFILE_BRACKET)
     p.add_argument("--out")
 
-    p = sub.add_parser("lineshape", help="energy-loss line shape -Im[1/eps] on a grid")
+    p = command("lineshape", "energy-loss line shape -Im[1/eps] on a grid")
     add_doped(p, required=True)
     p.add_argument("--lorentz", action="store_true", help="Lorentzian approximation instead")
     p.add_argument("--bracket", type=_bracket, default=DEFAULT_BRACKET)
     add_common_grid(p)
     p.add_argument("--out")
 
-    p = sub.add_parser("synth", help="synthesize a pump-probe delay trace or 2D map")
+    p = command("synth", "synthesize a pump-probe delay trace or 2D map")
     add_doped(p, required=True)
     p.add_argument("--map", action="store_true", help="emit the full 2D map")
     p.add_argument("--dt", type=_number("--dt"), default=0.05, help="probe-time step, ps")
     p.add_argument("--dtau", type=_number("--dtau"), default=0.1, help="delay step, ps")
     p.add_argument("--n", type=int, default=1024, help="number of delay samples")
-    p.add_argument("--band", type=_bracket, default=signal.DEFAULT_BAND)
     p.add_argument("--noise-snr-db", type=float, default=None)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out")
 
-    p = sub.add_parser("extract", help="run the oscillation-extraction pipeline on a map CSV")
+    p = command("extract", "run the oscillation-extraction pipeline on a map CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--filter-thz", type=_number("--filter-thz"), default=signal.FILTER_BANDWIDTH)
-    p.add_argument("--band-lo", type=_number("--band-lo"), default=signal.BAND_LO)
     p.add_argument("--out-oscillation")
     p.add_argument("--out-spectrum")
 
     return parser
 
 
-def _grid(args, parser):
+def _grid(args):
     if args.nu_max <= args.nu_min:
-        parser.error(f"--nu-max must exceed --nu-min, got [{args.nu_min}, {args.nu_max}]")
+        args.parser.error(f"--nu-max must exceed --nu-min, got [{args.nu_min}, {args.nu_max}]")
     steps = (args.nu_max - args.nu_min) / args.nu_step  # inf for an infinite --nu-max
     if not steps < _MAX_SAMPLES - 1:  # then round(steps) + 1 <= _MAX_SAMPLES
-        parser.error(f"frequency grid of {steps + 1:.6g} points exceeds {_MAX_SAMPLES}")
+        args.parser.error(f"frequency grid of {steps + 1:.6g} points exceeds {_MAX_SAMPLES}")
     return np.linspace(args.nu_min, args.nu_max, int(round(steps)) + 1)
 
 
-def _cmd_eps(args, parser):
+def _cmd_eps(args):
     sha, liquid = _liquid(args.liquid)
-    grid = _grid(args, parser)
+    grid = _grid(args)
     ce = Concentration.from_micromolar(args.ce)
     eps = cm_mix(eval_neat(liquid, grid), ce, grid)
     table = np.column_stack((grid, eps.real, eps.imag))
@@ -196,7 +199,7 @@ def _cmd_eps(args, parser):
         signal._write_table(fh, _meta(("liquid", sha)), "nu_THz,eps_real,eps_imag", table)
 
 
-def _cmd_nu0(args, parser):
+def _cmd_nu0(args):
     sha, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
     res = find_nu0(doped, args.bracket, args.tol)
@@ -211,7 +214,7 @@ def _cmd_nu0(args, parser):
         signal._write_table(fh, _meta(("liquid", sha)), "key,value", pairs)
 
 
-def _cmd_ce_for_nu0(args, parser):
+def _cmd_ce_for_nu0(args):
     sha, liquid = _liquid(args.liquid)
     ce = ce_for_nu0(liquid, args.nu0)
     pairs = [
@@ -223,7 +226,7 @@ def _cmd_ce_for_nu0(args, parser):
         signal._write_table(fh, _meta(("liquid", sha)), "key,value", pairs)
 
 
-def _cmd_match(args, parser):
+def _cmd_match(args):
     sha_a, liquid_a = _liquid(args.liquid_a)
     sha_b, liquid_b = _liquid(args.liquid_b)
     if args.profile:
@@ -245,10 +248,10 @@ def _cmd_match(args, parser):
         signal._write_table(fh, _meta(("a", sha_a), ("b", sha_b)), "key,value", pairs)
 
 
-def _cmd_lineshape(args, parser):
+def _cmd_lineshape(args):
     sha, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
-    grid = _grid(args, parser)
+    grid = _grid(args)
     if args.lorentz:
         spec = lorentz_lineshape(find_nu0(doped, args.bracket), grid)
     else:
@@ -257,13 +260,13 @@ def _cmd_lineshape(args, parser):
         signal.write_spectrum_csv(spec, fh, meta=_meta(("liquid", sha)))
 
 
-def _cmd_synth(args, parser):
+def _cmd_synth(args):
     if args.n < 16:
-        parser.error(f"--n must be at least 16, got {args.n}")
+        args.parser.error(f"--n must be at least 16, got {args.n}")
     if not math.isfinite(args.dt):
-        parser.error(f"--dt must be finite, got {args.dt}")
+        args.parser.error(f"--dt must be finite, got {args.dt}")
     if args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
+        args.parser.error(f"--seed must be >= 0, got {args.seed}")
     columns = _PROBE_SPAN / args.dt if args.map else 1
     if args.n > _MAX_SAMPLES / columns:
         raise GridError(
@@ -271,19 +274,19 @@ def _cmd_synth(args, parser):
             f"{_MAX_SAMPLES} samples per array"
         )
     if not math.isfinite(args.n * args.dtau):  # then every delay is finite
-        parser.error(f"--dtau must keep --n x --dtau finite, got {args.n} x {args.dtau}")
+        args.parser.error(f"--dtau must keep --n x --dtau finite, got {args.n} x {args.dtau}")
     sha, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
     if args.map:  # the probe grid first: it rejects a --dt that leaves it under 16 samples
         nt = int(round(_PROBE_SPAN / args.dt))
         probe = signal.gaussian_probe((np.arange(nt) - nt // 2) * args.dt)
     tau = (np.arange(args.n) - args.n // 8) * args.dtau
-    osc = signal.synth_oscillation(doped, tau, args.band)
+    osc = signal.synth_oscillation(doped, tau)
     step = signal.StepModel(
         amplitude=float(np.max(np.abs(osc.values))), rise_time=1.0, onset=0.0
     )
     if args.map:
-        data, write = signal.synth_map(doped, probe, step, tau, args.band), signal.write_map_csv
+        data, write = signal.synth_map(doped, probe, step, tau), signal.write_map_csv
     else:
         data = signal.TimeTrace(times=tau, values=step.evaluate(tau) + osc.values)
         write = signal.write_trace_csv
@@ -293,12 +296,12 @@ def _cmd_synth(args, parser):
         write(data, fh, meta=_meta(("liquid", sha)) + [f"seed: {args.seed}"])
 
 
-def _cmd_extract(args, parser):
+def _cmd_extract(args):
     path = Path(args.input)
     if not path.exists():
         raise DataFileError(f"map file '{args.input}' not found")
     text, sha = _read_text(path, "map")
-    result = signal.extract(signal.read_map_csv(io.StringIO(text)), args.filter_thz, args.band_lo)
+    result = signal.extract(signal.read_map_csv(io.StringIO(text)))
     meta = _meta(("map", sha))
     with _output(args.out_oscillation) as fh:
         signal.write_trace_csv(result.oscillation, fh, meta=meta)
@@ -323,10 +326,9 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args, parser)
+        _COMMANDS[args.command](args)
     except ImpostoronError as exc:
         print(str(exc), file=sys.stderr)
         return 3

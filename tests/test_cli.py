@@ -61,12 +61,31 @@ class TestArgumentValidation:
             ["synth", "--liquid", "water.liq", "--ce", "40", "--dtau", "inf"],
             # finite, but the delay grid of 1024 samples overflows
             ["synth", "--liquid", "water.liq", "--ce", "40", "--dtau", "1e308"],
+            # the synthesis band, filter radius and step low-pass are fixed
+            ["synth", "--liquid", "water.liq", "--ce", "40", "--band", "0.2,2.0"],
+            ["extract", "--input", "m.csv", "--filter-thz", "4"],
+            ["extract", "--input", "m.csv", "--band-lo", "0.4"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eps", "--liquid", "water.liq", "--nu-min", "3"], "--nu-max must exceed --nu-min"),
+            (["synth", "--liquid", "water.liq", "--ce", "40", "--n", "8"], "--n must be at least 16"),
+        ],
+    )
+    def test_usage_error_names_its_subcommand(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: impostoron {argv[0]} "), err
+        assert f"\nimpostoron {argv[0]}: error: {message}" in err, err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

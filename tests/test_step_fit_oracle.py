@@ -166,6 +166,17 @@ def test_evaluation_cap_raises_step_fit_error(monkeypatch):
     assert_capped_after_one_evaluation(monkeypatch, 1.0)
 
 
+def test_spikes_without_a_step_reach_the_evaluation_cap():
+    # a zero trace with 20 random spikes holds no step; uncapped, the fit
+    # takes 490 evaluations to end on a step 0.4 % of the peak
+    tau = (np.arange(256) - 32) * 0.04
+    values = np.zeros(256)
+    rng = np.random.default_rng(88)
+    values[rng.choice(256, 20, replace=False)] = rng.uniform(-1, 1, 20)
+    with pytest.raises(StepFitError, match="no convergence within 200 evaluations"):
+        remove_step(TimeTrace(times=tau, values=values))
+
+
 def test_evaluation_cap_message_is_finite_past_the_float_range(monkeypatch):
     # cost times peak squared is about 4e398 here, past the float range
     assert_capped_after_one_evaluation(monkeypatch, 1e200)
