@@ -2,9 +2,10 @@
 
 Subcommands: eps, nu0, ce-for-nu0, match, lineshape, synth, extract.
 Exit codes: 0 success, 2 usage error, 3 domain/model error (the library
-message goes to stderr verbatim) or a stdout closed before all output was
-written. Liquid files are searched in the working directory, then
-$IMPOSTORON_DATA_DIR, then the packaged data directory.
+message goes to stderr verbatim), output that cannot be written or a stdout
+closed before all output was written. Liquid files are searched in the
+working directory, then $IMPOSTORON_DATA_DIR, then the packaged data
+directory.
 All CSV output starts with '#'-prefixed metadata (tool version, input hash).
 """
 
@@ -41,19 +42,20 @@ def data_dir() -> Path:
 
 
 def resolve_data_path(name: str) -> Path:
+    # os.path.exists is False for a path the OS rejects, such as one too long
     p = Path(name)
-    if p.exists():
+    if os.path.exists(p):
         return p.absolute()
     searched = [str(Path.cwd())]
     env = os.environ.get("IMPOSTORON_DATA_DIR")
     if env:
         candidate = Path(env) / name
         searched.append(env)
-        if candidate.exists():
+        if os.path.exists(candidate):
             return candidate
     packaged = data_dir() / name
     searched.append(str(data_dir()))
-    if packaged.exists():
+    if os.path.exists(packaged):
         return packaged
     raise DataFileError(f"liquid file '{name}' not found (searched: {', '.join(searched)})")
 
@@ -63,9 +65,17 @@ def _meta(*inputs: tuple[str, str]) -> list[str]:
     return [f"impostoron {__version__}"] + [f"input-sha256 {k}: {sha}" for k, sha in inputs]
 
 
+@contextlib.contextmanager
 def _output(path: str | None):
-    """stdout by default, a file when --out is given."""
-    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+    """stdout by default, a file when --out is given; DataFileError if the file fails."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:  # on open, on a write or on the flush at close
+        raise DataFileError(f"cannot write output file '{path}': {exc.strerror}") from exc
 
 
 def _liquid(name):
@@ -112,10 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"impostoron {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help):
-        """The subparser of name, kept as args.parser so that usage errors name the subcommand."""
+    def command(name, handler, help):
+        """The subparser of name: run by handler(args), kept as args.parser for its usage errors."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(parser=p)
+        p.set_defaults(handler=handler, parser=p)
         return p
 
     def add_common_grid(p):
@@ -130,23 +140,23 @@ def build_parser() -> argparse.ArgumentParser:
             "--ce", type=_number("--ce", allow_zero=True), help="concentration in uM", **ce
         )
 
-    p = command("eps", "doped (or neat) permittivity table over a frequency grid")
+    p = command("eps", _cmd_eps, "doped (or neat) permittivity table over a frequency grid")
     add_doped(p, default=0.0)
     add_common_grid(p)
     p.add_argument("--out")
 
-    p = command("nu0", "zero-crossing resonance of a doped liquid")
+    p = command("nu0", _cmd_nu0, "zero-crossing resonance of a doped liquid")
     add_doped(p, required=True)
     p.add_argument("--bracket", type=_bracket, default=DEFAULT_BRACKET)
     p.add_argument("--tol", type=_number("--tol"), default=DEFAULT_TOL)
     p.add_argument("--out")
 
-    p = command("ce-for-nu0", "concentration that places the crossing at nu0")
+    p = command("ce-for-nu0", _cmd_ce_for_nu0, "concentration that places the crossing at nu0")
     p.add_argument("--liquid", required=True)
     p.add_argument("--nu0", type=_number("--nu0"), required=True)
     p.add_argument("--out")
 
-    p = command("match", "concentration pair matching two liquids' resonances")
+    p = command("match", _cmd_match, "concentration pair matching two liquids' resonances")
     p.add_argument("--liquid-a", required=True)
     p.add_argument("--liquid-b", required=True)
     group = p.add_mutually_exclusive_group(required=True)
@@ -155,14 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket", type=_bracket, default=PROFILE_BRACKET)
     p.add_argument("--out")
 
-    p = command("lineshape", "energy-loss line shape -Im[1/eps] on a grid")
+    p = command("lineshape", _cmd_lineshape, "energy-loss line shape -Im[1/eps] on a grid")
     add_doped(p, required=True)
     p.add_argument("--lorentz", action="store_true", help="Lorentzian approximation instead")
     p.add_argument("--bracket", type=_bracket, default=DEFAULT_BRACKET)
     add_common_grid(p)
     p.add_argument("--out")
 
-    p = command("synth", "synthesize a pump-probe delay trace or 2D map")
+    p = command("synth", _cmd_synth, "synthesize a pump-probe delay trace or 2D map")
     add_doped(p, required=True)
     p.add_argument("--map", action="store_true", help="emit the full 2D map")
     p.add_argument("--dt", type=_number("--dt"), default=0.05, help="probe-time step, ps")
@@ -172,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out")
 
-    p = command("extract", "run the oscillation-extraction pipeline on a map CSV")
+    p = command("extract", _cmd_extract, "run the oscillation-extraction pipeline on a map CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--out-oscillation")
     p.add_argument("--out-spectrum")
@@ -298,7 +308,7 @@ def _cmd_synth(args):
 
 def _cmd_extract(args):
     path = Path(args.input)
-    if not path.exists():
+    if not os.path.exists(path):
         raise DataFileError(f"map file '{args.input}' not found")
     text, sha = _read_text(path, "map")
     result = signal.extract(signal.read_map_csv(io.StringIO(text)))
@@ -314,21 +324,10 @@ def _cmd_extract(args):
     )
 
 
-_COMMANDS = {
-    "eps": _cmd_eps,
-    "nu0": _cmd_nu0,
-    "ce-for-nu0": _cmd_ce_for_nu0,
-    "match": _cmd_match,
-    "lineshape": _cmd_lineshape,
-    "synth": _cmd_synth,
-    "extract": _cmd_extract,
-}
-
-
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.handler(args)
     except ImpostoronError as exc:
         print(str(exc), file=sys.stderr)
         return 3
@@ -339,11 +338,16 @@ def main() -> None:
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early; point it at devnull so that the
-        # interpreter's final flush of the unwritten rest cannot fail again
+    except OSError as exc:
+        # run turns every other OSError into an ImpostoronError, so stdout
+        # failed: the reader closed it early or its device is full. Point it
+        # at devnull so that the interpreter's final flush of the unwritten
+        # rest cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("stdout closed before all output was written", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            print("stdout closed before all output was written", file=sys.stderr)
+        else:
+            print(f"cannot write to stdout: {exc.strerror}", file=sys.stderr)
         code = 3
     sys.exit(code)
 

@@ -199,7 +199,7 @@ def _neat_slope(model: LiquidModel, nu: np.ndarray) -> np.ndarray:
 #   type = debye | table
 # debye:  eps_inf = <float> and zero or more 'term = <delta_eps>, <tau_ps>'
 # table:  'columns = nu_THz, eps_real, eps_imag' followed by CSV data rows.
-# Unknown keys are rejected.
+# Unknown keys are rejected, and so is a second line of any key but 'term'.
 # --------------------------------------------------------------------------
 
 _TABLE_COLUMNS = ("nu_THz", "eps_real", "eps_imag")
@@ -211,8 +211,8 @@ def loads_liquid(text: str, source: str = "<string>") -> LiquidModel:
     kind = None
     eps_inf = None
     terms: list[tuple[float, float]] = []
-    columns_seen = False
     rows: list[tuple[float, float, float]] = []
+    keys: set[str] = set()  # each key but 'term' appears at most once
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -226,6 +226,10 @@ def loads_liquid(text: str, source: str = "<string>") -> LiquidModel:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
+            if key in keys:
+                fail(f"duplicate key '{key}'")
+            if key != "term":
+                keys.add(key)
             if key == "name":
                 if not value:
                     fail("empty name")
@@ -251,12 +255,11 @@ def loads_liquid(text: str, source: str = "<string>") -> LiquidModel:
                 cols = tuple(p.strip() for p in value.split(","))
                 if cols != _TABLE_COLUMNS:
                     fail(f"columns must be '{', '.join(_TABLE_COLUMNS)}'")
-                columns_seen = True
             else:
                 fail(f"unknown key '{key}'")
         else:
             # bare CSV row, only legal in a table section
-            if not columns_seen:
+            if "columns" not in keys:
                 fail(f"unexpected data row '{line}' before a columns declaration")
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 3:
@@ -275,7 +278,7 @@ def loads_liquid(text: str, source: str = "<string>") -> LiquidModel:
         if kind == "debye":
             if eps_inf is None:
                 raise ParseError(f"{source}: debye model requires 'eps_inf'")
-            if columns_seen or rows:
+            if "columns" in keys or rows:
                 raise ParseError(f"{source}: table data not allowed in a debye model")
             return DebyeModel(name=name, eps_inf=eps_inf, terms=tuple(terms))
         if eps_inf is not None or terms:

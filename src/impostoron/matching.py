@@ -117,17 +117,20 @@ def match_frequency(
     clipped to both liquids' validity; profile_residual reports how unequal
     the Lorentzian widths remain (frequency matching does not equalize them):
     B1/eps2_1 - B2/eps2_2 at nu0 itself, both terms from one _profiles pass.
+    That pass runs unchecked: the two ce_for_nu0 calls have run eval_neat
+    and alpha_el at nu0.
     """
     ce1 = ce_for_nu0(liquid1, nu0)
     ce2 = ce_for_nu0(liquid2, nu0)
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
     res1 = find_nu0(DopedLiquid(liquid1, ce1), (lo, hi))
     res2 = find_nu0(DopedLiquid(liquid2, ce2), (lo, hi))
-    t1, t2 = _profiles(liquid1, liquid2, np.array([nu0]))[:, 0].tolist()
+    t1, t2 = _profiles(liquid1, liquid2, np.array([nu0], dtype=float))[:, 0].tolist()
     residual, note = t1 - t2, ""
     if math.isnan(t1) or math.isnan(t2):
-        # with both concentrations found, only a lossless crossing (no finite
-        # width) leaves a term undefined: 0 for a symmetric pair, else undefined
+        # with both concentrations found, only a crossing of no finite width
+        # (zero loss, or so little that B/eps2 overflows) leaves a term
+        # undefined: 0 for a symmetric pair, else undefined
         symmetric = math.isnan(t1) and math.isnan(t2) and res1.slope_B == res2.slope_B
         residual = 0.0 if symmetric else math.nan
         note = "width diagnostic undefined: zero loss at the crossing"
@@ -143,68 +146,38 @@ def match_frequency(
 
 
 def _profiles(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.ndarray:
-    """B/eps2 of both liquids at each frequency of the array nu, shape (2, nu.size).
+    """B/eps2 of both liquids at each frequency of the float array nu, shape (2, nu.size).
 
     Row i is liquid i's profile, NaN where undefined. At each nu the
     concentration is ce_for_nu0's closed form, eps2 the loss at the crossing
     and B = d(eps')/d(nu) in closed form, as in find_nu0. A node is undefined
     where ce_for_nu0 would raise, where eps2 is zero or where
-    |eps_neat + 2|^2 or B leaves the float range. Raises where eval_neat or
-    alpha_el rejects nu, checked in the order eval_neat(liquid1),
-    alpha_el(nu), eval_neat(liquid2).
+    |eps_neat + 2|^2, B or B/eps2 leaves the float range. The formulas alone
+    (_neat, _neat_slope, _alpha): the caller has run eval_neat of both
+    liquids and alpha_el at frequencies on both sides of nu, and their
+    checks hold between two frequencies that pass. Every operation is
+    elementwise, so each row is bit for bit that liquid's pass alone.
     """
-    neat1 = eval_neat(liquid1, nu)
-    alpha = alpha_el(nu)
-    neat = np.stack((neat1, eval_neat(liquid2, nu)))
-    return _profile_of(nu, neat, _slopes(liquid1, liquid2, nu), alpha)
-
-
-def _slopes(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.ndarray:
-    """_neat_slope of both liquids at nu, one row each."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a node undefined
-        return np.stack((_neat_slope(liquid1, nu), _neat_slope(liquid2, nu)))
-
-
-def _profile_of(
-    nu: np.ndarray, neat: np.ndarray, neat_slope: np.ndarray, alpha: np.ndarray
-) -> np.ndarray:
-    """B/eps2 from the neat permittivity, its slope and alpha_el at nu, unchecked.
-
-    neat and neat_slope hold one row per liquid, eval_neat and _neat_slope
-    of that liquid at nu; nu and alpha = alpha_el(nu) broadcast over the
-    rows. Every operation is elementwise, so each row is bit for bit the
-    result of the same call on that row alone. Undefined nodes are NaN, as
-    in _profiles.
-    """
+    neat = np.stack((_neat(liquid1, nu), _neat(liquid2, nu)))
     lf, lf_pole = _local_field(neat)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a node undefined
+    # an overflow, or a division by a zero or undefined eps2, leaves a node undefined
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        neat_slope = np.stack((_neat_slope(liquid1, nu), _neat_slope(liquid2, nu)))
         eps2 = _crossing_loss(neat)[0]
         L = _local_field(1j * eps2)[0]  # the local-field sum of eps = i*eps2
-        slope = _mix_slope(lf, neat_slope, L, nu).real
-    ce = _invert(L, lf, alpha).real
+        profile = _mix_slope(lf, neat_slope, L, nu).real / eps2
+    ce = _invert(L, lf, _alpha(nu)).real
     # eps2 > 0 only where the loss at the crossing is defined and non-zero
-    ok = (eps2 > 0.0) & ~lf_pole & np.isfinite(ce) & (ce >= 0.0) & np.isfinite(slope)
-    return np.where(ok, slope / np.where(ok, eps2, 1.0), np.nan)
+    ok = (eps2 > 0.0) & ~lf_pole & np.isfinite(ce) & (ce >= 0.0) & np.isfinite(profile)
+    return np.where(ok, profile, np.nan)
 
 
-def _g_norm(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """(t1 - t2) normalized by the mean of the two profiles, 0 where that mean is."""
+def _residual(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.ndarray:
+    """(t1 - t2)/mean of the two _profiles rows at nu: 0 where the mean is, NaN where undefined."""
+    t1, t2 = _profiles(liquid1, liquid2, nu)
     mean = 0.5 * (t1 + t2)
     zero = mean == 0.0
     return np.where(zero, 0.0, (t1 - t2) / np.where(zero, 1.0, mean))
-
-
-def _g_round(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.ndarray:
-    """_g_norm of the liquids' profiles on nodes inside a scanned bracket, in one pass.
-
-    The scan's _profiles accepted both ends of the bracket, and the checks
-    of eval_neat and alpha_el hold between two accepted frequencies, so this
-    skips them (_neat, _alpha) and runs _profile_of once on both liquids'
-    rows; undefined nodes are NaN, as in _profiles.
-    """
-    neat = np.stack((_neat(liquid1, nu), _neat(liquid2, nu)))
-    t = _profile_of(nu, neat, _slopes(liquid1, liquid2, nu), _alpha(nu))
-    return _g_norm(t[0], t[1])
 
 
 def match_profiles(
@@ -216,23 +189,29 @@ def match_profiles(
 
     Solves g(nu) = B1/eps2_1 - B2/eps2_2 = 0 over the bracket, where each
     B_i is evaluated at the concentration that puts liquid i's crossing at nu.
-    Convergence is judged on g normalized by the mean of the two terms.
-    One vector evaluation of _profiles on PROFILE_SCAN_POINTS grid nodes,
-    both ends of the bracket included, validates the bracket and brackets
-    the sign changes; nodes where a liquid's profile is undefined are
-    skipped and counted in `skipped_nodes`. When |g| stays below PROFILE_TOL
-    on every defined node the pair is degenerate. Each sign change is
-    bisected to float resolution, and its root is the bisection point of
-    least |g|; each round evaluates the 2**ROUND_LEVELS - 1 nodes of one
-    bisection tree through the unchecked kernels (_g_round), undefined
-    nodes NaN as in the scan. The scan and every round evaluate both
-    liquids in one array pass of _profile_of, one row per liquid. Each B_i
-    is d(eps_i')/d(nu) in closed form, as in find_nu0. The lowest root nu*
-    is then match_frequency's solution at nu*, marked profile-matched.
+    Convergence is judged on g normalized by the mean of the two terms
+    (_residual). The bracket is checked once, at its two ends, by
+    eval_neat(liquid1), alpha_el and eval_neat(liquid2) in that order; each
+    of their checks is a range check that holds between two frequencies
+    that pass it. One vector evaluation of _residual on PROFILE_SCAN_POINTS
+    grid nodes, both ends included, then brackets the sign changes; nodes
+    where a liquid's profile is undefined are skipped and counted in
+    `skipped_nodes`. When |g| stays below PROFILE_TOL on every defined node
+    the pair is degenerate. Each sign change is bisected to float
+    resolution, and its root is the bisection point of least |g|; each
+    round evaluates the 2**ROUND_LEVELS - 1 nodes of one bisection tree
+    through the same _residual. The scan and every round evaluate both
+    liquids in one array pass of _profiles, one row per liquid. Each B_i is
+    d(eps_i')/d(nu) in closed form, as in find_nu0. The lowest root nu* is
+    then match_frequency's solution at nu*, marked profile-matched.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
+    ends = np.array([lo, hi])
+    eval_neat(liquid1, ends)
+    alpha_el(ends)
+    eval_neat(liquid2, ends)
     grid = np.linspace(lo, hi, PROFILE_SCAN_POINTS)  # holds lo and hi themselves
-    vals = _g_norm(*_profiles(liquid1, liquid2, grid))
+    vals = _residual(liquid1, liquid2, grid)
 
     finite = np.isfinite(vals)
     skipped = int(np.count_nonzero(~finite))
@@ -258,7 +237,7 @@ def match_profiles(
             roots.append(float(grid[i]))
             continue
         _, _, best = _refine_root(
-            lambda nu: _g_round(liquid1, liquid2, nu),
+            lambda nu: _residual(liquid1, liquid2, nu),
             float(grid[i]), float(grid[i + 1]), float(vals[i]), 0.0,
         )
         roots.append(best)

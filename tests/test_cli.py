@@ -354,6 +354,43 @@ def test_closed_stdout_exits_3_without_traceback(argv, lines_read):
     assert stderr == "stdout closed before all output was written\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        (["--out", "/dev/full"], "cannot write output file '/dev/full': No space left on device\n"),
+        ([], "cannot write to stdout: No space left on device\n"),
+    ],
+    ids=["out-file", "stdout"],
+)
+def test_full_device_exits_3_with_one_line(out, message):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "impostoron", "nu0", "--liquid", "water.liq", "--ce", "40", *out],
+            env=env,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    assert (proc.returncode, proc.stderr) == (3, message)
+
+
+@pytest.mark.parametrize("name", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_file_exits_3(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(["nu0", "--liquid", "water.liq", "--ce", "40", "--out", name]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write output file '{name}': ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["nu0", "--ce", "40", "--liquid"], ["extract", "--input"]])
+def test_overlong_file_name_exits_3(capsys, argv):
+    assert run([*argv, "x" * 5000]) == 3
+    assert "not found" in capsys.readouterr().err
+
+
 class TestMatchCommand:
     def test_frequency_match(self, capsys):
         assert run(

@@ -125,7 +125,8 @@ def invocation(draw, command):
         return name
 
     def out(flag="--out"):
-        return draw(st.sampled_from([None, flag[2:] + ".csv"]))
+        name = flag[2:] + ".csv"
+        return draw(st.sampled_from([None, name, f"missing/{name}"]))
 
     ce = option("--ce", mostly(st.floats(5.0, 200.0).map(repr), number(0.0, 1e300)))
     argv, outs, map_csv = [command], {}, None

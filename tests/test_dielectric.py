@@ -328,6 +328,10 @@ class TestParser:
                 "name = x\ntype = table\ncolumns = nu_THz, eps_real, eps_imag\n0.2, 1, 0",
                 "at least two data rows",
             ),
+            (GOOD_DEBYE + "name = y\n", ":8: duplicate key 'name'"),
+            (GOOD_TABLE.replace("type = table", "type = table\ntype = debye"), "duplicate key 'type'"),
+            (GOOD_DEBYE + "eps_inf = 3\n", "duplicate key 'eps_inf'"),
+            (GOOD_TABLE + "columns = nu_THz, eps_real, eps_imag\n", "duplicate key 'columns'"),
         ],
     )
     def test_rejects_malformed(self, text, msg):

@@ -1,13 +1,14 @@
 """The refinement rounds of the root searches against the checked path.
 
-find_nu0 and match_profiles validate their bracket once, on the scan, and
-then evaluate each round of bisection nodes through unchecked kernels
-(polaron._eps_real, matching._g_round). Those must give bit for bit what
+find_nu0 validates its bracket on the scan, match_profiles at the bracket's
+two ends; both then evaluate nodes through unchecked kernels
+(polaron._eps_real, matching._profiles). Those must give bit for bit what
 the checked functions give on the same nodes, the roots must not depend on
 how many bisection levels one round resolves, and the searches must still
-raise the errors and messages of the checked path. match_profiles runs both
-liquids in one array pass; each of its rows must be bit for bit the pass of
-that liquid alone.
+raise the errors and messages of the checked path: match_profiles those
+that eval_neat(liquid1), alpha_el and eval_neat(liquid2) raise on its scan
+grid. _profiles runs both liquids in one array pass; each of its rows must
+be bit for bit the pass of that liquid alone.
 """
 
 import re
@@ -18,10 +19,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_scalar_oracle import BASE_PAIRS, twin
 
-from impostoron import polaron
-from impostoron.dielectric import DebyeModel, TabulatedModel, _neat_slope, eval_neat, validity_range
-from impostoron.errors import DomainError, ImpostoronError, RangeError, SingularityError
-from impostoron.matching import _g_norm, _g_round, _profile_of, _profiles, match_profiles
+from impostoron import matching, polaron
+from impostoron.dielectric import DebyeModel, TabulatedModel, eval_neat, validity_range
+from impostoron.errors import (
+    DomainError,
+    ImpostoronError,
+    NoProfileMatchError,
+    RangeError,
+    SingularityError,
+)
+from impostoron.matching import (
+    PROFILE_SCAN_POINTS,
+    _profiles,
+    _shared_bracket,
+    match_frequency,
+    match_profiles,
+)
 from impostoron.mixing import Concentration, DopedLiquid, alpha_el
 from impostoron.polaron import _bisection_tree, _eps_real, eps_doped, find_nu0
 
@@ -34,21 +47,20 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-def profile(liquid, nu):
-    """The checked profile pass of one liquid alone: _profile_of on a single row."""
-    neat, alpha = eval_neat(liquid, nu), alpha_el(nu)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = _neat_slope(liquid, nu)
-    return _profile_of(nu, neat, slope, alpha)
+def checked_profiles(liquid1, liquid2, nu):
+    """_profiles with its unchecked formulas swapped for eval_neat and alpha_el."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matching, "_neat", eval_neat)
+        patch.setattr(matching, "_alpha", alpha_el)
+        return _profiles(liquid1, liquid2, nu)
 
 
 def assert_pair_kernels(liquid1, liquid2, nu):
-    """The scan's pair pass and a round give bit for bit the single-liquid passes."""
-    t1, t2 = profile(liquid1, nu), profile(liquid2, nu)
+    """The pair pass is bit for bit the checked pass, and each row the pass of its liquid alone."""
     pair = _profiles(liquid1, liquid2, nu)
-    np.testing.assert_array_equal(bits(pair[0]), bits(t1))
-    np.testing.assert_array_equal(bits(pair[1]), bits(t2))
-    np.testing.assert_array_equal(bits(_g_round(liquid1, liquid2, nu)), bits(_g_norm(t1, t2)))
+    np.testing.assert_array_equal(bits(pair), bits(checked_profiles(liquid1, liquid2, nu)))
+    np.testing.assert_array_equal(bits(pair[0]), bits(_profiles(liquid1, liquid1, nu)[0]))
+    np.testing.assert_array_equal(bits(pair[1]), bits(_profiles(liquid2, liquid2, nu)[1]))
 
 
 def outcome(f, *args):
@@ -228,6 +240,52 @@ def test_match_profiles_scan_names_liquid_2_overflow():
     strong = DebyeModel("y", 2.2, ((1e300, 1.0),))
     with pytest.raises(DomainError, match=re.escape("frequency 1e+10 THz overflows 'y'")):
         match_profiles(DebyeModel("free", 2.2), strong, (0.2, 1e10))
+
+
+@st.composite
+def strong_debye_models(draw):
+    terms = draw(
+        st.lists(st.tuples(st.floats(0.05, 1e300), st.floats(0.01, 20.0)), max_size=3)
+    )
+    return DebyeModel("s", draw(st.floats(1.0, 6.0)), tuple(terms))
+
+
+@st.composite
+def wide_brackets(draw):
+    """[10**u, 10**(u + v)] for u in [-200, 200] and v in (0, 200]."""
+    lo = 10.0 ** draw(st.floats(-200.0, 200.0))
+    return lo, lo * 10.0 ** draw(st.floats(0.0, 200.0, exclude_min=True))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_match_profiles_raises_what_its_scan_grid_raises(liquids, data):
+    # the ends check stands for the checks on every grid node: each is a
+    # range check, and the grid's least and greatest nodes are its ends
+    models = st.one_of(strong_debye_models(), table_models(liquids))
+    liquid1, liquid2 = data.draw(models), data.draw(models)
+    bracket = data.draw(wide_brackets())
+
+    def grid_checks():
+        grid = np.linspace(*_shared_bracket(liquid1, liquid2, bracket), PROFILE_SCAN_POINTS)
+        eval_neat(liquid1, grid)
+        alpha_el(grid)
+        eval_neat(liquid2, grid)
+
+    want = outcome(grid_checks)
+    if want is not None:
+        assert outcome(match_profiles, liquid1, liquid2, bracket) == want
+
+
+def test_an_overflowing_width_leaves_the_node_undefined():
+    # a loss of 1e-310 leaves eps2 at the crossing so small that B/eps2
+    # overflows above 1 THz: those nodes are undefined, and nothing warns
+    tiny = TabulatedModel("tiny", np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.0, 1 + 1e-310j]))
+    assert np.isnan(_profiles(tiny, tiny, np.array([1.2, 1.5, 2.0]))).all()
+    with pytest.raises(NoProfileMatchError):
+        match_profiles(DebyeModel("free", 1.0), tiny, (1.0, 10.0))
+    sol = match_frequency(tiny, tiny, 1.5, (0.5, 2.0))
+    assert (sol.profile_residual, sol.note) == (0.0, "width diagnostic undefined: zero loss at the crossing")
 
 
 def test_find_nu0_bracket_leaving_the_table(liquids):
