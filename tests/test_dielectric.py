@@ -329,7 +329,7 @@ class TestParser:
                 "at least two data rows",
             ),
             (GOOD_DEBYE + "name = y\n", ":8: duplicate key 'name'"),
-            (GOOD_TABLE.replace("type = table", "type = table\ntype = debye"), "duplicate key 'type'"),
+            ("name = x\ntype = table\ntype = debye\neps_inf = 2", ":3: duplicate key 'type'"),
             (GOOD_DEBYE + "eps_inf = 3\n", "duplicate key 'eps_inf'"),
             (GOOD_TABLE + "columns = nu_THz, eps_real, eps_imag\n", "duplicate key 'columns'"),
         ],
