@@ -230,6 +230,9 @@ def match_profiles(
             skipped_nodes=skipped,
         )
 
+    def undefined(nu):
+        raise DomainError(f"root search met an undefined point at nu = {nu!r} THz")
+
     roots = []
     sign_change = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
     for i in np.flatnonzero(finite[:-1] & finite[1:] & sign_change):
@@ -238,7 +241,7 @@ def match_profiles(
             continue
         _, _, best = _refine_root(
             lambda nu: _residual(liquid1, liquid2, nu),
-            float(grid[i]), float(grid[i + 1]), float(vals[i]), 0.0,
+            float(grid[i]), float(grid[i + 1]), float(vals[i]), 0.0, undefined,
         )
         roots.append(best)
 

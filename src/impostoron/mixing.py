@@ -138,29 +138,6 @@ def _invert(lf_eps, lf_neat, alpha):
     return 3.0 * (lf_eps - lf_neat) / (CONSTANTS.avogadro * alpha)
 
 
-def _cm(neat, ce: Concentration, nu: np.ndarray, alpha) -> np.ndarray:
-    """cm_mix on a float array nu of at least one dimension, as an array.
-
-    alpha maps nu to alpha_el(nu): alpha_el itself, or _alpha on nodes
-    inside a bracket whose ends alpha_el has accepted.
-    """
-    try:
-        with np.errstate(over="raise"):
-            out, divergent = _mix(_checked_local_field(neat), ce.mol_per_m3, alpha(nu))
-    except FloatingPointError:
-        # |alpha_el| is largest at the lowest frequency
-        raise DomainError(
-            f"electron term overflows at nu = {np.min(nu):g} THz, ce = {ce.micromolar:g} uM"
-        ) from None
-    if np.any(divergent):
-        nu_arr = np.broadcast_to(np.asarray(nu, dtype=float), divergent.shape)
-        nu_bad = float(nu_arr[divergent][0])
-        raise SingularityError(
-            f"Clausius-Mossotti divergence at nu = {nu_bad:g} THz, ce = {ce.micromolar:g} uM"
-        )
-    return out
-
-
 def _check_operands(nu, *permittivities) -> None:
     """DomainError unless each permittivity is finite and all broadcast with nu."""
     if not all(np.isfinite(eps).all() for eps in permittivities):
@@ -175,14 +152,29 @@ def _check_operands(nu, *permittivities) -> None:
 def cm_mix(neat, ce: Concentration, nu):
     """Doped permittivity from the neat value(s) and concentration at nu (THz).
 
-    Raises SingularityError when the mixing relation itself diverges, i.e.
-    the combined local-field sum approaches 1, and DomainError for bad
-    operands (_check_operands) or when ce*N_A*alpha_el(nu) overflows.
+    Raises SingularityError on the neat local-field pole and where the mixing
+    relation diverges (the combined local-field sum approaches 1), and
+    DomainError for bad operands (_check_operands) or when
+    ce*N_A*alpha_el(nu) overflows.
     """
     _check_operands(nu, neat)
     # alpha_el of an array: for a scalar nu it would return a Python complex,
     # whose division by 3 rounds otherwise than numpy's
-    out = _cm(neat, ce, np.atleast_1d(nu), alpha_el)
+    arr = np.atleast_1d(nu)
+    try:
+        with np.errstate(over="raise"):
+            out, divergent = _mix(_checked_local_field(neat), ce.mol_per_m3, alpha_el(arr))
+    except FloatingPointError:
+        # |alpha_el| is largest at the lowest frequency
+        raise DomainError(
+            f"electron term overflows at nu = {np.min(arr):g} THz, ce = {ce.micromolar:g} uM"
+        ) from None
+    if np.any(divergent):
+        nu_arr = np.broadcast_to(np.asarray(arr, dtype=float), divergent.shape)
+        nu_bad = float(nu_arr[divergent][0])
+        raise SingularityError(
+            f"Clausius-Mossotti divergence at nu = {nu_bad:g} THz, ce = {ce.micromolar:g} uM"
+        )
     return out.item() if np.ndim(neat) == np.ndim(nu) == 0 else out
 
 

@@ -20,7 +20,7 @@ from .errors import (
     NoResonanceError,
     SingularityError,
 )
-from .mixing import Concentration, DopedLiquid, _alpha, _cm, _local_field, _mix_slope, cm_mix
+from .mixing import Concentration, DopedLiquid, _alpha, _local_field, _mix, _mix_slope, cm_mix
 
 #: Number of pre-scan points used to bracket sign changes of eps'.
 SCAN_POINTS = 400
@@ -70,13 +70,15 @@ def eps_doped(doped: DopedLiquid, nu):
 def _eps_real(doped: DopedLiquid, nu: np.ndarray) -> np.ndarray:
     """eps_doped(doped, nu).real on nodes inside a bracket whose ends it accepted.
 
-    Skips the checks that hold between two accepted frequencies (the
-    frequency range, eval_neat's overflow guard, the table range and
-    alpha_el's float range) and keeps the per-node ones: a node on the
-    local-field pole or the Clausius-Mossotti divergence raises
-    SingularityError, an overflow DomainError, as eps_doped does.
+    The formulas alone (_neat, _alpha, _mix), skipping the checks that hold
+    between two accepted frequencies, and like matching._profiles NaN where
+    eps_doped would raise at that node alone: on the local-field pole, on the
+    Clausius-Mossotti divergence and where the electron term overflows.
     """
-    return _cm(_neat(doped.liquid, nu), doped.ce, nu, _alpha).real
+    lf, pole = _local_field(_neat(doped.liquid, nu))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing node is undefined
+        eps, divergent = _mix(lf, doped.ce.mol_per_m3, _alpha(nu))
+    return np.where(pole | divergent | ~np.isfinite(eps), math.nan, eps.real)
 
 
 def _bisection_tree(a: float, b: float) -> np.ndarray:
@@ -95,7 +97,9 @@ def _bisection_tree(a: float, b: float) -> np.ndarray:
     return nodes
 
 
-def _refine_root(f, a: float, b: float, fa: float, tol: float) -> tuple[float, float, float]:
+def _refine_root(
+    f, a: float, b: float, fa: float, tol: float, undefined
+) -> tuple[float, float, float]:
     """Bisect [a, b] for a sign change of f, ROUND_LEVELS steps per call of f.
 
     f maps an array of points to an array of values, NaN where f is
@@ -105,10 +109,11 @@ def _refine_root(f, a: float, b: float, fa: float, tol: float) -> tuple[float, f
     Every node lies inside [a, b], so f may skip the checks that the
     caller's scan has passed at the bracket's ends. A step moves a up to mid
     when f(mid) has the sign of f(a) (negative or not), b down to mid
-    otherwise. Bisection stops when b - a <= tol, when mid rounds onto an
-    end of the bracket, when f(mid) == 0 (the bracket collapses onto mid)
-    or after MAX_BISECTIONS steps. Returns the final bracket and the point of
-    least |f| seen, a included.
+    otherwise, and undefined(mid) raises the caller's error where f(mid) is
+    NaN: a NaN node off the path stops nothing. Bisection stops when
+    b - a <= tol, when mid rounds onto an end of the bracket, when f(mid) == 0
+    (the bracket collapses onto mid) or after MAX_BISECTIONS steps. Returns
+    the final bracket and the point of least |f| seen, a included.
     """
     best_abs, best = abs(fa), a
     steps = 0
@@ -123,9 +128,7 @@ def _refine_root(f, a: float, b: float, fa: float, tol: float) -> tuple[float, f
                 return a, b, best
             fm = float(values[k - 1])
             if math.isnan(fm):
-                raise DomainError(
-                    f"root search met an undefined point at nu = {mid!r} THz"
-                )
+                undefined(mid)
             steps += 1
             if abs(fm) < best_abs:
                 best_abs, best = abs(fm), mid
@@ -149,10 +152,11 @@ def find_nu0(
     goes through eps_doped and so validates the whole bracket. Each sign
     change is bisected until its bracket is at most tol (THz) wide, and its
     midpoint is the crossing; each round evaluates the 2**ROUND_LEVELS - 1
-    nodes of one bisection tree through the unchecked kernels (_eps_real).
-    The lowest crossing is returned, any further ones are listed in
-    `alternatives`. slope_B is d(eps')/d(nu) at nu0 in closed form
-    (mixing._mix_slope).
+    nodes of one bisection tree through the unchecked kernel (_eps_real); an
+    undefined node stops the search, with eps_doped's error there, only where
+    the bisection reaches it. The lowest crossing is returned, any further
+    ones are listed in `alternatives`. slope_B is d(eps')/d(nu) at nu0 in
+    closed form (mixing._mix_slope).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
@@ -165,7 +169,8 @@ def find_nu0(
     roots = []
     for i in np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0)):
         a, b, _ = _refine_root(
-            lambda nu: _eps_real(doped, nu), float(grid[i]), float(grid[i + 1]), float(f[i]), tol
+            lambda nu: _eps_real(doped, nu), float(grid[i]), float(grid[i + 1]), float(f[i]), tol,
+            lambda mid: eps_doped(doped, mid),
         )
         roots.append(0.5 * (a + b))
 
@@ -253,13 +258,14 @@ def lorentz_lineshape(resonance: PolaronResonance, frequencies) -> Spectrum:
     """Lorentzian approximation of the line shape around the zero crossing.
 
     (1/eps2) / (1 + (B*(nu - nu0)/eps2)^2) with eps2 = eps''(nu0). Zero loss
-    at the crossing means a delta-like line and is rejected.
+    at the crossing means a delta-like line and is rejected, and so is a loss
+    whose peak height 1/eps2 overflows. A detuning whose square overflows
+    gives the line's exact limit there, 0.
     """
     eps2 = resonance.eps_imag_at_nu0
-    if eps2 <= 0:
-        raise DegenerateLineshapeError(
-            "line shape degenerates to a delta: eps''(nu0) = 0"
-        )
+    if not (eps2 > 0 and math.isfinite(1.0 / eps2)):
+        raise DegenerateLineshapeError(f"line shape degenerates to a delta: eps''(nu0) = {eps2:g}")
     freqs = np.asarray(frequencies, dtype=float)
-    det = resonance.slope_B * (freqs - resonance.nu0) / eps2
-    return Spectrum(frequencies=freqs, values=(1.0 / eps2) / (1.0 + det * det))
+    with np.errstate(over="ignore"):
+        det = resonance.slope_B * (freqs - resonance.nu0) / eps2
+        return Spectrum(frequencies=freqs, values=(1.0 / eps2) / (1.0 + det * det))

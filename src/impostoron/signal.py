@@ -29,6 +29,7 @@ from .errors import (
     EdgePeakError,
     GridError,
     NoSignalError,
+    PeakError,
     StepFitError,
     UnboundedWidthError,
 )
@@ -211,17 +212,25 @@ def add_noise(obj, snr_db: float, seed: int) -> "TimeTrace | FieldMap2D":
         raise DomainError(f"noise seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     values = obj.values
-    rms = float(np.sqrt(np.mean(values**2)))
-    if rms == 0:
-        raise DomainError("cannot set an SNR for an all-zero signal")
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(values**2)))
+    if not 0 < rms < math.inf:  # the squares under- or overflow: scale the values to 1
+        peak = float(np.max(np.abs(values)))
+        if peak == 0:
+            raise DomainError("cannot set an SNR for an all-zero signal")
+        rms = peak * float(np.sqrt(np.mean((values / peak) ** 2)))
     try:
         sigma = rms * 10.0 ** (-snr_db / 20.0)
     except OverflowError:
         sigma = math.inf
     if not math.isfinite(sigma):
         raise DomainError(f"SNR {snr_db:g} dB is out of range: its noise level is not finite")
-    noisy = values + rng.normal(0.0, sigma, size=values.shape)
-    return replace(obj, values=noisy)
+    with np.errstate(over="ignore"):
+        noisy = values + rng.normal(0.0, sigma, size=values.shape)
+    try:
+        return replace(obj, values=noisy)
+    except DomainError:  # obj's own check: noisy values past the float range
+        raise DomainError(f"signal plus noise leaves the float range, noise {sigma:g}") from None
 
 
 # --------------------------------------------------------------------------
@@ -456,9 +465,15 @@ def spectrum_of(trace: TimeTrace, onset: float = 0.0) -> Spectrum:
             "its bin frequencies exceed the float range"
         )
     w = np.hanning(n)
-    spec = np.fft.rfft(x * w)
+    # values near the float maximum overflow the FFT sums or their moduli
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.abs(np.fft.rfft(x * w))
+    if not np.isfinite(amps).all():
+        raise DomainError(
+            f"trace values up to {np.max(np.abs(x)):g} overflow the spectrum's Fourier sums"
+        )
     freqs = np.fft.rfftfreq(n, d=dt)
-    amps = np.abs(spec) * (2.0 / np.sum(w))
+    amps *= 2.0 / np.sum(w)
     amps[0] *= 0.5
     if n % 2 == 0:
         amps[-1] *= 0.5
@@ -469,7 +484,8 @@ def peak_report(spectrum: Spectrum) -> PeakReport:
     """Parabolic peak location plus the linearly interpolated full width.
 
     The spectrum must have an interior maximum and a half-maximum crossing on
-    each side of it within the band.
+    each side of it within the band. Values near the float maximum overflow
+    the parabola's coefficients or the interpolation: PeakError.
     """
     freqs = spectrum.frequencies
     vals = spectrum.values
@@ -479,25 +495,12 @@ def peak_report(spectrum: Spectrum) -> PeakReport:
             f"spectrum maximum at the band edge ({freqs[i]:g} THz): no interior peak"
         )
 
-    x3 = freqs[i - 1 : i + 2]
-    y3 = vals[i - 1 : i + 2]
-    c2, c1, c0 = np.polyfit(x3 - freqs[i], y3, 2)
-    if c2 < 0:
-        off = -c1 / (2.0 * c2)
-        # keep the vertex inside the 3-point stencil
-        off = float(np.clip(off, x3[0] - freqs[i], x3[2] - freqs[i]))
-        peak_freq = float(freqs[i] + off)
-        amplitude = float(c2 * off**2 + c1 * off + c0)
-    else:
-        peak_freq = float(freqs[i])
-        amplitude = float(vals[i])
-
-    half = amplitude / 2.0
-
     def crossing(step: int) -> float:
         j = i
         while 0 <= j + step < vals.size:
             k = j + step
+            if vals[k] == vals[j] <= half:  # only at j = i: a peak sample not above half
+                break
             if vals[k] <= half:
                 # linear interpolation between j and k
                 f = (vals[j] - half) / (vals[j] - vals[k])
@@ -507,9 +510,31 @@ def peak_report(spectrum: Spectrum) -> PeakReport:
             f"no half-maximum crossing {'above' if step > 0 else 'below'} the peak inside the band"
         )
 
-    left = crossing(-1)
-    right = crossing(+1)
-    return PeakReport(peak_frequency=peak_freq, fwhm=right - left, amplitude=amplitude)
+    # an operation that would warn raises instead: the inputs are finite, so
+    # only values near the float maximum overflow the fit or the widths
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            x3 = freqs[i - 1 : i + 2]
+            y3 = vals[i - 1 : i + 2]
+            c2, c1, c0 = np.polyfit(x3 - freqs[i], y3, 2)
+            if c2 < 0:
+                off = -c1 / (2.0 * c2)
+                # keep the vertex inside the 3-point stencil
+                off = float(np.clip(off, x3[0] - freqs[i], x3[2] - freqs[i]))
+                peak_freq = float(freqs[i] + off)
+                amplitude = float(c2 * off**2 + c1 * off + c0)
+            else:
+                peak_freq = float(freqs[i])
+                amplitude = float(vals[i])
+
+            half = amplitude / 2.0
+            left = crossing(-1)
+            fwhm = crossing(+1) - left
+    except (FloatingPointError, OverflowError):
+        raise PeakError(
+            f"peak fit leaves the float range: spectrum values reach {np.max(np.abs(vals)):g}"
+        ) from None
+    return PeakReport(peak_frequency=peak_freq, fwhm=fwhm, amplitude=amplitude)
 
 
 @dataclass(frozen=True)

@@ -448,6 +448,27 @@ class TestLineshapeCommand:
         i = int(np.argmax(e[:, 1]))
         assert abs(e[i, 1] - l[:, 1].max()) / e[:, 1].max() < 0.05
 
+    def test_lorentz_of_a_height_past_the_float_range_exits_3(self, tmp_path):
+        # eps''(nu0) = 2.77e-311, so 1/eps'' overflows; a process of its own
+        # with the CI's warning setting, so a numpy warning would reach stderr
+        (tmp_path / "tiny.liq").write_text(
+            "name = tiny\ntype = table\ncolumns = nu_THz, eps_real, eps_imag\n"
+            "0.05, 1.8, 1e-310\n3.5, 1.8, 1e-310\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "impostoron", "lineshape", "--liquid", "tiny.liq",
+             "--ce", "40", "--lorentz"],
+            cwd=tmp_path,
+            env=dict(
+                os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error::RuntimeWarning"
+            ),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "line shape degenerates to a delta: eps''(nu0) = 2.77008e-311\n"
+
 
 class TestSynthAndExtract:
     def test_trace_deterministic_per_seed(self, tmp_path):

@@ -252,8 +252,26 @@ class TestLorentzLineshape:
         res = PolaronResonance(
             nu0=0.7, eps_imag_at_nu0=0.0, slope_B=3.0, ce=CE25, alternatives=()
         )
-        with pytest.raises(DegenerateLineshapeError, match="delta"):
+        with pytest.raises(DegenerateLineshapeError, match=r"delta: eps''\(nu0\) = 0$"):
             lorentz_lineshape(res, np.linspace(0.6, 0.8, 11))
+
+    def test_height_past_the_float_range_rejected(self):
+        # a loss of 1e-310 leaves eps''(nu0) = 2.77e-311, whose inverse overflows
+        tiny = TabulatedModel("tiny", np.array([0.05, 3.5]), np.full(2, 1.8 + 1e-310j))
+        res = find_nu0(DopedLiquid(tiny, Concentration.from_micromolar(40.0)))
+        assert 0 < res.eps_imag_at_nu0 < 1e-308
+        message = r"degenerates to a delta: eps''\(nu0\) = 2\.77008e-311"
+        with pytest.raises(DegenerateLineshapeError, match=message):
+            lorentz_lineshape(res, np.linspace(0.1, 3.0, 11))
+
+    def test_overflowing_detuning_gives_the_exact_limit_zero(self):
+        # B*(nu - nu0)/eps'' overflows off nu0, where the line is 0 to the last bit
+        res = PolaronResonance(nu0=1.0, eps_imag_at_nu0=1e-300, slope_B=1e10, ce=CE25)
+        lor = lorentz_lineshape(res, np.array([0.5, 1.0, 1.5]))
+        assert lor.values.tolist() == [0.0, 1.0 / 1e-300, 0.0]
+        # a detuning that stays finite but whose square overflows, too
+        res = PolaronResonance(nu0=1.0, eps_imag_at_nu0=1e-100, slope_B=1e100, ce=CE25)
+        assert lorentz_lineshape(res, np.array([1.0, 2.0])).values.tolist() == [1e100, 0.0]
 
 
 def test_vacuum_host_crossing_is_local_field_shifted_plasma_point():

@@ -2,13 +2,17 @@
 
 find_nu0 validates its bracket on the scan, match_profiles at the bracket's
 two ends; both then evaluate nodes through unchecked kernels
-(polaron._eps_real, matching._profiles). Those must give bit for bit what
-the checked functions give on the same nodes, the roots must not depend on
-how many bisection levels one round resolves, and the searches must still
-raise the errors and messages of the checked path: match_profiles those
-that eval_neat(liquid1), alpha_el and eval_neat(liquid2) raise on its scan
-grid. _profiles runs both liquids in one array pass; each of its rows must
-be bit for bit the pass of that liquid alone.
+(polaron._eps_real, matching._profiles). Each kernel is NaN exactly where
+the checked path raises at that node alone and gives bit for bit what the
+checked path gives elsewhere. The roots must not depend on how many
+bisection levels one round resolves, and the searches must still raise the
+errors and messages of the checked path: match_profiles those that
+eval_neat(liquid1), alpha_el and eval_neat(liquid2) raise on its scan grid,
+find_nu0 the one that eps_doped raises at an undefined node the bisection
+reaches, as one-point-per-step bisection does (scalar_oracle). An undefined
+node off the bisection path stops nothing. _profiles runs both liquids in
+one array pass; each of its rows must be bit for bit the pass of that
+liquid alone.
 """
 
 import re
@@ -17,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracle import find_nu0_roots
 from test_scalar_oracle import BASE_PAIRS, twin
 
 from impostoron import matching, polaron
@@ -36,7 +41,7 @@ from impostoron.matching import (
     match_profiles,
 )
 from impostoron.mixing import Concentration, DopedLiquid, alpha_el
-from impostoron.polaron import _bisection_tree, _eps_real, eps_doped, find_nu0
+from impostoron.polaron import DEFAULT_TOL, _bisection_tree, _eps_real, eps_doped, find_nu0
 
 #: the round depth the package uses, and the one it used before
 DEPTHS = (5, polaron.ROUND_LEVELS)
@@ -106,17 +111,43 @@ def liquid_models(liquids):
     return st.one_of(debye_models(), table_models(liquids))
 
 
+@st.composite
+def singular_tables(draw):
+    """Tables with -2 or a value of 3.0001e12 or more at some knots.
+
+    eps_doped raises at such a knot alone: the local-field pole at -2, and at
+    a concentration of 0 the Clausius-Mossotti divergence, where
+    1 - L = 3/(eps + 2) falls below 1e-12.
+    """
+    freqs = np.union1d([0.5, 1.0], draw(st.lists(st.floats(0.02, 5.0), max_size=4)))
+    n = freqs.size
+    value = st.one_of(st.floats(-6.0, 12.0), st.just(-2.0), st.floats(3.0001e12, 1e300))
+    re = draw(st.lists(value, min_size=n, max_size=n))
+    return TabulatedModel("s", freqs, np.array(re) + 0j)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(data=st.data(), ce_um=st.floats(0.0, 400.0))
-def test_find_nu0_round_is_eps_doped(liquids, data, ce_um):
-    doped = DopedLiquid(data.draw(liquid_models(liquids)), Concentration.from_micromolar(ce_um))
-    nu = data.draw(nodes_for(doped.liquid))
-    want = outcome(lambda: eps_doped(doped, nu).real)
-    got = outcome(_eps_real, doped, nu)
-    if isinstance(want, tuple):
-        assert got == want
+@given(data=st.data())
+def test_find_nu0_round_is_eps_doped(liquids, data):
+    # node by node: NaN exactly where eps_doped raises at that node alone,
+    # and bit for bit eps_doped's value elsewhere
+    model = data.draw(st.one_of(debye_models(), table_models(liquids), singular_tables()))
+    nodes = [data.draw(nodes_for(model))]
+    if isinstance(model, TabulatedModel):
+        nodes.append(model.frequencies)  # the knots, where a singular table is singular
     else:
-        np.testing.assert_array_equal(bits(got), bits(want))
+        # |alpha_el| grows as 1/nu**2: near 0 THz a large ce*N_A*alpha_el overflows
+        nodes.append(10.0 ** np.array(data.draw(st.lists(st.floats(-150.0, 0.0), max_size=5))))
+    ce = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4), st.floats(0.0, 1e280)))
+    doped = DopedLiquid(model, Concentration(ce))
+    nu = np.concatenate(nodes)
+    got = _eps_real(doped, nu)
+    for node, value in zip(nu, got):
+        want = outcome(lambda: eps_doped(doped, np.array([node])).real)
+        if isinstance(want, tuple):
+            assert np.isnan(value), (node, want)
+        else:
+            np.testing.assert_array_equal(bits([value]), bits(want))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -191,6 +222,11 @@ def solve_all(liquids):
             doped = DopedLiquid(model, Concentration.from_micromolar(ce))
             for tol in (1e-6, 1e-9, 1e-300):
                 out.append(repr(outcome(find_nu0, doped, (0.1, 3.0), tol)))
+    # tables with an undefined node off the bisection path
+    for level, value, toward_b in ((2, -2.0, False), (6, -2.0, False), (2, 3.0001e12, True)):
+        for ce in (0.0, 1e-6):
+            doped = DopedLiquid(knot_table(level, value, toward_b)[0], Concentration(ce))
+            out.append(repr(outcome(find_nu0, doped, (1.0, 2.0))))
     for pair in match_pairs(liquids):
         for bracket in ((0.2, 2.0), (0.2, 3.0)):
             out.append(repr(outcome(match_profiles, *pair, bracket)))
@@ -287,25 +323,27 @@ def test_find_nu0_bracket_leaving_the_table(liquids):
         find_nu0(doped, (0.01, 3.0))
 
 
-def knot_table(level, value):
+def knot_table(level, value, toward_b=False):
     """Table whose only rising crossing lies in one scan cell [a, b] of find_nu0 on (1, 2).
 
     eps' is -3 up to a, 1 from b on, and value at the node that bisecting
-    [a, b] toward a reaches on the given level: a + (b - a)/2**level, formed
-    as the bisection tree forms it. Returns the table and that node.
+    [a, b] toward a (toward b if toward_b) reaches on the given level:
+    a + (b - a)/2**level (b - (b - a)/2**level), formed as the bisection
+    tree forms it. Returns the table and that node.
     """
     grid = np.linspace(1.0, 2.0, polaron.SCAN_POINTS)
     a, b = float(grid[100]), float(grid[101])
-    node = b
+    node = a if toward_b else b
     for _ in range(level):
-        node = 0.5 * (a + node)
+        node = 0.5 * (node + b) if toward_b else 0.5 * (a + node)
     freqs = np.array([1.0, a, node, b, 2.0])
     values = np.array([-3.0, -3.0, value, 1.0, 1.0]) + 0j
     return TabulatedModel("knot", freqs, values), node
 
 
 def test_find_nu0_on_the_local_field_pole():
-    model, _ = knot_table(2, -2.0)
+    # the pole is the first bisection midpoint, which every walk reaches
+    model, _ = knot_table(1, -2.0)
     with pytest.raises(SingularityError, match="local-field ratio diverges"):
         find_nu0(DopedLiquid(model, Concentration(0.0)), (1.0, 2.0))
 
@@ -317,12 +355,47 @@ def test_find_nu0_on_the_clausius_mossotti_divergence():
         find_nu0(DopedLiquid(model, Concentration(0.0)), (1.0, 2.0))
 
 
-def test_a_deeper_round_meets_an_off_path_singular_node(monkeypatch):
-    # the pole sits on level 6, left of the bisection path: a round of 5
-    # levels never evaluates it, one of 6 or more does
+@pytest.mark.parametrize("depth", [1, 5, 8])
+def test_a_round_error_names_the_node_the_walk_reached(monkeypatch, depth):
+    # eps' exceeds 3e12, and so diverges, on a stretch around the level-2
+    # knot that holds the first midpoint and many deeper nodes; each depth
+    # names that midpoint, where the walk stops
+    model, _ = knot_table(2, 1e13)
+    first_mid = knot_table(1, 0.0)[1]
+    message = f"Clausius-Mossotti divergence at nu = {first_mid:g} THz, ce = 0 uM"
+    monkeypatch.setattr(polaron, "ROUND_LEVELS", depth)
+    with pytest.raises(SingularityError, match=re.escape(message)):
+        find_nu0(DopedLiquid(model, Concentration(0.0)), (1.0, 2.0))
+
+
+def test_an_off_path_singular_node_stops_no_round(monkeypatch):
+    # the pole sits on level 6, left of the bisection path (eps' at the first
+    # midpoint is negative, so the walk goes right): rounds of 6 or more
+    # levels evaluate it, and none stops there
     doped = DopedLiquid(knot_table(6, -2.0)[0], Concentration(0.0))
-    monkeypatch.setattr(polaron, "ROUND_LEVELS", 5)
-    find_nu0(doped, (1.0, 2.0))
-    monkeypatch.setattr(polaron, "ROUND_LEVELS", 6)
-    with pytest.raises(SingularityError, match="local-field ratio diverges"):
-        find_nu0(doped, (1.0, 2.0))
+    results = set()
+    for depth in (1, 5, 6, 8):
+        monkeypatch.setattr(polaron, "ROUND_LEVELS", depth)
+        results.add(repr(find_nu0(doped, (1.0, 2.0))))
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+@pytest.mark.parametrize("ce", [0.0, 1e-6])
+@pytest.mark.parametrize("value", [-2.0, 3.0001e12, 1e13, -1e13])
+@pytest.mark.parametrize("toward_b", [False, True], ids=["toward-a", "toward-b"])
+@pytest.mark.parametrize("level", range(1, 9))
+def test_find_nu0_agrees_with_one_point_bisection(monkeypatch, level, toward_b, value, ce, depth):
+    # scalar_oracle bisects with one eps_doped call per midpoint, so it raises
+    # at exactly the undefined nodes its walk reaches
+    doped = DopedLiquid(knot_table(level, value, toward_b)[0], Concentration(ce))
+    monkeypatch.setattr(polaron, "ROUND_LEVELS", depth)
+    want = outcome(find_nu0_roots, doped, (1.0, 2.0), DEFAULT_TOL)
+    got = outcome(find_nu0, doped, (1.0, 2.0))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        # the oracle bisects on past an exact zero, which find_nu0 returns:
+        # the two roots agree within the tolerance
+        assert len(want) == 1 and abs(got.nu0 - want[0]) <= DEFAULT_TOL
+        assert got.alternatives == ()

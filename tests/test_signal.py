@@ -16,7 +16,9 @@ from impostoron.errors import (
     DomainError,
     EdgePeakError,
     GridError,
+    ImpostoronError,
     NoSignalError,
+    PeakError,
     UnboundedWidthError,
 )
 from impostoron.matching import ce_for_nu0
@@ -47,6 +49,19 @@ from impostoron.signal import (
 
 TAU = (np.arange(512) - 64) * 0.1  # 512-point delay grid spanning -6.4 .. 44.7 ps
 TGRID = (np.arange(64) - 32) * 0.1  # probe-time grid including t = 0
+
+
+#: a 0.7 THz cosine on 256 samples of 0.1 ps, to be scaled to the float range's ends
+COS_TIMES = np.arange(256) * 0.1
+COS = np.cos(2.0 * math.pi * 0.7 * COS_TIMES)
+
+
+@st.composite
+def float_range_values(draw, min_size=16, max_size=48):
+    """Values of either sign of one magnitude drawn from 1e-320 to 1.7e308, zeros included."""
+    n = draw(st.integers(min_size, max_size))
+    unit = draw(arrays(float, n, elements=st.one_of(st.just(0.0), st.floats(-1.0, 1.0))))
+    return unit * 10.0 ** draw(st.floats(-320.0, math.log10(1.7e308)))
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +323,40 @@ class TestAddNoise:
         tr = TimeTrace(times=np.arange(32) * 0.1, values=np.ones(32))
         with pytest.raises(DomainError, match=re.escape(f"SNR {snr_db:g} dB is out of range")):
             add_noise(tr, snr_db, 0)
+
+
+    @pytest.mark.parametrize(
+        "scale", [1e160, 1e308, 1e-170], ids=["square-overflows", "rms-overflows", "underflows"]
+    )
+    def test_noise_level_at_the_float_range(self, scale):
+        # the squares of these values overflow or underflow, and the RMS is
+        # taken on the values scaled to 1: noise of a tenth of it, no warning
+        tr = TimeTrace(times=COS_TIMES, values=scale * COS)
+        noisy = add_noise(tr, 20.0, 0)
+        ratio = np.std((noisy.values - tr.values) / scale) / np.sqrt(np.mean(COS**2))
+        assert 0.08 < ratio < 0.12
+
+    def test_noise_past_the_float_range_rejected(self):
+        tr = TimeTrace(times=COS_TIMES, values=1.7e308 * COS)
+        with pytest.raises(DomainError, match="signal plus noise leaves the float range"):
+            add_noise(tr, 0.0, 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=float_range_values(), snr_db=st.floats(-20.0, 60.0), seed=st.integers(0, 9))
+    def test_float_range_raises_only_a_named_cause(self, values, snr_db, seed):
+        # a RuntimeWarning fails the test; an error names what went wrong
+        tr = TimeTrace(times=np.arange(values.size) * 0.1, values=values)
+        try:
+            noisy = add_noise(tr, snr_db, seed)
+        except ImpostoronError as exc:
+            message = str(exc)
+            if "all-zero" in message:
+                assert not values.any()
+            else:
+                assert "out of range" in message or "leaves the float range" in message
+                assert np.max(np.abs(values)) > 1e306
+        else:
+            assert np.isfinite(noisy.values).all()
 
 
 class TestFourierFilter2D:
@@ -623,6 +672,24 @@ class TestSpectrumOf:
                 spectrum_of(tr)
 
 
+    def test_sums_past_the_float_range_rejected(self):
+        tr = TimeTrace(times=COS_TIMES, values=1.7e308 * COS)
+        with pytest.raises(DomainError, match="overflow the spectrum's Fourier sums"):
+            spectrum_of(tr)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=float_range_values())
+    def test_float_range_raises_only_a_named_cause(self, values):
+        tr = TimeTrace(times=np.arange(values.size) * 0.1, values=values)
+        try:
+            spec = spectrum_of(tr)
+        except ImpostoronError as exc:
+            assert "overflow the spectrum's Fourier sums" in str(exc)
+            assert np.max(np.abs(values)) > 1e306
+        else:
+            assert np.isfinite(spec.values).all()
+
+
 class TestPeakReport:
     def test_exact_parabola_recovered(self):
         freqs = np.linspace(0.4, 1.0, 31)
@@ -659,6 +726,27 @@ class TestPeakReport:
         vals = np.array([0.1, 1.0, 0.9, 0.8, 0.7, 0.6])
         with pytest.raises(UnboundedWidthError, match="above the peak"):
             peak_report(Spectrum(frequencies=freqs, values=vals))
+
+
+    def test_fit_past_the_float_range_rejected(self):
+        spec = spectrum_of(TimeTrace(times=COS_TIMES, values=COS))
+        values = spec.values / spec.values.max() * 1.7e308
+        scaled = Spectrum(frequencies=spec.frequencies, values=values)
+        with pytest.raises(PeakError, match="peak fit leaves the float range"):
+            peak_report(scaled)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=float_range_values(min_size=3))
+    def test_float_range_raises_only_a_named_cause(self, values):
+        try:
+            freqs = np.linspace(0.4, 1.0, values.size)
+            rep = peak_report(Spectrum(frequencies=freqs, values=values))
+        except ImpostoronError as exc:
+            assert isinstance(exc, PeakError)
+            if "float range" in str(exc):
+                assert np.max(np.abs(values)) > 1e290
+        else:
+            assert np.isfinite([rep.peak_frequency, rep.fwhm, rep.amplitude]).all()
 
 
 class TestExtractPipeline:
