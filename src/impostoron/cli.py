@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, signal
-from .dielectric import _read_text, eval_neat, loads_liquid
+from .dielectric import _read_text, loads_liquid
 from .errors import DataFileError, GridError, ImpostoronError
-from .matching import PROFILE_BRACKET, ce_for_nu0, match_frequency, match_profiles
-from .mixing import Concentration, DopedLiquid, cm_mix
-from .polaron import DEFAULT_BRACKET, DEFAULT_TOL, find_nu0, lineshape, lorentz_lineshape
+from .matching import ce_for_nu0, match_frequency, match_profiles
+from .mixing import Concentration, DopedLiquid
+from .polaron import eps_doped, find_nu0, lineshape, lorentz_lineshape
 
 _PROBE_SPAN = 6.4  # ps, fixed probe-time window of `synth --map`
 
@@ -147,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("nu0", _cmd_nu0, "zero-crossing resonance of a doped liquid")
     add_doped(p, required=True)
-    p.add_argument("--bracket", type=_bracket, default=DEFAULT_BRACKET)
-    p.add_argument("--tol", type=_number("--tol"), default=DEFAULT_TOL)
+    p.add_argument("--bracket", type=_bracket, default=argparse.SUPPRESS)
+    p.add_argument("--tol", type=_number("--tol"), default=argparse.SUPPRESS)
     p.add_argument("--out")
 
     p = command("ce-for-nu0", _cmd_ce_for_nu0, "concentration that places the crossing at nu0")
@@ -162,13 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--nu0", type=_number("--nu0"))
     group.add_argument("--profile", action="store_true", help="match line-shape profiles too")
-    p.add_argument("--bracket", type=_bracket, default=PROFILE_BRACKET)
+    p.add_argument("--bracket", type=_bracket, default=argparse.SUPPRESS)
     p.add_argument("--out")
 
     p = command("lineshape", _cmd_lineshape, "energy-loss line shape -Im[1/eps] on a grid")
     add_doped(p, required=True)
     p.add_argument("--lorentz", action="store_true", help="Lorentzian approximation instead")
-    p.add_argument("--bracket", type=_bracket, default=DEFAULT_BRACKET)
+    p.add_argument("--bracket", type=_bracket, default=argparse.SUPPRESS)
     add_common_grid(p)
     p.add_argument("--out")
 
@@ -199,11 +199,15 @@ def _grid(args):
     return np.linspace(args.nu_min, args.nu_max, int(round(steps)) + 1)
 
 
+def _search(args):
+    """--bracket and --tol where given: the search's own defaults stand for the rest."""
+    return {name: value for name, value in vars(args).items() if name in ("bracket", "tol")}
+
+
 def _cmd_eps(args):
     sha, liquid = _liquid(args.liquid)
     grid = _grid(args)
-    ce = Concentration.from_micromolar(args.ce)
-    eps = cm_mix(eval_neat(liquid, grid), ce, grid)
+    eps = eps_doped(DopedLiquid(liquid, Concentration.from_micromolar(args.ce)), grid)
     table = np.column_stack((grid, eps.real, eps.imag))
     with _output(args.out) as fh:
         signal._write_table(fh, _meta(("liquid", sha)), "nu_THz,eps_real,eps_imag", table)
@@ -212,7 +216,7 @@ def _cmd_eps(args):
 def _cmd_nu0(args):
     sha, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
-    res = find_nu0(doped, args.bracket, args.tol)
+    res = find_nu0(doped, **_search(args))
     pairs = [
         ("nu0_THz", repr(res.nu0)),
         ("eps_imag_at_nu0", repr(res.eps_imag_at_nu0)),
@@ -240,9 +244,9 @@ def _cmd_match(args):
     sha_a, liquid_a = _liquid(args.liquid_a)
     sha_b, liquid_b = _liquid(args.liquid_b)
     if args.profile:
-        sol = match_profiles(liquid_a, liquid_b, args.bracket)
+        sol = match_profiles(liquid_a, liquid_b, **_search(args))
     else:
-        sol = match_frequency(liquid_a, liquid_b, args.nu0, args.bracket)
+        sol = match_frequency(liquid_a, liquid_b, args.nu0, **_search(args))
     pairs = [
         ("nu0_THz", repr(sol.nu0)),
         ("ce_a_uM", repr(sol.ce_1.micromolar)),
@@ -263,7 +267,7 @@ def _cmd_lineshape(args):
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
     grid = _grid(args)
     if args.lorentz:
-        spec = lorentz_lineshape(find_nu0(doped, args.bracket), grid)
+        spec = lorentz_lineshape(find_nu0(doped, **_search(args)), grid)
     else:
         spec = lineshape(doped, grid)
     with _output(args.out) as fh:

@@ -39,7 +39,7 @@ from .polaron import (
     find_nu0,
 )
 
-#: Convergence threshold on the mean-normalized profile residual.
+#: Degeneracy threshold on the mean-normalized profile residual, not a convergence test.
 PROFILE_TOL = 1e-8
 
 #: Pre-scan points for the profile-matching root search.

@@ -34,9 +34,6 @@ DEFAULT_TOL = 1e-6
 #: bisection tree at once.
 ROUND_LEVELS = 8
 
-#: Most bisection steps one refinement takes.
-MAX_BISECTIONS = 200
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -111,12 +108,11 @@ def _refine_root(
     when f(mid) has the sign of f(a) (negative or not), b down to mid
     otherwise, and undefined(mid) raises the caller's error where f(mid) is
     NaN: a NaN node off the path stops nothing. Bisection stops when
-    b - a <= tol, when mid rounds onto an end of the bracket, when f(mid) == 0
-    (the bracket collapses onto mid) or after MAX_BISECTIONS steps. Returns
-    the final bracket and the point of least |f| seen, a included.
+    b - a <= tol, when mid rounds onto an end (so float rounding alone ends
+    it) or when f(mid) == 0 (the bracket collapses onto mid). Returns the
+    final bracket and the point of least |f| seen, a included.
     """
     best_abs, best = abs(fa), a
-    steps = 0
     while True:
         nodes = _bisection_tree(a, b)
         values = f(nodes[1:-1])
@@ -124,12 +120,11 @@ def _refine_root(
         while right - left > 1:
             k = (left + right) // 2
             mid = float(nodes[k])
-            if b - a <= tol or steps == MAX_BISECTIONS or mid == a or mid == b:
+            if b - a <= tol or mid == a or mid == b:
                 return a, b, best
             fm = float(values[k - 1])
             if math.isnan(fm):
                 undefined(mid)
-            steps += 1
             if abs(fm) < best_abs:
                 best_abs, best = abs(fm), mid
             if fm == 0.0:

@@ -483,9 +483,9 @@ def spectrum_of(trace: TimeTrace, onset: float = 0.0) -> Spectrum:
 def peak_report(spectrum: Spectrum) -> PeakReport:
     """Parabolic peak location plus the linearly interpolated full width.
 
-    The spectrum must have an interior maximum and a half-maximum crossing on
-    each side of it within the band. Values near the float maximum overflow
-    the parabola's coefficients or the interpolation: PeakError.
+    It needs an interior maximum above half the fitted one, half-maximum
+    crossings on both sides within the band and a width that does not round
+    to 0; values near the float maximum overflow the fit. Else PeakError.
     """
     freqs = spectrum.frequencies
     vals = spectrum.values
@@ -499,10 +499,7 @@ def peak_report(spectrum: Spectrum) -> PeakReport:
         j = i
         while 0 <= j + step < vals.size:
             k = j + step
-            if vals[k] == vals[j] <= half:  # only at j = i: a peak sample not above half
-                break
-            if vals[k] <= half:
-                # linear interpolation between j and k
+            if vals[k] <= half:  # interpolate linearly between j and k
                 f = (vals[j] - half) / (vals[j] - vals[k])
                 return float(freqs[j] + f * (freqs[k] - freqs[j]))
             j = k
@@ -528,8 +525,12 @@ def peak_report(spectrum: Spectrum) -> PeakReport:
                 amplitude = float(vals[i])
 
             half = amplitude / 2.0
+            if not vals[i] > half:  # then both walks start above half
+                raise PeakError(f"peak sample {vals[i]:g} not above half maximum {half:g}")
             left = crossing(-1)
             fwhm = crossing(+1) - left
+            if not fwhm > 0:
+                raise PeakError(f"half-maximum crossings round onto the peak at {freqs[i]:g} THz")
     except (FloatingPointError, OverflowError):
         raise PeakError(
             f"peak fit leaves the float range: spectrum values reach {np.max(np.abs(vals)):g}"

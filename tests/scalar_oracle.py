@@ -3,8 +3,10 @@
 These are the scan and bisection loops find_nu0 and match_profiles ran
 before both moved to vector evaluation: one scalar evaluation per node, an
 ImpostoronError at a scan node meaning "skip it", and plain one-point-per-step
-bisection. They call the package's scalar functions, so a disagreement with
-the package points at the vector scan or the refiner, not at the formulas.
+bisection that, like the package's, also ends where the midpoint rounds onto
+an end of the bracket. They call the package's scalar functions, so a
+disagreement with the package points at the vector scan or the refiner, not
+at the formulas.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from impostoron.polaron import SCAN_POINTS, eps_doped, eps_imag_at_nu0
 
 
 def find_nu0_roots(doped, bracket, tol, n_scan=SCAN_POINTS):
-    """Every rising crossing of eps' in the bracket, each bisected to tol."""
+    """Every rising crossing of eps' in the bracket, each bisected to tol or float resolution."""
     grid = np.linspace(bracket[0], bracket[1], n_scan)
     f = np.real(eps_doped(doped, grid))
     roots = []
@@ -27,6 +29,8 @@ def find_nu0_roots(doped, bracket, tol, n_scan=SCAN_POINTS):
         a, b = grid[i], grid[i + 1]
         while (b - a) > tol:
             mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
             if float(np.real(eps_doped(doped, mid))) >= 0.0:
                 b = mid
             else:
@@ -85,7 +89,7 @@ def match_roots(liquid1, liquid2, lo, hi, n_scan):
         a, b = float(grid[i]), float(grid[i + 1])
         ga = vals[i]
         best = (abs(ga), a)
-        for _ in range(200):
+        while True:
             mid = 0.5 * (a + b)
             if mid == a or mid == b:
                 break

@@ -15,6 +15,9 @@ from impostoron import __version__, signal
 from impostoron.cli import build_parser, data_dir, resolve_data_path, run
 from impostoron.dielectric import _read_text, load_liquid_file
 from impostoron.errors import DataFileError
+from impostoron.matching import match_frequency, match_profiles
+from impostoron.mixing import Concentration, DopedLiquid
+from impostoron.polaron import find_nu0, lorentz_lineshape
 from impostoron.signal import (
     FieldMap2D,
     StepModel,
@@ -666,6 +669,58 @@ def test_out_files_carry_metadata(tmp_path):
         assert run([*argv, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[: len(header) + 1] == [f"# impostoron {__version__}", *header]
+
+
+def doped(liquids, stem, ce_um):
+    return DopedLiquid(liquids[stem], Concentration.from_micromolar(ce_um))
+
+
+def nu0_keys(res):
+    return {"nu0_THz": res.nu0, "slope_B_per_THz": res.slope_B}
+
+
+def match_keys(sol):
+    return {
+        "nu0_THz": sol.nu0,
+        "freq_residual_THz": sol.freq_residual,
+        "profile_residual_per_THz": sol.profile_residual,
+    }
+
+
+MATCH = ["match", "--liquid-a", "ipa.liq", "--liquid-b", "eg.liq"]
+
+
+@pytest.mark.parametrize(
+    "argv, library",
+    [
+        (["nu0", "--liquid", "water.liq", "--ce", "40"],
+         lambda lq, grid: nu0_keys(find_nu0(doped(lq, "water", 40.0)))),
+        (["nu0", "--liquid", "water.liq", "--ce", "40", "--tol", "1e-12"],
+         lambda lq, grid: nu0_keys(find_nu0(doped(lq, "water", 40.0), tol=1e-12))),
+        (["lineshape", "--liquid", "ipa.liq", "--ce", "25", "--lorentz", "--nu-step", "0.01"],
+         lambda lq, grid: lorentz_lineshape(find_nu0(doped(lq, "ipa", 25.0)), grid).values),
+        # a degenerate pair matches at its bracket's lower end
+        (["match", "--liquid-a", "eg.liq", "--liquid-b", "eg.liq", "--profile"],
+         lambda lq, grid: match_keys(match_profiles(lq["eg"], lq["eg"]))),
+        *(
+            (MATCH + ["--nu0", nu0], lambda lq, grid, nu0=nu0: match_keys(
+                match_frequency(lq["ipa"], lq["eg"], float(nu0))))
+            for nu0 in ("0.15", "0.7", "2.5")
+        ),
+    ],
+    ids=["nu0", "nu0-tol", "lineshape-lorentz", "match-profile", *(f"match-nu0-{v}" for v in (0.15, 0.7, 2.5))],
+)
+def test_searches_run_on_the_library_defaults_where_not_given(capsys, liquids, argv, library):
+    # the CLI passes only the --bracket and --tol it was given, so each search
+    # runs on its library function's own bracket and tolerance otherwise
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "lineshape":  # the library's line on the grid the CLI printed
+        got = signal.read_spectrum_csv(io.StringIO(out))
+        np.testing.assert_array_equal(got.values, library(liquids, got.frequencies))
+    else:
+        want, kv = library(liquids, None), parse_kv(out)
+        assert {key: kv[key] for key in want} == {key: repr(v) for key, v in want.items()}
 
 
 def test_parser_builds_without_side_effects():

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_oracle import find_nu0_roots
-from test_scalar_oracle import BASE_PAIRS, twin
+from test_scalar_oracle import BASE_PAIRS, assert_close_ulps, twin
 
 from impostoron import matching, polaron
 from impostoron.dielectric import DebyeModel, TabulatedModel, eval_neat, validity_range
@@ -37,6 +37,7 @@ from impostoron.matching import (
     PROFILE_SCAN_POINTS,
     _profiles,
     _shared_bracket,
+    ce_for_nu0,
     match_frequency,
     match_profiles,
 )
@@ -399,3 +400,36 @@ def test_find_nu0_agrees_with_one_point_bisection(monkeypatch, level, toward_b, 
         # the two roots agree within the tolerance
         assert len(want) == 1 and abs(got.nu0 - want[0]) <= DEFAULT_TOL
         assert got.alternatives == ()
+
+
+# --------------------------------------------------------------------------
+# Float resolution ends a bisection: a root far below its scan cell's width
+# is still reached
+# --------------------------------------------------------------------------
+
+WIDE_BRACKETS = [(1e-130, 1.0), (1e-125, 1e140)]
+
+
+@pytest.mark.parametrize("depth", [1, 5, 8])
+@pytest.mark.parametrize("bracket", WIDE_BRACKETS, ids=["130-decades", "265-decades"])
+@pytest.mark.parametrize("target", [1e-100, 1e-60])
+def test_a_tiny_root_bisects_to_its_target(liquids, monkeypatch, target, bracket, depth):
+    # the root lies in the first scan cell, hundreds of binades below the
+    # cell's width: the walk halves on until its midpoint rounds onto an end.
+    # The oracle bisects on past an exact zero, which find_nu0 returns
+    model = liquids["dispersionless"]
+    doped = DopedLiquid(model, ce_for_nu0(model, target))
+    monkeypatch.setattr(polaron, "ROUND_LEVELS", depth)
+    res = find_nu0(doped, bracket, 1e-300)
+    assert res.nu0 == target and res.slope_B > 0
+    assert_close_ulps([res.nu0, *res.alternatives], find_nu0_roots(doped, bracket, 1e-300))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300])
+def test_an_ordinary_root_on_a_bracket_of_many_decades(liquids, tol):
+    water = liquids["water"]
+    doped = DopedLiquid(water, ce_for_nu0(water, 0.7))
+    res = find_nu0(doped, WIDE_BRACKETS[1], tol)
+    assert abs(res.nu0 - 0.7) <= max(tol, 4 * np.spacing(0.7)) and res.slope_B > 0
+    assert res.alternatives == ()
+    assert find_nu0_roots(doped, WIDE_BRACKETS[1], tol) == [res.nu0]

@@ -133,7 +133,7 @@ def doped_liquids(draw, liquids):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data(), tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+@given(data=st.data(), tol=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-300]))
 def test_find_nu0_roots_match_scalar_oracle(liquids, data, tol):
     doped = data.draw(doped_liquids(liquids))
     roots = oracle.find_nu0_roots(doped, (0.1, 3.0), tol)

@@ -727,6 +727,36 @@ class TestPeakReport:
         with pytest.raises(UnboundedWidthError, match="above the peak"):
             peak_report(Spectrum(frequencies=freqs, values=vals))
 
+    @pytest.mark.parametrize(
+        "values, half, sample",
+        [
+            ([-3.0, -1.0, -2.0, -3.0], "-0.479167", "-1"),
+            ([0.5, 1.0, -20.0, 0.5], "1.72166", "1"),
+            ([-20.0, 1.0, 1.0, -20.0, 0.0], "1.8125", "1"),
+        ],
+        ids=["negative-line", "beside-a-dip", "plateau-between-dips"],
+    )
+    def test_peak_sample_not_above_half_maximum_rejected(self, values, half, sample):
+        # half the fitted maximum lies at or above the peak sample: the line is
+        # negative, or the parabola beside a deep dip overshoots to more than
+        # twice the sample. No half-maximum walk can start at the peak
+        freqs = np.linspace(0.4, 0.4 + 0.1 * (len(values) - 1), len(values))
+        message = f"peak sample {sample} not above half maximum {half}"
+        with pytest.raises(PeakError, match=re.escape(message)):
+            peak_report(Spectrum(frequencies=freqs, values=np.array(values)))
+
+    @pytest.mark.parametrize("depth", [1e15, 1e16, 4.749979434661422e16, 1e17])
+    def test_peak_between_cliffs_gives_a_positive_line_or_raises(self, depth):
+        # the half-maximum crossings lie within about 1e-17 THz of the peak
+        # sample, so the width rounds to 0: a PeakError. Rounding in the
+        # 3-point fit moves its maximum by more than the sample itself (to
+        # -0.66 at 4.75e16), which must not come back as a report either
+        freqs = np.array([0.4, 0.5, 0.6])
+        try:
+            rep = peak_report(Spectrum(frequencies=freqs, values=np.array([-depth, 1.0, -depth])))
+        except PeakError:
+            return
+        assert rep.fwhm > 0 and rep.amplitude > 0
 
     def test_fit_past_the_float_range_rejected(self):
         spec = spectrum_of(TimeTrace(times=COS_TIMES, values=COS))
@@ -747,6 +777,7 @@ class TestPeakReport:
                 assert np.max(np.abs(values)) > 1e290
         else:
             assert np.isfinite([rep.peak_frequency, rep.fwhm, rep.amplitude]).all()
+            assert rep.fwhm > 0 and rep.amplitude > 0
 
 
 class TestExtractPipeline:
