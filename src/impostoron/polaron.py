@@ -108,9 +108,11 @@ def _refine_root(
     when f(mid) has the sign of f(a) (negative or not), b down to mid
     otherwise, and undefined(mid) raises the caller's error where f(mid) is
     NaN: a NaN node off the path stops nothing. Bisection stops when
-    b - a <= tol, when mid rounds onto an end (so float rounding alone ends
-    it) or when f(mid) == 0 (the bracket collapses onto mid). Returns the
-    final bracket and the point of least |f| seen, a included.
+    b - a <= min(tol, a), when mid rounds onto an end (so float rounding alone
+    ends it) or when f(mid) == 0 (the bracket collapses onto mid). For a > 0,
+    a bracket no wider than a holds its midpoint within a factor 2 of the
+    root, however large tol is against the root. Returns the final bracket
+    and the point of least |f| seen, a included.
     """
     best_abs, best = abs(fa), a
     while True:
@@ -120,7 +122,7 @@ def _refine_root(
         while right - left > 1:
             k = (left + right) // 2
             mid = float(nodes[k])
-            if b - a <= tol or mid == a or mid == b:
+            if b - a <= min(tol, a) or mid == a or mid == b:
                 return a, b, best
             fm = float(values[k - 1])
             if math.isnan(fm):
@@ -145,13 +147,13 @@ def find_nu0(
     A uniform pre-scan of SCAN_POINTS points, both ends of the bracket
     included, locates sign changes from negative to non-negative. The scan
     goes through eps_doped and so validates the whole bracket. Each sign
-    change is bisected until its bracket is at most tol (THz) wide, and its
-    midpoint is the crossing; each round evaluates the 2**ROUND_LEVELS - 1
-    nodes of one bisection tree through the unchecked kernel (_eps_real); an
-    undefined node stops the search, with eps_doped's error there, only where
-    the bisection reaches it. The lowest crossing is returned, any further
-    ones are listed in `alternatives`. slope_B is d(eps')/d(nu) at nu0 in
-    closed form (mixing._mix_slope).
+    change is bisected until its bracket is at most tol (THz) wide and no
+    wider than its lower end, and its midpoint is the crossing; each round
+    evaluates the 2**ROUND_LEVELS - 1 nodes of one bisection tree through the
+    unchecked kernel (_eps_real); an undefined node stops the search, with
+    eps_doped's error there, only where the bisection reaches it. The lowest
+    crossing is returned, any further ones are listed in `alternatives`.
+    slope_B is d(eps')/d(nu) at nu0 in closed form (mixing._mix_slope).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:

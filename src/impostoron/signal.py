@@ -394,7 +394,9 @@ def remove_step(trace: TimeTrace) -> tuple[TimeTrace, StepModel]:
     bound that descent pushes outwards is held there. The fit stops when an
     accepted step lowers the cost by at most a relative 1e-10, or a step moves
     the column-norm-scaled parameters by at most a relative 1e-10, and fails
-    with StepFitError at the evaluation cap of 200.
+    with StepFitError at the evaluation cap of 200. Its message gives the cost
+    of that normalized fit, at unit peak, and the last parameters at the
+    trace's scale.
 
     The cap is 200 because steps under oscillation and 10-40 dB noise converge
     within 36 evaluations (median 6), while the traces that reach the cap are
@@ -429,16 +431,9 @@ def remove_step(trace: TimeTrace) -> tuple[TimeTrace, StepModel]:
     p, status, nfev, cost = _fit_step(times, (spec * scales).view(float), a0, scales)
     a, t0, r = float(p[0]) * peak, float(p[1]), float(p[2])
     if status == 0:
-        rescaled = cost * peak * peak
-        if not math.isfinite(rescaled):
-            # past the float range, as for a peak above about 1e154; decimals
-            # hold it, and only this message needs them
-            from decimal import Context, Decimal
-
-            rescaled = (Decimal(cost) * Decimal(peak) * Decimal(peak)).normalize(Context(prec=6))
         raise StepFitError(
             f"step fit failed (status {status}): no convergence within {nfev} evaluations, "
-            f"cost {rescaled:g}; "
+            f"cost {cost:g} at unit peak; "
             f"last parameters a={a:g}, onset={t0:g} ps, rise={r:g} ps"
         )
     step = StepModel(amplitude=a, rise_time=r, onset=t0)
@@ -481,60 +476,62 @@ def spectrum_of(trace: TimeTrace, onset: float = 0.0) -> Spectrum:
 
 
 def peak_report(spectrum: Spectrum) -> PeakReport:
-    """Parabolic peak location plus the linearly interpolated full width.
+    """Vertex of the parabola through the three samples around the maximum, and the full width.
 
-    It needs an interior maximum above half the fitted one, half-maximum
-    crossings on both sides within the band and a width that does not round
-    to 0; values near the float maximum overflow the fit. Else PeakError.
+    With the samples y0 < y1 >= y2 scaled by their largest |value|, cell widths
+    h0 and h1, w0 = (y1 - y0)*h1 and w1 = (y1 - y2)*h0, the vertex lies
+    off = (w0*h1 - w1*h0) / (2*(w0 + w1)) from the maximum (0 on a flat top), a
+    weighted mean of -h0/2 and h1/2. Its value is y1 + off*(w0*h1 - w1*h0) /
+    (2*h0*h1*(h0 + h1)), scaled back. PeakError unless the maximum is interior
+    and above half that amplitude, the interpolated half-maximum crossings lie
+    in the band on both sides and differ, and the amplitude is finite.
     """
-    freqs = spectrum.frequencies
-    vals = spectrum.values
+    freqs, vals = spectrum.frequencies, spectrum.values
     i = int(np.argmax(vals))
     if i == 0 or i == vals.size - 1:
         raise EdgePeakError(
             f"spectrum maximum at the band edge ({freqs[i]:g} THz): no interior peak"
         )
 
+    # In Python floats an overflow is inf without a warning. argmax takes the
+    # first maximum, so y0 < y1 and scale > 0. The widths are in units of the
+    # smaller, so that no product of them underflows and each divisor is >= 1
+    x0, x1, x2 = freqs[i - 1 : i + 2].tolist()
+    y3 = vals[i - 1 : i + 2].tolist()
+    scale = max(map(abs, y3))
+    y0, y1, y2 = (y / scale for y in y3)
+    unit = min(x1 - x0, x2 - x1)
+    h0, h1 = (x1 - x0) / unit, (x2 - x1) / unit
+    w0, w1 = (y1 - y0) * h1, (y1 - y2) * h0
+    skew = w0 * h1 - w1 * h0
+    off = 0.5 * skew / (w0 + w1) if w0 + w1 > 0 else 0.0
+    peak_freq = x1 + off * unit
+    amplitude = scale * (y1 + 0.5 * (off / h0) * (skew / (h0 + h1) / h1))
+    if not math.isfinite(amplitude):
+        raise PeakError(
+            f"peak fit leaves the float range: spectrum values reach {np.max(np.abs(vals)):g}"
+        )
+
+    half = amplitude / 2.0
+    if not vals[i] > half:  # then both walks start above half
+        raise PeakError(f"peak sample {vals[i]:g} not above half maximum {half:g}")
+
     def crossing(step: int) -> float:
         j = i
         while 0 <= j + step < vals.size:
             k = j + step
-            if vals[k] <= half:  # interpolate linearly between j and k
-                f = (vals[j] - half) / (vals[j] - vals[k])
-                return float(freqs[j] + f * (freqs[k] - freqs[j]))
+            if vals[k] <= half:  # interpolate linearly between j and k; the fraction is in (0, 1]
+                vj, vk, fj, fk = float(vals[j]), float(vals[k]), float(freqs[j]), float(freqs[k])
+                return fj + (vj - half) / (vj - vk) * (fk - fj)
             j = k
         raise UnboundedWidthError(
             f"no half-maximum crossing {'above' if step > 0 else 'below'} the peak inside the band"
         )
 
-    # an operation that would warn raises instead: the inputs are finite, so
-    # only values near the float maximum overflow the fit or the widths
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            x3 = freqs[i - 1 : i + 2]
-            y3 = vals[i - 1 : i + 2]
-            c2, c1, c0 = np.polyfit(x3 - freqs[i], y3, 2)
-            if c2 < 0:
-                off = -c1 / (2.0 * c2)
-                # keep the vertex inside the 3-point stencil
-                off = float(np.clip(off, x3[0] - freqs[i], x3[2] - freqs[i]))
-                peak_freq = float(freqs[i] + off)
-                amplitude = float(c2 * off**2 + c1 * off + c0)
-            else:
-                peak_freq = float(freqs[i])
-                amplitude = float(vals[i])
-
-            half = amplitude / 2.0
-            if not vals[i] > half:  # then both walks start above half
-                raise PeakError(f"peak sample {vals[i]:g} not above half maximum {half:g}")
-            left = crossing(-1)
-            fwhm = crossing(+1) - left
-            if not fwhm > 0:
-                raise PeakError(f"half-maximum crossings round onto the peak at {freqs[i]:g} THz")
-    except (FloatingPointError, OverflowError):
-        raise PeakError(
-            f"peak fit leaves the float range: spectrum values reach {np.max(np.abs(vals)):g}"
-        ) from None
+    left = crossing(-1)
+    fwhm = crossing(+1) - left
+    if not fwhm > 0:
+        raise PeakError(f"half-maximum crossings round onto the peak at {freqs[i]:g} THz")
     return PeakReport(peak_frequency=peak_freq, fwhm=fwhm, amplitude=amplitude)
 
 

@@ -19,7 +19,10 @@ from impostoron.polaron import SCAN_POINTS, eps_doped, eps_imag_at_nu0
 
 
 def find_nu0_roots(doped, bracket, tol, n_scan=SCAN_POINTS):
-    """Every rising crossing of eps' in the bracket, each bisected to tol or float resolution."""
+    """Every rising crossing of eps' in the bracket, each bisected to tol or float resolution.
+
+    Like find_nu0, a bisection also goes on while its bracket is wider than its lower end.
+    """
     grid = np.linspace(bracket[0], bracket[1], n_scan)
     f = np.real(eps_doped(doped, grid))
     roots = []
@@ -27,7 +30,7 @@ def find_nu0_roots(doped, bracket, tol, n_scan=SCAN_POINTS):
         if not (f[i] < 0.0 <= f[i + 1]):
             continue
         a, b = grid[i], grid[i + 1]
-        while (b - a) > tol:
+        while (b - a) > min(tol, a):
             mid = 0.5 * (a + b)
             if mid == a or mid == b:
                 break

@@ -433,3 +433,18 @@ def test_an_ordinary_root_on_a_bracket_of_many_decades(liquids, tol):
     assert abs(res.nu0 - 0.7) <= max(tol, 4 * np.spacing(0.7)) and res.slope_B > 0
     assert res.alternatives == ()
     assert find_nu0_roots(doped, WIDE_BRACKETS[1], tol) == [res.nu0]
+
+
+@pytest.mark.parametrize("bracket", WIDE_BRACKETS, ids=["130-decades", "265-decades"])
+@pytest.mark.parametrize("target", [1e-100, 1e-60, 1e-20, 1e-8])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_a_tolerance_above_the_root_still_lands_on_a_rising_crossing(liquids, tol, target, bracket):
+    # a bracket at most tol wide still reaches down to the scan node, where
+    # eps' is not crossing; one no wider than its lower end holds the root
+    # within a factor 2
+    model = liquids["dispersionless"]
+    doped = DopedLiquid(model, ce_for_nu0(model, target))
+    res = find_nu0(doped, bracket, tol)
+    assert res.slope_B > 0
+    assert abs(res.nu0 - target) <= tol and target / 2 <= res.nu0 <= 2 * target
+    assert_close_ulps([res.nu0, *res.alternatives], find_nu0_roots(doped, bracket, tol))

@@ -2,11 +2,12 @@ import io
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from closed_forms import dense_oscillation
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +28,7 @@ from impostoron.polaron import Spectrum, lineshape
 from impostoron.signal import (
     DEFAULT_BAND,
     FieldMap2D,
+    PeakReport,
     StepModel,
     TimeTrace,
     add_noise,
@@ -62,6 +64,39 @@ def float_range_values(draw, min_size=16, max_size=48):
     n = draw(st.integers(min_size, max_size))
     unit = draw(arrays(float, n, elements=st.one_of(st.just(0.0), st.floats(-1.0, 1.0))))
     return unit * 10.0 ** draw(st.floats(-320.0, math.log10(1.7e308)))
+
+
+#: unit roundoff of float64
+U = 2.0**-53
+
+
+@st.composite
+def peak_stencils(draw):
+    """Nodes x0 < x1 < x2 with exact cell widths, samples 0 <= y0 < y1 >= y2 >= 0.
+
+    x1 lies in [1, 2) and each outer node within 0.15 to 0.5 of x1 from it, so
+    the widths x1 - x0 and x2 - x1 are exact (Sterbenz) and their ratio is at
+    most 10/3. y1 runs from 1e-100 to 1e101, the neighbours from 0 to y1.
+    """
+    x1 = draw(st.floats(1.0, 2.0, exclude_max=True))
+    xs = (x1 * (1.0 - draw(st.floats(0.15, 0.5))), x1, x1 * (1.0 + draw(st.floats(0.15, 0.5))))
+    y1 = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-100, 100))
+    ys = (y1 * draw(st.floats(0.0, 1.0)), y1, y1 * draw(st.floats(0.0, 1.0)))
+    assume(ys[0] < y1)  # else the maximum is the sample at x0
+    return xs, ys
+
+
+def exact_vertex_value(xs, ys):
+    """Value at the vertex of the parabola through three points, in rationals.
+
+    The parabola in Newton form, y0 + f01*(x - x0) + c*(x - x0)*(x - x1), has
+    the slope f01 + c*(x1 - x0) at x1; its vertex lies -slope/(2*c) from x1.
+    """
+    (x0, x1, x2), (y0, y1, y2) = (map(Fraction, xs), map(Fraction, ys))
+    f01, f12 = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
+    c = (f12 - f01) / (x2 - x0)
+    slope = f01 + c * (x1 - x0)
+    return y1 - slope * slope / (4 * c)
 
 
 @pytest.fixture(scope="module")
@@ -748,9 +783,8 @@ class TestPeakReport:
     @pytest.mark.parametrize("depth", [1e15, 1e16, 4.749979434661422e16, 1e17])
     def test_peak_between_cliffs_gives_a_positive_line_or_raises(self, depth):
         # the half-maximum crossings lie within about 1e-17 THz of the peak
-        # sample, so the width rounds to 0: a PeakError. Rounding in the
-        # 3-point fit moves its maximum by more than the sample itself (to
-        # -0.66 at 4.75e16), which must not come back as a report either
+        # sample, so the width may round to 0: a PeakError. A report must
+        # hold a positive line
         freqs = np.array([0.4, 0.5, 0.6])
         try:
             rep = peak_report(Spectrum(frequencies=freqs, values=np.array([-depth, 1.0, -depth])))
@@ -758,12 +792,84 @@ class TestPeakReport:
             return
         assert rep.fwhm > 0 and rep.amplitude > 0
 
-    def test_fit_past_the_float_range_rejected(self):
+    def test_symmetric_cliffs_keep_the_sample_as_amplitude(self):
+        # the parabola through (-1e15, 1, -1e15) peaks at exactly the middle
+        # sample, which a least-squares solve of the three points misses
+        # by 11 %
+        freqs = np.array([0.4, 0.5, 0.6])
+        rep = peak_report(Spectrum(frequencies=freqs, values=np.array([-1e15, 1.0, -1e15])))
+        assert rep.peak_frequency == 0.5 and rep.amplitude == 1.0
+
+    #: To first order, the roundings of the closed form move the amplitude by
+    #: at most (8*rho + 2)*u of it, rho = max(h0, h1) / min(h0, h1), for the
+    #: stencils of peak_stencils (samples scaled to y1 = 1, neighbours in [0, 1],
+    #: so the differences d = y1 - y are at most 1 and err by at most u). The
+    #: error of w0*h1 - w1*h0 (the d's, 5 roundings) reaches the amplitude
+    #: times |off|/(h0*h1*(h0 + h1)), |off| <= max(h)/2: at most 4*rho*u.
+    #: w0 + w1 (the d's, 2 roundings) adds rho/4 + 2*(A - 1) times u, the
+    #: other 6 roundings of A - 1 <= rho/4 add 6*(A - 1)*u, the rounded width
+    #: ratio 1.75*rho*u, and y1 + (A - 1) and the scale 2*A*u. The 3 in the
+    #: bound covers the second-order terms.
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(stencil=peak_stencils())
+    def test_vertex_matches_the_exact_parabola(self, stencil):
+        xs, ys = stencil
+        freqs = np.array([xs[0] - 1.0, *xs, xs[2] + 1.0])
+        rep = peak_report(Spectrum(frequencies=freqs, values=np.array([0.0, *ys, 0.0])))
+        amplitude = exact_vertex_value(xs, ys)
+        h0, h1 = Fraction(xs[1] - xs[0]), Fraction(xs[2] - xs[1])
+        rho = max(h0, h1) / min(h0, h1)
+        assert abs(Fraction(rep.amplitude) - amplitude) <= (8 * rho + 3) * Fraction(U) * amplitude
+        # between the midpoints of the two cells, up to the roundings of off
+        # (4 of it, 1 of its unit) and of x1 + off
+        slack = 4 * Fraction(U) * (Fraction(xs[1]) + max(h0, h1))
+        x1 = Fraction(xs[1])
+        assert x1 - h0 / 2 - slack <= Fraction(rep.peak_frequency) <= x1 + h1 / 2 + slack
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        values=arrays(
+            float, st.integers(3, 24), elements=st.one_of(st.just(0.0), st.floats(2.0**-20, 1.0))
+        ),
+        k=st.integers(-1000, 1000),
+        j=st.integers(-1000, 1000),
+    )
+    def test_powers_of_two_scale_the_report_exactly(self, values, k, j):
+        # 2**k on the samples and 2**j on the frequencies: every operation of
+        # the vertex and the walks stays among normal floats, so each rounds
+        # to the scaled bits of the unscaled one
+        def report(freqs, vals):
+            try:
+                return peak_report(Spectrum(frequencies=freqs, values=vals))
+            except PeakError as exc:
+                return type(exc)
+
+        freqs = np.linspace(0.4, 1.0, values.size)
+        want = report(freqs, values)
+        got = report(np.ldexp(freqs, j), np.ldexp(values, k))
+        if isinstance(want, PeakReport):
+            want = PeakReport(
+                math.ldexp(want.peak_frequency, j),
+                math.ldexp(want.fwhm, j),
+                math.ldexp(want.amplitude, k),
+            )
+        assert got == want
+
+    def test_spectrum_near_the_float_maximum_reports_its_line(self):
+        # the samples are scaled by their largest |value| before the vertex
+        # is formed. Scaling to 1.7e308 rounds each sample once (1.1e-16)
         spec = spectrum_of(TimeTrace(times=COS_TIMES, values=COS))
-        values = spec.values / spec.values.max() * 1.7e308
-        scaled = Spectrum(frequencies=spec.frequencies, values=values)
+        factor = 1.7e308 / spec.values.max()
+        want = peak_report(spec)
+        got = peak_report(Spectrum(frequencies=spec.frequencies, values=spec.values * factor))
+        assert got.peak_frequency == pytest.approx(want.peak_frequency, rel=1e-13)
+        assert got.fwhm == pytest.approx(want.fwhm, rel=1e-13)
+        assert got.amplitude == pytest.approx(want.amplitude * factor, rel=1e-13)
+
+    def test_vertex_past_the_float_maximum_rejected(self):
+        freqs = np.array([0.4, 0.5, 0.6])
         with pytest.raises(PeakError, match="peak fit leaves the float range"):
-            peak_report(scaled)
+            peak_report(Spectrum(frequencies=freqs, values=np.array([0.0, 1.79e308, 1.7e308])))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(values=float_range_values(min_size=3))

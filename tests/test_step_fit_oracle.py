@@ -156,7 +156,8 @@ def assert_capped_after_one_evaluation(monkeypatch, scale):
         remove_step(TimeTrace(times=tau, values=values))
     number = r"[-+0-9.e]+"
     assert re.fullmatch(
-        rf"step fit failed \(status 0\): no convergence within 1 evaluations, cost {number}; "
+        rf"step fit failed \(status 0\): no convergence within 1 evaluations, "
+        rf"cost {number} at unit peak; "
         rf"last parameters a={number}, onset=0 ps, rise=1 ps",
         str(info.value),
     ), str(info.value)
@@ -178,5 +179,6 @@ def test_spikes_without_a_step_reach_the_evaluation_cap():
 
 
 def test_evaluation_cap_message_is_finite_past_the_float_range(monkeypatch):
-    # cost times peak squared is about 4e398 here, past the float range
+    # the cost at the trace's scale, times peak squared, would be about 4e398
+    # here, past the float range; at unit peak it is that of scale 1
     assert_capped_after_one_evaluation(monkeypatch, 1e200)
