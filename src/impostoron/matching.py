@@ -198,12 +198,15 @@ def match_profiles(
     where a liquid's profile is undefined are skipped and counted in
     `skipped_nodes`. When |g| stays below PROFILE_TOL on every defined node
     the pair is degenerate. Each sign change is bisected to float
-    resolution, and its root is the bisection point of least |g|; each
-    round evaluates the 2**ROUND_LEVELS - 1 nodes of one bisection tree
-    through the same _residual. The scan and every round evaluate both
-    liquids in one array pass of _profiles, one row per liquid. Each B_i is
-    d(eps_i')/d(nu) in closed form, as in find_nu0. The lowest root nu* is
-    then match_frequency's solution at nu*, marked profile-matched.
+    resolution, and its root is the bisection point of least |g|. The
+    bisection (_refine_root) evaluates its nodes in rounds through the same
+    _residual, each the 2**ROUND_LEVELS - 1 nodes of one bisection tree and
+    the path below the leaf that holds a predicted root; the first
+    prediction also reads the next scan node, which may be a skipped one.
+    The scan and every round evaluate both liquids in one array pass of
+    _profiles, one row per liquid. Each B_i is d(eps_i')/d(nu) in closed
+    form, as in find_nu0. The lowest root nu* is then match_frequency's
+    solution at nu*, marked profile-matched.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
     ends = np.array([lo, hi])
@@ -240,8 +243,7 @@ def match_profiles(
             roots.append(float(grid[i]))
             continue
         _, _, best = _refine_root(
-            lambda nu: _residual(liquid1, liquid2, nu),
-            float(grid[i]), float(grid[i + 1]), float(vals[i]), 0.0, undefined,
+            lambda nu: _residual(liquid1, liquid2, nu), grid, vals, i, 0.0, undefined
         )
         roots.append(best)
 

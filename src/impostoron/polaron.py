@@ -29,9 +29,10 @@ SCAN_POINTS = 400
 DEFAULT_BRACKET = (0.1, 3.0)
 DEFAULT_TOL = 1e-6
 
-#: Bisection levels resolved per call of the refined function: each call
-#: evaluates the 2**ROUND_LEVELS - 1 interior nodes of the bracket's
-#: bisection tree at once.
+#: Bisection levels resolved per call of the refined function, at least:
+#: each call evaluates the 2**ROUND_LEVELS - 1 interior nodes of the
+#: bracket's bisection tree at once, and with them the bisection path below
+#: the tree leaf that holds a predicted root.
 ROUND_LEVELS = 8
 
 
@@ -94,47 +95,123 @@ def _bisection_tree(a: float, b: float) -> np.ndarray:
     return nodes
 
 
+def _predict(a: float, b: float, c: float, fa: float, fb: float, fc: float) -> float:
+    """A guess at the root of f in (a, b), from f at a, b and a third point c.
+
+    Inverse quadratic interpolation (Brent, Algorithms for Minimization
+    without Derivatives, 1973) through the three points; if that is not
+    strictly inside (a, b), the secant through a and b; failing that, the
+    midpoint. Every divisor is a difference of two values, zero only where
+    they are equal, so nothing raises; a guess that is NaN or not inside
+    (a, b), as a NaN, an infinity or an overflow can leave, falls through.
+    """
+    if fa != fb and fa != fc and fb != fc:
+        p = (
+            a * (fb / (fa - fb)) * (fc / (fa - fc))
+            + b * (fa / (fb - fa)) * (fc / (fb - fc))
+            + c * (fa / (fc - fa)) * (fb / (fc - fb))
+        )
+        if a < p < b:
+            return p
+    if fa != fb:
+        p = b - fb * ((b - a) / (fb - fa))
+        if a < p < b:
+            return p
+    return 0.5 * (a + b)
+
+
+def _midpoint(a: float, b: float, tol: float) -> float | None:
+    """0.5*(a + b), or None where bisection of [a, b] stops.
+
+    It stops when b - a <= min(tol, a) or when the midpoint rounds onto an
+    end, so float rounding alone ends it. For a > 0, a bracket no wider than
+    a holds its midpoint within a factor 2 of the root, however large tol is
+    against the root.
+    """
+    mid = 0.5 * (a + b)
+    if b - a <= min(tol, a) or mid == a or mid == b:
+        return None
+    return mid
+
+
+def _round_nodes(a: float, b: float, p: float, tol: float) -> np.ndarray:
+    """The nodes of one round on [a, b], for a predicted root p in (a, b).
+
+    First the 2**ROUND_LEVELS - 1 interior nodes of the bisection tree
+    (_bisection_tree), then the bisection path below the tree leaf that
+    holds p: each midpoint of the leaf's bracket, stepping toward p, until
+    bisection of that bracket stops (_midpoint). The path is built only on
+    a bracket within one binade (b <= 2*a), where at most
+    sys.float_info.mant_dig halvings remain. A wider bracket gets none: a
+    root far below its scan cell's width needs hundreds of halvings toward
+    the cell's lower end, which a path from one leaf would not shorten.
+    """
+    tree = _bisection_tree(a, b)
+    if b > 2.0 * a:
+        return tree[1:-1]
+    k = int(np.searchsorted(tree, p, "right"))
+    lo, hi = float(tree[k - 1]), float(tree[k])
+    path = []
+    while (mid := _midpoint(lo, hi, tol)) is not None:
+        path.append(mid)
+        if p < mid:
+            hi = mid
+        else:
+            lo = mid
+    return np.concatenate((tree[1:-1], path))
+
+
 def _refine_root(
-    f, a: float, b: float, fa: float, tol: float, undefined
+    f, grid: np.ndarray, scan: np.ndarray, i: int, tol: float, undefined
 ) -> tuple[float, float, float]:
-    """Bisect [a, b] for a sign change of f, ROUND_LEVELS steps per call of f.
+    """Bisect the scan cell [grid[i], grid[i + 1]] for a sign change of f.
 
     f maps an array of points to an array of values, NaN where f is
-    undefined. Each call evaluates the 2**ROUND_LEVELS - 1 interior nodes of
-    the bisection tree of the current bracket (_bisection_tree); the steps
-    then walk that tree, reading only the nodes and values on their path.
-    Every node lies inside [a, b], so f may skip the checks that the
-    caller's scan has passed at the bracket's ends. A step moves a up to mid
-    when f(mid) has the sign of f(a) (negative or not), b down to mid
-    otherwise, and undefined(mid) raises the caller's error where f(mid) is
-    NaN: a NaN node off the path stops nothing. Bisection stops when
-    b - a <= min(tol, a), when mid rounds onto an end (so float rounding alone
-    ends it) or when f(mid) == 0 (the bracket collapses onto mid). For a > 0,
-    a bracket no wider than a holds its midpoint within a factor 2 of the
-    root, however large tol is against the root. Returns the final bracket
-    and the point of least |f| seen, a included.
+    undefined, and scan holds its values on grid. The walk is plain
+    bisection: a step moves a up to mid when f(mid) has the sign of f(a)
+    (negative or not), b down to mid otherwise, and undefined(mid) raises
+    the caller's error where f(mid) is NaN, so a NaN node off the walk stops
+    nothing. The walk stops as _midpoint says, checked before each step, or
+    when f(mid) == 0 (the bracket collapses onto mid).
+
+    Where the walk needs a value it has not got, one call of f evaluates a
+    round (_round_nodes): the bracket's bisection tree and the path below
+    the tree leaf that holds a root predicted (_predict) through the
+    bracket's two ends and the end they last replaced, on the first round
+    through the next scan node. The walk reads down the tree, then along the
+    path for as long as each path node is exactly the midpoint of its
+    bracket. So it reads f only at the floats that plain bisection
+    evaluates, and a wrong prediction costs only the path's nodes. Every
+    node lies inside [a, b], so f may skip the checks that the caller's scan
+    has passed at the bracket's ends. Returns the final bracket and the
+    point of least |f| seen, a included.
     """
+    a, b, fa, fb = float(grid[i]), float(grid[i + 1]), float(scan[i]), float(scan[i + 1])
+    c, fc = (float(grid[i + 2]), float(scan[i + 2])) if i + 2 < len(grid) else (math.nan, math.nan)
     best_abs, best = abs(fa), a
-    while True:
-        nodes = _bisection_tree(a, b)
-        values = f(nodes[1:-1])
-        left, right = 0, nodes.size - 1
-        while right - left > 1:
-            k = (left + right) // 2
-            mid = float(nodes[k])
-            if b - a <= min(tol, a) or mid == a or mid == b:
-                return a, b, best
-            fm = float(values[k - 1])
-            if math.isnan(fm):
-                undefined(mid)
-            if abs(fm) < best_abs:
-                best_abs, best = abs(fm), mid
-            if fm == 0.0:
-                return mid, mid, mid
-            if (fa < 0.0) == (fm < 0.0):
-                a, fa, left = mid, fm, k
-            else:
-                b, right = mid, k
+    nodes, left, half, j = (), 0, 0, 0  # a round's nodes; the walk's place in its tree and path
+    while (mid := _midpoint(a, b, tol)) is not None:
+        if not (half or (j < len(nodes) and nodes[j] == mid)):  # the walk left the last round
+            nodes = _round_nodes(a, b, _predict(a, b, c, fa, fb, fc), tol)
+            values = f(nodes)
+            left, half, j = 0, 2 ** (ROUND_LEVELS - 1), 2**ROUND_LEVELS - 1
+        if half:  # down the tree: mid is its node left + half
+            k = left + half - 1
+        else:  # along the path
+            k, j = j, j + 1
+        fm = float(values[k])
+        if math.isnan(fm):
+            undefined(mid)
+        if abs(fm) < best_abs:
+            best_abs, best = abs(fm), mid
+        if fm == 0.0:
+            return mid, mid, mid
+        if (fa < 0.0) == (fm < 0.0):
+            a, fa, c, fc, left = mid, fm, a, fa, left + half
+        else:
+            b, fb, c, fc = mid, fm, b, fb
+        half //= 2
+    return a, b, best
 
 
 def find_nu0(
@@ -148,11 +225,13 @@ def find_nu0(
     included, locates sign changes from negative to non-negative. The scan
     goes through eps_doped and so validates the whole bracket. Each sign
     change is bisected until its bracket is at most tol (THz) wide and no
-    wider than its lower end, and its midpoint is the crossing; each round
-    evaluates the 2**ROUND_LEVELS - 1 nodes of one bisection tree through the
-    unchecked kernel (_eps_real); an undefined node stops the search, with
-    eps_doped's error there, only where the bisection reaches it. The lowest
-    crossing is returned, any further ones are listed in `alternatives`.
+    wider than its lower end, and its midpoint is the crossing. The
+    bisection (_refine_root) evaluates its nodes in rounds through the
+    unchecked kernel (_eps_real), each the 2**ROUND_LEVELS - 1 nodes of one
+    bisection tree and the path below the leaf that holds a predicted
+    crossing. An undefined node stops the search, with eps_doped's error
+    there, only where the bisection reaches it. The lowest crossing is
+    returned, any further ones are listed in `alternatives`.
     slope_B is d(eps')/d(nu) at nu0 in closed form (mixing._mix_slope).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -166,8 +245,7 @@ def find_nu0(
     roots = []
     for i in np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0)):
         a, b, _ = _refine_root(
-            lambda nu: _eps_real(doped, nu), float(grid[i]), float(grid[i + 1]), float(f[i]), tol,
-            lambda mid: eps_doped(doped, mid),
+            lambda nu: _eps_real(doped, nu), grid, f, i, tol, lambda mid: eps_doped(doped, mid)
         )
         roots.append(0.5 * (a + b))
 

@@ -6,8 +6,11 @@ ImpostoronError at a scan node meaning "skip it", and plain one-point-per-step
 bisection that, like the package's, also ends where the midpoint rounds onto
 an end of the bracket. They call the package's scalar functions, so a
 disagreement with the package points at the vector scan or the refiner, not
-at the formulas.
+at the formulas. bisect_root is the walk of polaron._refine_root itself, one
+scalar evaluation per step and no prediction.
 """
+
+import math
 
 import numpy as np
 
@@ -40,6 +43,31 @@ def find_nu0_roots(doped, bracket, tol, n_scan=SCAN_POINTS):
                 a = mid
         roots.append(float(0.5 * (a + b)))
     return roots
+
+
+def bisect_root(f, a, b, fa, tol, undefined):
+    """The walk of polaron._refine_root on [a, b], one call of the scalar f per step.
+
+    The same stop rule (b - a <= min(tol, a), a midpoint that rounds onto an
+    end, f(mid) == 0), the same moves, the same undefined(mid) call where
+    f(mid) is NaN, and the same point of least |f| (a included).
+    """
+    best_abs, best = abs(fa), a
+    while True:
+        mid = 0.5 * (a + b)
+        if b - a <= min(tol, a) or mid == a or mid == b:
+            return a, b, best
+        fm = f(mid)
+        if math.isnan(fm):
+            undefined(mid)
+        if abs(fm) < best_abs:
+            best_abs, best = abs(fm), mid
+        if fm == 0.0:
+            return mid, mid, mid
+        if (fa < 0.0) == (fm < 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
 
 
 def profile_term(liquid, nu):

@@ -13,15 +13,24 @@ reaches, as one-point-per-step bisection does (scalar_oracle). An undefined
 node off the bisection path stops nothing. _profiles runs both liquids in
 one array pass; each of its rows must be bit for bit the pass of that
 liquid alone.
+
+A round evaluates the bracket's bisection tree and the path below the leaf
+that holds a predicted root. The walk must be scalar_oracle.bisect_root
+exactly, however the prediction is misled, and the predictor must raise and
+warn nothing of its own. A bracket wider than a binade gets no path, a done
+bracket no round, and the rounds of the packaged liquids' searches are
+counted, so that losing the path shows in these tests.
 """
 
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_oracle import find_nu0_roots
+from scalar_oracle import bisect_root, find_nu0_roots
 from test_scalar_oracle import BASE_PAIRS, assert_close_ulps, twin
 
 from impostoron import matching, polaron
@@ -197,17 +206,22 @@ def test_bisection_tree_is_the_level_by_level_tree(monkeypatch, levels, a, b):
 # --------------------------------------------------------------------------
 
 
-def match_pairs(liquids):
-    def pair(label, f1=1.0, f2=1.0):
-        (d1, t1), (d2, t2) = BASE_PAIRS[label]
-        return (
-            DebyeModel(f"{label}1", 2.2, ((d1 * f1, t1),)),
-            DebyeModel(f"{label}2", 2.2, ((d2, t2 * f2),)),
-        )
+def base_pair(label, f1=1.0, f2=1.0):
+    """The one-term Debye pair of BASE_PAIRS[label].
 
-    a, b = pair("a/b")
+    Liquid 1's strength is scaled by f1, liquid 2's relaxation time by f2.
+    """
+    (d1, t1), (d2, t2) = BASE_PAIRS[label]
+    return (
+        DebyeModel(f"{label}1", 2.2, ((d1 * f1, t1),)),
+        DebyeModel(f"{label}2", 2.2, ((d2, t2 * f2),)),
+    )
+
+
+def match_pairs(liquids):
+    a, b = base_pair("a/b")
     return [
-        pair("a/b"), pair("A/B"), pair("a/b", 1.07, 0.93), pair("A/B", 0.95, 1.08),
+        (a, b), base_pair("A/B"), base_pair("a/b", 1.07, 0.93), base_pair("A/B", 0.95, 1.08),
         (twin(a), b), (a, twin(b)),
         (liquids["ipa"], liquids["water"]), (liquids["eg"], liquids["water"]),
         (liquids["dispersionless"], liquids["ipa"]), (liquids["eg"], liquids["eg"]),
@@ -243,6 +257,169 @@ def test_roots_do_not_depend_on_the_round_depth(liquids, monkeypatch):
     assert sum("profile_matched=True" in r for r in results[1]) > 10
     for depth in DEPTHS:
         assert results[depth] == results[1]
+
+
+# --------------------------------------------------------------------------
+# The walk is one-point bisection, whatever the prediction; a round reads on
+# past its tree along the predicted path, so few rounds remain
+# --------------------------------------------------------------------------
+
+
+def misleading(a, b, root, shape, scale, islands):
+    """A scalar function on [a, b] with its sign change at root, NaN on the islands.
+
+    shape is a line, a step, a plateau of the given width or a kink with the
+    given slope ratio; scale multiplies it, sign included.
+    """
+    kind, arg = shape
+
+    def f(x):
+        if any(lo <= x <= hi for lo, hi in islands):
+            return math.nan
+        d = x - root
+        if kind == "step":
+            d = -1.0 if d < 0.0 else 1.0
+        elif kind == "plateau":
+            d = max(-1.0, min(1.0, d / arg))
+        elif kind == "kink" and d < 0.0:
+            d *= arg
+        return scale * (d / (b - a))
+
+    return f
+
+
+@st.composite
+def refine_cases(draw):
+    """A scan cell [a, b], a function on it that misleads the predictor, and the scan's values.
+
+    The cell lies within one binade or spans up to three decades. The
+    function is a step, a plateau, a kink or a line, scaled by 1e-300 to
+    1e300 either way, with NaN islands: one on the bisection path toward
+    the first prediction, where the walk may leave it, and one anywhere. The
+    scan's value at b is f(b), 0 (find_nu0 brackets on f >= 0 there) or any
+    float; at the next scan node, if there is one, f there, NaN (a node
+    match_profiles skips), an infinity or any float.
+    """
+    a = 10.0 ** draw(st.floats(-20.0, 20.0))
+    b = a + a * 10.0 ** draw(st.floats(-14.0, 3.0))
+    root = a + (b - a) * draw(st.floats(0.0, 1.0))
+    shape = draw(
+        st.one_of(
+            st.tuples(st.sampled_from(["line", "step"]), st.just(0.0)),
+            st.tuples(st.just("plateau"), st.floats(1e-12, 1.0).map(lambda w: w * (b - a))),
+            st.tuples(st.just("kink"), st.floats(-10.0, 10.0).map(lambda e: 10.0**e)),
+        )
+    )
+    scale = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-300.0, 300.0))
+    f = misleading(a, b, root, shape, scale, [])
+    fa = f(a)
+    fb = draw(st.one_of(st.just(f(b)), st.just(0.0), st.floats()))
+    grid, scan = [a, b], [fa, fb]
+    c = fc = math.nan  # as _refine_root takes a missing next scan node
+    if draw(st.booleans()):
+        c = b + (b - a) * 10.0 ** draw(st.floats(-3.0, 3.0))
+        odd = st.sampled_from([math.nan, math.inf, -math.inf])
+        fc = draw(st.one_of(st.just(f(c)), odd, st.floats()))
+        grid.append(c)
+        scan.append(fc)
+    p = polaron._predict(a, b, c, fa, fb, fc)
+    islands = []
+    for center in (p, a + (b - a) * draw(st.floats(0.0, 1.0))):
+        half_width = (b - a) * 2.0 ** -draw(st.floats(1.0, 60.0))
+        islands.append((max(center - half_width, a), min(center + half_width, b)))
+    islands = [(lo, hi) for lo, hi in islands if a < lo and hi < b]  # scan ends are defined
+    tol = draw(st.sampled_from([0.0, 1e-6 * (b - a), 2.0 * (b - a)]))
+    return misleading(a, b, root, shape, scale, islands), grid, scan, tol
+
+
+def undefined_at(mid):
+    raise DomainError(f"undefined at nu = {mid!r}")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=refine_cases())
+def test_the_walk_is_one_point_bisection(case):
+    # every value the walk reads is f at the midpoint one-point bisection
+    # evaluates next, so the bracket, the best point and the error raised at
+    # a NaN node it reaches are exactly the reference's, at any depth. The
+    # predictor raises nothing of its own, and nothing warns
+    f, grid, scan, tol = case
+    want = outcome(bisect_root, f, grid[0], grid[1], scan[0], tol, undefined_at)
+    for depth in (1, 5, 8):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polaron, "ROUND_LEVELS", depth)
+            got = outcome(
+                polaron._refine_root,
+                lambda nodes: np.array([f(x) for x in nodes.tolist()]),
+                np.array(grid), np.array(scan), 0, tol, undefined_at,
+            )
+        assert got == want
+
+
+def test_a_round_on_a_wide_bracket_is_its_tree_alone():
+    # a bracket wider than a binade gets no path: a root far below the
+    # cell's width is hundreds of halvings away toward its lower end
+    tree = _bisection_tree(1e-130, 2.5e-3)
+    np.testing.assert_array_equal(polaron._round_nodes(1e-130, 2.5e-3, 1e-3, 0.0), tree[1:-1])
+
+
+def test_a_round_in_a_binade_reads_on_to_float_resolution():
+    # within one binade the path halves the predicted leaf toward the
+    # prediction until the midpoint rounds onto an end: at most mant_dig nodes
+    a, b, p = 0.7, 0.7073, 0.70312345
+    nodes = polaron._round_nodes(a, b, p, 0.0)
+    tree = _bisection_tree(a, b)
+    np.testing.assert_array_equal(nodes[: tree.size - 2], tree[1:-1])
+    path = nodes[tree.size - 2 :].tolist()
+    lo, hi = float(tree[tree <= p][-1]), float(tree[tree > p][0])
+    for node in path:
+        assert node == 0.5 * (lo + hi)
+        lo, hi = (lo, node) if p < node else (node, hi)
+    assert 0.5 * (lo + hi) in (lo, hi)
+    assert 0 < len(path) <= sys.float_info.mant_dig
+
+
+def kernel_calls(monkeypatch):
+    """The names of the round kernels called from now on, one entry per call."""
+    calls = []
+    for module, name in ((matching, "_residual"), (polaron, "_eps_real")):
+        def counted(*args, kernel=getattr(module, name), name=name):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["a/b", "A/B"])
+def test_a_profile_match_takes_few_kernel_calls(monkeypatch, label):
+    # the scan, the rounds of the profile root and those of match_frequency's
+    # two find_nu0 calls: 11 in all with one tree per round, 5 and 6 with the path
+    calls = kernel_calls(monkeypatch)
+    assert match_profiles(*base_pair(label)).profile_matched
+    assert len(calls) <= 6, calls
+
+
+@pytest.mark.parametrize("stem", ["water", "eg", "ipa"])
+@pytest.mark.parametrize("tol, rounds", [(DEFAULT_TOL, 1), (1e-9, 2)])
+def test_find_nu0_rounds(liquids, monkeypatch, stem, tol, rounds):
+    # one tree per round took 2 rounds at DEFAULT_TOL and 3 at 1e-9
+    calls = kernel_calls(monkeypatch)
+    find_nu0(DopedLiquid(liquids[stem], Concentration.from_micromolar(40.0)), tol=tol)
+    assert calls == ["_eps_real"] * rounds
+
+
+def test_a_done_scan_cell_calls_no_round(liquids, monkeypatch):
+    # the default bracket's scan cells are 0.0073 THz wide: at tol 0.05 the
+    # stop rule holds before the first round, and the crossing is the cell's
+    # midpoint
+    doped = DopedLiquid(liquids["water"], Concentration.from_micromolar(40.0))
+    grid = np.linspace(*polaron.DEFAULT_BRACKET, polaron.SCAN_POINTS)
+    f = eps_doped(doped, grid).real
+    i = int(np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0))[0])
+    calls = kernel_calls(monkeypatch)
+    assert find_nu0(doped, tol=0.05).nu0 == 0.5 * (grid[i] + grid[i + 1])
+    assert calls == []
 
 
 # --------------------------------------------------------------------------
