@@ -10,7 +10,7 @@ called an impostoron here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +32,13 @@ from .mixing import (
 )
 from .polaron import (
     DEFAULT_BRACKET,
+    DEFAULT_TOL,
+    _at_crossing,
     _crossing_loss,
+    _crossings,
     _refine_root,
     eps_doped,  # noqa: F401  (bound here as before, for callers that use matching.eps_doped)
     eps_imag_at_nu0,
-    find_nu0,
 )
 
 #: Degeneracy threshold on the mean-normalized profile residual, not a convergence test.
@@ -112,51 +114,62 @@ def match_frequency(
 ) -> ImpostoronSolution:
     """Concentration pair whose zero crossings both land on nu0 (THz).
 
-    freq_residual reports the round-trip disagreement of the two independent
-    zero-crossing solves, each a find_nu0 at its DEFAULT_TOL on the bracket
-    clipped to both liquids' validity; profile_residual reports how unequal
-    the Lorentzian widths remain (frequency matching does not equalize them):
-    B1/eps2_1 - B2/eps2_2 at nu0 itself, both terms from one _profiles pass.
-    That pass runs unchecked: the two ce_for_nu0 calls have run eval_neat
-    and alpha_el at nu0.
+    freq_residual reports the round-trip disagreement of the two lowest
+    crossings, each found as find_nu0 finds it at its DEFAULT_TOL on the
+    bracket clipped to both liquids' validity; profile_residual reports how
+    unequal the Lorentzian widths remain (frequency matching does not
+    equalize them): B1/eps2_1 - B2/eps2_2 at nu0 itself, both terms from one
+    _profiles pass. That pass runs unchecked: the two ce_for_nu0 calls have
+    run eval_neat and alpha_el at nu0.
     """
-    ce1 = ce_for_nu0(liquid1, nu0)
-    ce2 = ce_for_nu0(liquid2, nu0)
-    lo, hi = _shared_bracket(liquid1, liquid2, bracket)
-    res1 = find_nu0(DopedLiquid(liquid1, ce1), (lo, hi))
-    res2 = find_nu0(DopedLiquid(liquid2, ce2), (lo, hi))
-    t1, t2 = _profiles(liquid1, liquid2, np.array([nu0], dtype=float))[:, 0].tolist()
+    ce = (ce_for_nu0(liquid1, nu0), ce_for_nu0(liquid2, nu0))
+    bracket = _shared_bracket(liquid1, liquid2, bracket)
+    terms = _profiles(liquid1, liquid2, np.array([nu0], dtype=float))[0][:, 0].tolist()
+    return _solution(liquid1, liquid2, nu0, ce, terms, bracket, profile_matched=False)
+
+
+def _solution(liquid1, liquid2, nu0, ce, terms, bracket, **fields) -> ImpostoronSolution:
+    """The solution at nu0 from the two concentrations ce and width terms B/eps2 there.
+
+    The round trip runs find_nu0's two parts for each liquid in turn, at
+    DEFAULT_TOL on the bracket, with their errors: freq_residual comes from
+    the two lowest crossings, and the slopes there say whether a pair with
+    both terms undefined is symmetric.
+    """
+    crossings, slopes = [], []
+    for liquid, c in zip((liquid1, liquid2), ce):
+        doped = DopedLiquid(liquid, c)
+        crossings.append(_crossings(doped, bracket, DEFAULT_TOL)[0])
+        slopes.append(_at_crossing(doped, crossings[-1])[1])
+    t1, t2 = terms
     residual, note = t1 - t2, ""
     if math.isnan(t1) or math.isnan(t2):
         # with both concentrations found, only a crossing of no finite width
         # (zero loss, or so little that B/eps2 overflows) leaves a term
         # undefined: 0 for a symmetric pair, else undefined
-        symmetric = math.isnan(t1) and math.isnan(t2) and res1.slope_B == res2.slope_B
+        symmetric = math.isnan(t1) and math.isnan(t2) and slopes[0] == slopes[1]
         residual = 0.0 if symmetric else math.nan
         note = "width diagnostic undefined: zero loss at the crossing"
     return ImpostoronSolution(
-        ce_1=ce1,
-        ce_2=ce2,
-        nu0=nu0,
-        freq_residual=abs(res1.nu0 - res2.nu0),
-        profile_residual=residual,
-        profile_matched=False,
-        note=note,
+        ce_1=ce[0], ce_2=ce[1], nu0=nu0, freq_residual=abs(crossings[0] - crossings[1]),
+        profile_residual=residual, note=note, **fields,
     )
 
 
-def _profiles(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.ndarray:
-    """B/eps2 of both liquids at each frequency of the float array nu, shape (2, nu.size).
+def _profiles(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray):
+    """B/eps2 and the concentration of both liquids at each frequency of the float array nu.
 
-    Row i is liquid i's profile, NaN where undefined. At each nu the
-    concentration is ce_for_nu0's closed form, eps2 the loss at the crossing
-    and B = d(eps')/d(nu) in closed form, as in find_nu0. A node is undefined
-    where ce_for_nu0 would raise, where eps2 is zero or where
-    |eps_neat + 2|^2, B or B/eps2 leaves the float range. The formulas alone
-    (_neat, _neat_slope, _alpha): the caller has run eval_neat of both
-    liquids and alpha_el at frequencies on both sides of nu, and their
-    checks hold between two frequencies that pass. Every operation is
-    elementwise, so each row is bit for bit that liquid's pass alone.
+    Returns (profile, ce), each of shape (2, nu.size), row i liquid i's. At
+    each nu ce is ce_for_nu0's closed form (mol/m^3) bit for bit, eps2 the
+    loss at the crossing and B = d(eps')/d(nu) in closed form, as in
+    find_nu0. The profile is NaN where undefined: where ce_for_nu0 would
+    raise, where eps2 is zero or where |eps_neat + 2|^2, B or B/eps2 leaves
+    the float range; ce means something only where the profile is defined.
+    The formulas alone (_neat, _neat_slope, _alpha): the caller has run
+    eval_neat of both liquids and alpha_el at frequencies on both sides of
+    nu, and their checks hold between two frequencies that pass. Every
+    operation is elementwise, so each row is bit for bit that liquid's pass
+    alone.
     """
     neat = np.stack((_neat(liquid1, nu), _neat(liquid2, nu)))
     lf, lf_pole = _local_field(neat)
@@ -169,12 +182,12 @@ def _profiles(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.
     ce = _invert(L, lf, _alpha(nu)).real
     # eps2 > 0 only where the loss at the crossing is defined and non-zero
     ok = (eps2 > 0.0) & ~lf_pole & np.isfinite(ce) & (ce >= 0.0) & np.isfinite(profile)
-    return np.where(ok, profile, np.nan)
+    return np.where(ok, profile, np.nan), ce
 
 
 def _residual(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.ndarray:
     """(t1 - t2)/mean of the two _profiles rows at nu: 0 where the mean is, NaN where undefined."""
-    t1, t2 = _profiles(liquid1, liquid2, nu)
+    t1, t2 = _profiles(liquid1, liquid2, nu)[0]
     mean = 0.5 * (t1 + t2)
     zero = mean == 0.0
     return np.where(zero, 0.0, (t1 - t2) / np.where(zero, 1.0, mean))
@@ -205,8 +218,9 @@ def match_profiles(
     prediction also reads the next scan node, which may be a skipped one.
     The scan and every round evaluate both liquids in one array pass of
     _profiles, one row per liquid. Each B_i is d(eps_i')/d(nu) in closed
-    form, as in find_nu0. The lowest root nu* is then match_frequency's
-    solution at nu*, marked profile-matched.
+    form, as in find_nu0. The lowest root nu* gives match_frequency's
+    solution at nu*, marked profile-matched: one _profiles pass at nu* gives
+    its concentrations and width terms, and _solution its round trip.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
     ends = np.array([lo, hi])
@@ -252,8 +266,9 @@ def match_profiles(
             f"no profile-matched impostoron in range [{lo:g}, {hi:g}] THz"
         )
 
-    return replace(
-        match_frequency(liquid1, liquid2, roots[0], (lo, hi)),
+    terms, ce = (rows[:, 0].tolist() for rows in _profiles(liquid1, liquid2, np.array([roots[0]])))
+    return _solution(
+        liquid1, liquid2, roots[0], tuple(map(Concentration, ce)), terms, (lo, hi),
         profile_matched=True,
         alternatives=tuple(roots[1:]),
         skipped_nodes=skipped,

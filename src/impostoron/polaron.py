@@ -65,18 +65,25 @@ def eps_doped(doped: DopedLiquid, nu):
     return cm_mix(eval_neat(doped.liquid, nu), doped.ce, nu)
 
 
-def _eps_real(doped: DopedLiquid, nu: np.ndarray) -> np.ndarray:
-    """eps_doped(doped, nu).real on nodes inside a bracket whose ends it accepted.
+def _eps(doped: DopedLiquid, nu: np.ndarray):
+    """(lf_neat, eps_doped(doped, nu), undefined) on nodes inside a bracket whose ends it accepted.
 
     The formulas alone (_neat, _alpha, _mix), skipping the checks that hold
-    between two accepted frequencies, and like matching._profiles NaN where
-    eps_doped would raise at that node alone: on the local-field pole, on the
-    Clausius-Mossotti divergence and where the electron term overflows.
+    between two accepted frequencies. undefined marks, like matching._profiles,
+    the nodes where eps_doped would raise at that node alone: on the
+    local-field pole, on the Clausius-Mossotti divergence and where the
+    electron term overflows.
     """
     lf, pole = _local_field(_neat(doped.liquid, nu))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing node is undefined
         eps, divergent = _mix(lf, doped.ce.mol_per_m3, _alpha(nu))
-    return np.where(pole | divergent | ~np.isfinite(eps), math.nan, eps.real)
+    return lf, eps, pole | divergent | ~np.isfinite(eps)
+
+
+def _eps_real(doped: DopedLiquid, nu: np.ndarray) -> np.ndarray:
+    """_eps's eps.real, NaN where it is undefined."""
+    _, eps, undefined = _eps(doped, nu)
+    return np.where(undefined, math.nan, eps.real)
 
 
 def _bisection_tree(a: float, b: float) -> np.ndarray:
@@ -214,26 +221,8 @@ def _refine_root(
     return a, b, best
 
 
-def find_nu0(
-    doped: DopedLiquid,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-    tol: float = DEFAULT_TOL,
-) -> PolaronResonance:
-    """Lowest rising zero crossing of eps'(nu) inside the bracket.
-
-    A uniform pre-scan of SCAN_POINTS points, both ends of the bracket
-    included, locates sign changes from negative to non-negative. The scan
-    goes through eps_doped and so validates the whole bracket. Each sign
-    change is bisected until its bracket is at most tol (THz) wide and no
-    wider than its lower end, and its midpoint is the crossing. The
-    bisection (_refine_root) evaluates its nodes in rounds through the
-    unchecked kernel (_eps_real), each the 2**ROUND_LEVELS - 1 nodes of one
-    bisection tree and the path below the leaf that holds a predicted
-    crossing. An undefined node stops the search, with eps_doped's error
-    there, only where the bisection reaches it. The lowest crossing is
-    returned, any further ones are listed in `alternatives`.
-    slope_B is d(eps')/d(nu) at nu0 in closed form (mixing._mix_slope).
-    """
+def _crossings(doped: DopedLiquid, bracket: tuple[float, float], tol: float) -> list[float]:
+    """Every rising zero crossing of eps'(nu) in the bracket, lowest first: find_nu0's search."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
         raise DomainError(f"bad bracket [{lo}, {hi}] THz")
@@ -248,24 +237,53 @@ def find_nu0(
             lambda nu: _eps_real(doped, nu), grid, f, i, tol, lambda mid: eps_doped(doped, mid)
         )
         roots.append(0.5 * (a + b))
-
     if not roots:
         raise NoResonanceError(f"no polaron resonance in range [{lo:g}, {hi:g}] THz")
+    return roots
 
-    nu0 = roots[0]
+
+def _at_crossing(doped: DopedLiquid, nu0: float) -> tuple[float, float]:
+    """(eps_imag_at_nu0, slope_B) at a crossing nu0 that _crossings found, through _eps.
+
+    eps_doped raises its own error where nu0 is undefined, and DomainError
+    says where slope_B, d(eps')/d(nu) in closed form (_mix_slope), overflows.
+    """
     at = np.array([nu0])
-    neat = eval_neat(doped.liquid, at)
-    eps = cm_mix(neat, doped.ce, at)
-    lf, L = _local_field(neat)[0], _local_field(eps)[0]
+    lf, eps, undefined = _eps(doped, at)
+    if undefined[0]:
+        eps = eps_doped(doped, at)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        slope_B = float(_mix_slope(lf, _neat_slope(doped.liquid, at), L, at)[0].real)
+        slope = _mix_slope(lf, _neat_slope(doped.liquid, at), _local_field(eps)[0], at)
+    slope_B = float(slope[0].real)
     if not math.isfinite(slope_B):
         raise DomainError(f"slope d(eps')/d(nu) at nu0 = {nu0!r} THz leaves the float range")
+    return float(eps[0].imag), slope_B
+
+
+def find_nu0(
+    doped: DopedLiquid,
+    bracket: tuple[float, float] = DEFAULT_BRACKET,
+    tol: float = DEFAULT_TOL,
+) -> PolaronResonance:
+    """Lowest rising zero crossing of eps'(nu) inside the bracket.
+
+    The search (_crossings): a uniform pre-scan of SCAN_POINTS points, both
+    ends of the bracket included, locates sign changes from negative to
+    non-negative. The scan goes through eps_doped and so validates the whole
+    bracket. Each sign change is bisected until its bracket is at most tol
+    (THz) wide and no wider than its lower end, and its midpoint is the
+    crossing. The bisection (_refine_root) evaluates its nodes in rounds
+    through the unchecked kernel (_eps_real), each the 2**ROUND_LEVELS - 1
+    nodes of one bisection tree and the path below the leaf that holds a
+    predicted crossing. An undefined node stops the search, with
+    eps_doped's error there, only where the bisection reaches it. The lowest
+    crossing is returned, any further ones are listed in `alternatives`, and
+    its loss and slope_B, d(eps')/d(nu) in closed form, come from _at_crossing.
+    """
+    roots = _crossings(doped, bracket, tol)
+    eps2, slope_B = _at_crossing(doped, roots[0])
     return PolaronResonance(
-        nu0=nu0,
-        eps_imag_at_nu0=float(eps[0].imag),
-        slope_B=slope_B,
-        ce=doped.ce,
+        nu0=roots[0], eps_imag_at_nu0=eps2, slope_B=slope_B, ce=doped.ce,
         alternatives=tuple(roots[1:]),
     )
 

@@ -160,7 +160,7 @@ class TestMatchFrequency:
     )
     def test_profile_residual_is_the_profile_difference_at_nu0(self, liquids, a, b, nu0):
         sol = match_frequency(liquids[a], liquids[b], nu0)
-        t1, t2 = _profiles(liquids[a], liquids[b], np.array([nu0]))[:, 0]
+        t1, t2 = _profiles(liquids[a], liquids[b], np.array([nu0]))[0][:, 0]
         assert sol.profile_residual == t1 - t2
         assert sol.note == ""
 
@@ -256,6 +256,62 @@ class TestMatchProfiles:
         )
         for f in dataclasses.fields(sol):
             assert getattr(sol, f.name) == getattr(want, f.name), f.name
+
+    @pytest.mark.parametrize(
+        "pair, want",
+        [
+            (
+                MATCHED_PAIRS["strength-only"],
+                "ImpostoronSolution(ce_1=Concentration(mol_per_m3=0.025683520754127928), "
+                "ce_2=Concentration(mol_per_m3=0.0414758326949897), nu0=0.7005744882408576, "
+                "freq_residual=0.0, profile_residual=-7.105427357601002e-15, "
+                "profile_matched=True, degenerate=False, note='', alternatives=(), "
+                "skipped_nodes=0)",
+            ),
+            (
+                MATCHED_PAIRS["demo-03"],
+                "ImpostoronSolution(ce_1=Concentration(mol_per_m3=0.09846362475205968), "
+                "ce_2=Concentration(mol_per_m3=0.09596675813359457), nu0=1.402229975100822, "
+                "freq_residual=0.0, profile_residual=0.0, profile_matched=True, "
+                "degenerate=False, note='', alternatives=(), skipped_nodes=0)",
+            ),
+        ],
+        ids=["a/b", "A/B"],
+    )
+    def test_pinned_solution(self, pair, want):
+        # the solution, to the last bit, that the frequency match at the root
+        # gives: the test above alone would not see both drift together
+        assert repr(match_profiles(*pair)) == want
+
+    def test_perturbed_pairs_are_the_frequency_match_at_the_root(self):
+        # a/b and A/B with each strength and relaxation time scaled by up to
+        # 10 %; their roots reach about 2.4 THz, so the bracket ends at 3
+        rng = np.random.default_rng(2024)
+        bracket = (0.2, 3.0)
+
+        def perturbed(model):
+            ((delta, tau),) = model.terms
+            factors = rng.uniform(0.9, 1.1, 2)
+            return DebyeModel(model.name, model.eps_inf, ((delta * factors[0], tau * factors[1]),))
+
+        for k in range(48):
+            a, b = map(perturbed, MATCHED_PAIRS[("strength-only", "demo-03")[k % 2]])
+            sol = match_profiles(a, b, bracket)
+            want = dataclasses.replace(
+                match_frequency(a, b, sol.nu0, bracket),
+                profile_matched=True,
+                alternatives=sol.alternatives,
+                skipped_nodes=sol.skipped_nodes,
+            )
+            assert repr(sol) == repr(want)
+            # bit for bit: repr tells -0.0 from 0.0
+            want_ce = ce_for_nu0(a, sol.nu0), ce_for_nu0(b, sol.nu0)
+            assert repr((sol.ce_1, sol.ce_2)) == repr(want_ce)
+            crossings = [
+                find_nu0(DopedLiquid(liquid, ce), bracket, DEFAULT_TOL).nu0
+                for liquid, ce in ((a, sol.ce_1), (b, sol.ce_2))
+            ]
+            assert sol.freq_residual == abs(crossings[0] - crossings[1])
 
     def test_water_alcohol_pair_has_no_match(self, liquids):
         with pytest.raises(

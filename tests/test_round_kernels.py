@@ -72,10 +72,12 @@ def checked_profiles(liquid1, liquid2, nu):
 
 def assert_pair_kernels(liquid1, liquid2, nu):
     """The pair pass is bit for bit the checked pass, and each row the pass of its liquid alone."""
-    pair = _profiles(liquid1, liquid2, nu)
+    # the profile and concentration rows, shape (2, 2, nu.size)
+    pair = np.stack(_profiles(liquid1, liquid2, nu))
+    alone = np.stack(_profiles(liquid1, liquid1, nu)), np.stack(_profiles(liquid2, liquid2, nu))
     np.testing.assert_array_equal(bits(pair), bits(checked_profiles(liquid1, liquid2, nu)))
-    np.testing.assert_array_equal(bits(pair[0]), bits(_profiles(liquid1, liquid1, nu)[0]))
-    np.testing.assert_array_equal(bits(pair[1]), bits(_profiles(liquid2, liquid2, nu)[1]))
+    np.testing.assert_array_equal(bits(pair[:, 0]), bits(alone[0][:, 0]))
+    np.testing.assert_array_equal(bits(pair[:, 1]), bits(alone[1][:, 1]))
 
 
 def outcome(f, *args):
@@ -382,7 +384,7 @@ def test_a_round_in_a_binade_reads_on_to_float_resolution():
 def kernel_calls(monkeypatch):
     """The names of the round kernels called from now on, one entry per call."""
     calls = []
-    for module, name in ((matching, "_residual"), (polaron, "_eps_real")):
+    for module, name in ((matching, "_residual"), (matching, "_profiles"), (polaron, "_eps_real")):
         def counted(*args, kernel=getattr(module, name), name=name):
             calls.append(name)
             return kernel(*args)
@@ -393,11 +395,20 @@ def kernel_calls(monkeypatch):
 
 @pytest.mark.parametrize("label", ["a/b", "A/B"])
 def test_a_profile_match_takes_few_kernel_calls(monkeypatch, label):
-    # the scan, the rounds of the profile root and those of match_frequency's
-    # two find_nu0 calls: 11 in all with one tree per round, 5 and 6 with the path
+    # the scan, the rounds of the profile root and those of the round trip's
+    # two crossing searches: 11 in all with one tree per round, 5 and 6 with
+    # the path. Each scan and round runs _profiles once, and one more pass at
+    # the root gives both concentrations and width terms, so neither
+    # ce_for_nu0 nor find_nu0 runs
+    def called(*args):
+        raise AssertionError("match_profiles called a checked solver")
+
+    monkeypatch.setattr(matching, "ce_for_nu0", called)
+    monkeypatch.setattr(polaron, "find_nu0", called)
     calls = kernel_calls(monkeypatch)
     assert match_profiles(*base_pair(label)).profile_matched
-    assert len(calls) <= 6, calls
+    assert calls.count("_residual") + calls.count("_eps_real") <= 6, calls
+    assert calls.count("_profiles") == calls.count("_residual") + 1, calls
 
 
 @pytest.mark.parametrize("stem", ["water", "eg", "ipa"])
@@ -429,6 +440,17 @@ def test_a_done_scan_cell_calls_no_round(liquids, monkeypatch):
 
 DEBYE = DebyeModel("x", 2.2, ((1.0, 1.0),))
 OVERFLOW = "frequency 1e+160 THz overflows 'x'"
+
+
+def test_find_nu0_raises_eps_doped_error_at_an_undefined_crossing():
+    # at tol 0.05 the crossing is its scan cell's midpoint, which the search
+    # never evaluates; the table puts the local-field pole exactly there
+    grid = np.linspace(*polaron.DEFAULT_BRACKET, polaron.SCAN_POINTS)
+    a, b = grid[100], grid[101]
+    knots = np.array([grid[0], a, 0.5 * (a + b), b, grid[-1]])
+    pole = TabulatedModel("pole", knots, np.array([-1.0, -1.0, -2.0, 1.0, 1.0]) + 0j)
+    with pytest.raises(SingularityError, match="local-field ratio diverges"):
+        find_nu0(DopedLiquid(pole, Concentration(0.0)), tol=0.05)
 
 
 def test_find_nu0_overflow_at_the_upper_end():
@@ -487,7 +509,7 @@ def test_an_overflowing_width_leaves_the_node_undefined():
     # a loss of 1e-310 leaves eps2 at the crossing so small that B/eps2
     # overflows above 1 THz: those nodes are undefined, and nothing warns
     tiny = TabulatedModel("tiny", np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.0, 1 + 1e-310j]))
-    assert np.isnan(_profiles(tiny, tiny, np.array([1.2, 1.5, 2.0]))).all()
+    assert np.isnan(_profiles(tiny, tiny, np.array([1.2, 1.5, 2.0]))[0]).all()
     with pytest.raises(NoProfileMatchError):
         match_profiles(DebyeModel("free", 1.0), tiny, (1.0, 10.0))
     sol = match_frequency(tiny, tiny, 1.5, (0.5, 2.0))

@@ -73,7 +73,7 @@ def check_scan(liquid1, liquid2):
     lo, hi = _shared_bracket(liquid1, liquid2, (0.2, 2.0))
     grid = np.linspace(lo, hi, 200)
     # one pass gives both liquids' profiles, a row each
-    for liquid, got in zip((liquid1, liquid2), _profiles(liquid1, liquid2, grid)):
+    for liquid, got in zip((liquid1, liquid2), _profiles(liquid1, liquid2, grid)[0]):
         want = np.full(grid.shape, np.nan)
         for i, nu in enumerate(grid):
             try:
