@@ -9,10 +9,11 @@ bisection levels one round resolves, and the searches must still raise the
 errors and messages of the checked path: match_profiles those that
 eval_neat(liquid1), alpha_el and eval_neat(liquid2) raise on its scan grid,
 find_nu0 the one that eps_doped raises at an undefined node the bisection
-reaches, as one-point-per-step bisection does (scalar_oracle). An undefined
-node off the bisection path stops nothing. _profiles runs both liquids in
-one array pass; each of its rows must be bit for bit the pass of that
-liquid alone.
+reaches, as one-point-per-step bisection does (scalar_oracle), and the loss
+and slope at its crossing (polaron._at_crossing) those of the checked path
+or its error. An undefined node off the bisection path stops nothing.
+_profiles runs both liquids in one array pass; each of its rows must be bit
+for bit the pass of that liquid alone.
 
 A round evaluates the bracket's bisection tree and the path below the leaf
 that holds a predicted root. The walk must be scalar_oracle.bisect_root
@@ -34,7 +35,13 @@ from scalar_oracle import bisect_root, find_nu0_roots
 from test_scalar_oracle import BASE_PAIRS, assert_close_ulps, twin
 
 from impostoron import matching, polaron
-from impostoron.dielectric import DebyeModel, TabulatedModel, eval_neat, validity_range
+from impostoron.dielectric import (
+    DebyeModel,
+    TabulatedModel,
+    _neat_slope,
+    eval_neat,
+    validity_range,
+)
 from impostoron.errors import (
     DomainError,
     ImpostoronError,
@@ -50,7 +57,14 @@ from impostoron.matching import (
     match_frequency,
     match_profiles,
 )
-from impostoron.mixing import Concentration, DopedLiquid, alpha_el
+from impostoron.mixing import (
+    Concentration,
+    DopedLiquid,
+    _local_field,
+    _mix_slope,
+    alpha_el,
+    cm_mix,
+)
 from impostoron.polaron import DEFAULT_TOL, _bisection_tree, _eps_real, eps_doped, find_nu0
 
 #: the round depth the package uses, and the one it used before
@@ -68,6 +82,17 @@ def checked_profiles(liquid1, liquid2, nu):
         patch.setattr(matching, "_neat", eval_neat)
         patch.setattr(matching, "_alpha", alpha_el)
         return _profiles(liquid1, liquid2, nu)
+
+
+def checked_at_crossing(doped, nu0):
+    """_at_crossing's loss and slope through eval_neat and cm_mix, which check the node."""
+    at = np.array([nu0])
+    neat = eval_neat(doped.liquid, at)
+    eps = cm_mix(neat, doped.ce, at)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lf, L = _local_field(neat)[0], _local_field(eps)[0]
+        slope = _mix_slope(lf, _neat_slope(doped.liquid, at), L, at)
+    return np.array([eps[0].imag, slope[0].real])
 
 
 def assert_pair_kernels(liquid1, liquid2, nu):
@@ -160,6 +185,15 @@ def test_find_nu0_round_is_eps_doped(liquids, data):
             assert np.isnan(value), (node, want)
         else:
             np.testing.assert_array_equal(bits([value]), bits(want))
+        # the loss and slope at a crossing: the checked path's, or its error
+        want = outcome(checked_at_crossing, doped, node)
+        got_at = outcome(lambda: np.array(polaron._at_crossing(doped, node)))
+        if isinstance(want, tuple):
+            assert isinstance(got_at, tuple) and got_at == want, (node, got_at)
+        elif not math.isfinite(want[1]):
+            assert got_at[0] is DomainError, (node, got_at)
+        else:
+            np.testing.assert_array_equal(bits(got_at), bits(want))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
