@@ -133,14 +133,16 @@ def _solution(liquid1, liquid2, nu0, ce, terms, bracket, **fields) -> Impostoron
 
     The round trip runs find_nu0's two parts for each liquid in turn, at
     DEFAULT_TOL on the bracket, with their errors: freq_residual comes from
-    the two lowest crossings, and the slopes there say whether a pair with
-    both terms undefined is symmetric.
+    the two lowest crossings, and the slopes there, which _at_crossing reads
+    from the search's last round where that round evaluated the crossing,
+    say whether a pair with both terms undefined is symmetric.
     """
     crossings, slopes = [], []
     for liquid, c in zip((liquid1, liquid2), ce):
         doped = DopedLiquid(liquid, c)
-        crossings.append(_crossings(doped, bracket, DEFAULT_TOL)[0])
-        slopes.append(_at_crossing(doped, crossings[-1])[1])
+        roots, last = _crossings(doped, bracket, DEFAULT_TOL)
+        crossings.append(roots[0])
+        slopes.append(_at_crossing(doped, roots[0], last)[1])
     t1, t2 = terms
     residual, note = t1 - t2, ""
     if math.isnan(t1) or math.isnan(t2):
@@ -185,9 +187,9 @@ def _profiles(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray):
     return np.where(ok, profile, np.nan), ce
 
 
-def _residual(liquid1: LiquidModel, liquid2: LiquidModel, nu: np.ndarray) -> np.ndarray:
-    """(t1 - t2)/mean of the two _profiles rows at nu: 0 where the mean is, NaN where undefined."""
-    t1, t2 = _profiles(liquid1, liquid2, nu)[0]
+def _residual(profile: np.ndarray) -> np.ndarray:
+    """(t1 - t2)/mean of _profiles' two profile rows: 0 where the mean is, NaN where undefined."""
+    t1, t2 = profile
     mean = 0.5 * (t1 + t2)
     zero = mean == 0.0
     return np.where(zero, 0.0, (t1 - t2) / np.where(zero, 1.0, mean))
@@ -217,18 +219,27 @@ def match_profiles(
     the path below the leaf that holds a predicted root; the first
     prediction also reads the next scan node, which may be a skipped one.
     The scan and every round evaluate both liquids in one array pass of
-    _profiles, one row per liquid. Each B_i is d(eps_i')/d(nu) in closed
-    form, as in find_nu0. The lowest root nu* gives match_frequency's
-    solution at nu*, marked profile-matched: one _profiles pass at nu* gives
-    its concentrations and width terms, and _solution its round trip.
+    _profiles, one row per liquid, and keep its nodes, profile and
+    concentration rows. Each B_i is d(eps_i')/d(nu) in closed form, as in
+    find_nu0. The lowest root nu* gives match_frequency's solution at nu*,
+    marked profile-matched: its concentrations and width terms are the
+    columns at nu* of the pass that evaluated nu*, the scan's or a round's,
+    and _solution gives its round trip.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
     ends = np.array([lo, hi])
     eval_neat(liquid1, ends)
     alpha_el(ends)
     eval_neat(liquid2, ends)
+    passes = []  # (nodes, profile, ce) of the scan and of every round
+
+    def residual(nu):
+        profile, ce = _profiles(liquid1, liquid2, nu)
+        passes.append((nu, profile, ce))
+        return _residual(profile)
+
     grid = np.linspace(lo, hi, PROFILE_SCAN_POINTS)  # holds lo and hi themselves
-    vals = _residual(liquid1, liquid2, grid)
+    vals = residual(grid)
 
     finite = np.isfinite(vals)
     skipped = int(np.count_nonzero(~finite))
@@ -256,9 +267,7 @@ def match_profiles(
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
             continue
-        _, _, best = _refine_root(
-            lambda nu: _residual(liquid1, liquid2, nu), grid, vals, i, 0.0, undefined
-        )
+        _, _, best = _refine_root(residual, grid, vals, i, 0.0, undefined)
         roots.append(best)
 
     if not roots:
@@ -266,9 +275,13 @@ def match_profiles(
             f"no profile-matched impostoron in range [{lo:g}, {hi:g}] THz"
         )
 
-    terms, ce = (rows[:, 0].tolist() for rows in _profiles(liquid1, liquid2, np.array([roots[0]])))
+    for nodes, profile, ce in passes:  # the root is a node of the scan or of a round
+        k = np.flatnonzero(nodes == roots[0])
+        if k.size:
+            break
     return _solution(
-        liquid1, liquid2, roots[0], tuple(map(Concentration, ce)), terms, (lo, hi),
+        liquid1, liquid2, roots[0], tuple(map(Concentration, ce[:, k[0]].tolist())),
+        profile[:, k[0]].tolist(), (lo, hi),
         profile_matched=True,
         alternatives=tuple(roots[1:]),
         skipped_nodes=skipped,

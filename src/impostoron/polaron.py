@@ -80,12 +80,6 @@ def _eps(doped: DopedLiquid, nu: np.ndarray):
     return lf, eps, pole | divergent | ~np.isfinite(eps)
 
 
-def _eps_real(doped: DopedLiquid, nu: np.ndarray) -> np.ndarray:
-    """_eps's eps.real, NaN where it is undefined."""
-    _, eps, undefined = _eps(doped, nu)
-    return np.where(undefined, math.nan, eps.real)
-
-
 def _bisection_tree(a: float, b: float) -> np.ndarray:
     """The 2**ROUND_LEVELS + 1 nodes of [a, b]'s bisection tree, in order.
 
@@ -147,11 +141,15 @@ def _round_nodes(a: float, b: float, p: float, tol: float) -> np.ndarray:
     First the 2**ROUND_LEVELS - 1 interior nodes of the bisection tree
     (_bisection_tree), then the bisection path below the tree leaf that
     holds p: each midpoint of the leaf's bracket, stepping toward p, until
-    bisection of that bracket stops (_midpoint). The path is built only on
-    a bracket within one binade (b <= 2*a), where at most
-    sys.float_info.mant_dig halvings remain. A wider bracket gets none: a
-    root far below its scan cell's width needs hundreds of halvings toward
-    the cell's lower end, which a path from one leaf would not shorten.
+    bisection of that bracket stops (_midpoint), and last the closing
+    midpoint 0.5*(lo + hi) of the path's last bracket. A walk that finishes
+    on the path stops before it would read that node, and returns it as
+    find_nu0's crossing; where float rounding ended the path it repeats an
+    end of the bracket. The path is built only on a bracket within one
+    binade (b <= 2*a), where at most sys.float_info.mant_dig halvings
+    remain. A wider bracket gets none: a root far below its scan cell's
+    width needs hundreds of halvings toward the cell's lower end, which a
+    path from one leaf would not shorten.
     """
     tree = _bisection_tree(a, b)
     if b > 2.0 * a:
@@ -165,6 +163,7 @@ def _round_nodes(a: float, b: float, p: float, tol: float) -> np.ndarray:
             hi = mid
         else:
             lo = mid
+    path.append(0.5 * (lo + hi))
     return np.concatenate((tree[1:-1], path))
 
 
@@ -188,10 +187,14 @@ def _refine_root(
     through the next scan node. The walk reads down the tree, then along the
     path for as long as each path node is exactly the midpoint of its
     bracket. So it reads f only at the floats that plain bisection
-    evaluates, and a wrong prediction costs only the path's nodes. Every
-    node lies inside [a, b], so f may skip the checks that the caller's scan
-    has passed at the bracket's ends. Returns the final bracket and the
-    point of least |f| seen, a included.
+    evaluates, and a wrong prediction costs only the path's nodes; the
+    path's closing midpoint it never reads. Every node lies inside [a, b],
+    so f may skip the checks that the caller's scan has passed at the
+    bracket's ends. A caller that keeps what f computed on each round finds
+    there the point of least |f| unless it is a, and 0.5*(a + b) of the
+    final bracket where the walk finished on a path, as its closing
+    midpoint. Returns the final bracket and the point of least |f| seen, a
+    included.
     """
     a, b, fa, fb = float(grid[i]), float(grid[i + 1]), float(scan[i]), float(scan[i + 1])
     c, fc = (float(grid[i + 2]), float(scan[i + 2])) if i + 2 < len(grid) else (math.nan, math.nan)
@@ -221,8 +224,14 @@ def _refine_root(
     return a, b, best
 
 
-def _crossings(doped: DopedLiquid, bracket: tuple[float, float], tol: float) -> list[float]:
-    """Every rising zero crossing of eps'(nu) in the bracket, lowest first: find_nu0's search."""
+def _crossings(doped: DopedLiquid, bracket: tuple[float, float], tol: float):
+    """Every rising zero crossing of eps'(nu) in the bracket, lowest first: find_nu0's search.
+
+    Returns (roots, last): last is the last round that refined the lowest
+    crossing, as (nodes, lf, eps, undefined) of its _eps pass, or None
+    where its scan cell needed no round. Each round's values are _eps's
+    eps.real, NaN where it is undefined.
+    """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
         raise DomainError(f"bad bracket [{lo}, {hi}] THz")
@@ -231,25 +240,37 @@ def _crossings(doped: DopedLiquid, bracket: tuple[float, float], tol: float) -> 
 
     grid = np.linspace(lo, hi, SCAN_POINTS)  # holds lo and hi themselves
     f = np.real(eps_doped(doped, grid))
-    roots = []
+    rounds = []  # (nodes, lf, eps, undefined) of each round's _eps pass
+
+    def eps_real(nu):
+        lf, eps, undefined = _eps(doped, nu)
+        rounds.append((nu, lf, eps, undefined))
+        return np.where(undefined, math.nan, eps.real)
+
+    roots, last = [], None
     for i in np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0)):
-        a, b, _ = _refine_root(
-            lambda nu: _eps_real(doped, nu), grid, f, i, tol, lambda mid: eps_doped(doped, mid)
-        )
+        a, b, _ = _refine_root(eps_real, grid, f, i, tol, lambda mid: eps_doped(doped, mid))
+        if not roots and rounds:
+            last = rounds[-1]
         roots.append(0.5 * (a + b))
     if not roots:
         raise NoResonanceError(f"no polaron resonance in range [{lo:g}, {hi:g}] THz")
-    return roots
+    return roots, last
 
 
-def _at_crossing(doped: DopedLiquid, nu0: float) -> tuple[float, float]:
-    """(eps_imag_at_nu0, slope_B) at a crossing nu0 that _crossings found, through _eps.
+def _at_crossing(doped: DopedLiquid, nu0: float, last) -> tuple[float, float]:
+    """(eps_imag_at_nu0, slope_B) at the lowest crossing nu0 and the last round from _crossings.
 
-    eps_doped raises its own error where nu0 is undefined, and DomainError
-    says where slope_B, d(eps')/d(nu) in closed form (_mix_slope), overflows.
+    lf and eps at nu0 come from last's _eps pass where nu0 is one of its
+    nodes, as the closing midpoint of the round's path is when the walk
+    finished on it; elsewhere (no round, a tree-only round, a walk that left
+    the path) from a one-node _eps pass. eps_doped raises its own error
+    where nu0 is undefined, and DomainError says where slope_B,
+    d(eps')/d(nu) in closed form (_mix_slope), overflows.
     """
     at = np.array([nu0])
-    lf, eps, undefined = _eps(doped, at)
+    k = np.flatnonzero(last[0] == nu0)[:1] if last is not None else ()
+    lf, eps, undefined = (v[k] for v in last[1:]) if len(k) else _eps(doped, at)
     if undefined[0]:
         eps = eps_doped(doped, at)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
@@ -273,15 +294,19 @@ def find_nu0(
     bracket. Each sign change is bisected until its bracket is at most tol
     (THz) wide and no wider than its lower end, and its midpoint is the
     crossing. The bisection (_refine_root) evaluates its nodes in rounds
-    through the unchecked kernel (_eps_real), each the 2**ROUND_LEVELS - 1
-    nodes of one bisection tree and the path below the leaf that holds a
-    predicted crossing. An undefined node stops the search, with
-    eps_doped's error there, only where the bisection reaches it. The lowest
-    crossing is returned, any further ones are listed in `alternatives`, and
-    its loss and slope_B, d(eps')/d(nu) in closed form, come from _at_crossing.
+    through the unchecked kernel (_eps), each the 2**ROUND_LEVELS - 1 nodes
+    of one bisection tree and the path below the leaf that holds a predicted
+    crossing, closed by the midpoint that the walk returns when it finishes
+    on that path. An undefined node stops the search, with eps_doped's
+    error there, only where the bisection reaches it. The lowest crossing is
+    returned, any further ones are listed in `alternatives`, and its loss
+    and slope_B, d(eps')/d(nu) in closed form, come from _at_crossing: from
+    the last round's pass where that round evaluated the crossing, and
+    otherwise from one more pass there, with eps_doped's error where the
+    crossing is undefined.
     """
-    roots = _crossings(doped, bracket, tol)
-    eps2, slope_B = _at_crossing(doped, roots[0])
+    roots, last = _crossings(doped, bracket, tol)
+    eps2, slope_B = _at_crossing(doped, roots[0], last)
     return PolaronResonance(
         nu0=roots[0], eps_imag_at_nu0=eps2, slope_B=slope_B, ce=doped.ce,
         alternatives=tuple(roots[1:]),

@@ -1,8 +1,8 @@
 """The refinement rounds of the root searches against the checked path.
 
 find_nu0 validates its bracket on the scan, match_profiles at the bracket's
-two ends; both then evaluate nodes through unchecked kernels
-(polaron._eps_real, matching._profiles). Each kernel is NaN exactly where
+two ends; both then evaluate nodes through unchecked kernels (polaron._eps,
+matching._profiles). Each kernel marks a node undefined (NaN) exactly where
 the checked path raises at that node alone and gives bit for bit what the
 checked path gives elsewhere. The roots must not depend on how many
 bisection levels one round resolves, and the searches must still raise the
@@ -11,16 +11,20 @@ eval_neat(liquid1), alpha_el and eval_neat(liquid2) raise on its scan grid,
 find_nu0 the one that eps_doped raises at an undefined node the bisection
 reaches, as one-point-per-step bisection does (scalar_oracle), and the loss
 and slope at its crossing (polaron._at_crossing) those of the checked path
-or its error. An undefined node off the bisection path stops nothing.
-_profiles runs both liquids in one array pass; each of its rows must be bit
-for bit the pass of that liquid alone.
+or its error, whether they come from the round that evaluated the crossing
+or from a one-node pass. An undefined node off the bisection path stops
+nothing. _profiles runs both liquids in one array pass; each of its rows
+must be bit for bit the pass of that liquid alone.
 
 A round evaluates the bracket's bisection tree and the path below the leaf
-that holds a predicted root. The walk must be scalar_oracle.bisect_root
-exactly, however the prediction is misled, and the predictor must raise and
-warn nothing of its own. A bracket wider than a binade gets no path, a done
-bracket no round, and the rounds of the packaged liquids' searches are
-counted, so that losing the path shows in these tests.
+that holds a predicted root, closed by the midpoint of the path's last
+bracket. The walk must be scalar_oracle.bisect_root exactly, however the
+prediction is misled, and the predictor must raise and warn nothing of its
+own. A bracket wider than a binade gets no path, a done bracket no round,
+and the kernel passes of the packaged liquids' searches are counted: one per
+scan or round, none after a profile match's search and no one-node pass
+where a round evaluated the crossing, so that losing the path or its
+closing midpoint shows in these tests.
 """
 
 import math
@@ -65,7 +69,7 @@ from impostoron.mixing import (
     alpha_el,
     cm_mix,
 )
-from impostoron.polaron import DEFAULT_TOL, _bisection_tree, _eps_real, eps_doped, find_nu0
+from impostoron.polaron import DEFAULT_TOL, _bisection_tree, _eps, eps_doped, find_nu0
 
 #: the round depth the package uses, and the one it used before
 DEPTHS = (5, polaron.ROUND_LEVELS)
@@ -163,11 +167,24 @@ def singular_tables(draw):
     return TabulatedModel("s", freqs, np.array(re) + 0j)
 
 
+def assert_same_outcome(got, want):
+    """got is want bit for bit, or an error of want's type and message.
+
+    A slope that overflows in the checked path is _at_crossing's DomainError.
+    """
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and got == want, got
+    elif not math.isfinite(want[1]):
+        assert got[0] is DomainError, got
+    else:
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_find_nu0_round_is_eps_doped(liquids, data):
-    # node by node: NaN exactly where eps_doped raises at that node alone,
-    # and bit for bit eps_doped's value elsewhere
+    # node by node: undefined exactly where eps_doped raises at that node
+    # alone, and bit for bit eps_doped's value elsewhere
     model = data.draw(st.one_of(debye_models(), table_models(liquids), singular_tables()))
     nodes = [data.draw(nodes_for(model))]
     if isinstance(model, TabulatedModel):
@@ -178,22 +195,32 @@ def test_find_nu0_round_is_eps_doped(liquids, data):
     ce = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4), st.floats(0.0, 1e280)))
     doped = DopedLiquid(model, Concentration(ce))
     nu = np.concatenate(nodes)
-    got = _eps_real(doped, nu)
-    for node, value in zip(nu, got):
-        want = outcome(lambda: eps_doped(doped, np.array([node])).real)
+    round_ = (nu, *_eps(doped, nu))
+    for k, node in enumerate(nu):
+        want = outcome(lambda: eps_doped(doped, np.array([node]))[0])
         if isinstance(want, tuple):
-            assert np.isnan(value), (node, want)
+            assert round_[3][k], (node, want)
         else:
-            np.testing.assert_array_equal(bits([value]), bits(want))
-        # the loss and slope at a crossing: the checked path's, or its error
+            assert not round_[3][k], node
+            got = round_[2][k]
+            np.testing.assert_array_equal(bits([got.real, got.imag]), bits([want.real, want.imag]))
+        # the loss and slope at a crossing: the checked path's, or its error,
+        # from a one-node pass and from a round that holds the node
         want = outcome(checked_at_crossing, doped, node)
-        got_at = outcome(lambda: np.array(polaron._at_crossing(doped, node)))
-        if isinstance(want, tuple):
-            assert isinstance(got_at, tuple) and got_at == want, (node, got_at)
-        elif not math.isfinite(want[1]):
-            assert got_at[0] is DomainError, (node, got_at)
+        for last in (None, round_):
+            got = outcome(lambda: np.array(polaron._at_crossing(doped, node, last)))
+            assert_same_outcome(got, want)
+    # find_nu0 at the crossing its search finds
+    lo, hi = float(nu.min()), float(nu.max())
+    if lo < hi:
+        tol = data.draw(st.sampled_from([DEFAULT_TOL, 1e-9, 1e-300]))
+        roots = outcome(lambda: polaron._crossings(doped, (lo, hi), tol)[0])
+        got = outcome(find_nu0, doped, (lo, hi), tol)
+        if isinstance(roots, tuple):
+            assert got == roots
         else:
-            np.testing.assert_array_equal(bits(got_at), bits(want))
+            got = got if isinstance(got, tuple) else np.array([got.eps_imag_at_nu0, got.slope_B])
+            assert_same_outcome(got, outcome(checked_at_crossing, doped, roots[0]))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -209,7 +236,9 @@ def test_round_kernels_on_the_reference_liquids(liquids):
     models = [*liquids.values(), *(twin(liquids[s]) for s in ("ipa", "eg", "water"))]
     for model in models:
         doped = DopedLiquid(model, Concentration.from_micromolar(40.0))
-        np.testing.assert_array_equal(bits(_eps_real(doped, nu)), bits(eps_doped(doped, nu).real))
+        _, eps, undefined = _eps(doped, nu)
+        assert not undefined.any()
+        np.testing.assert_array_equal(bits(eps.view(float)), bits(eps_doped(doped, nu).view(float)))
         for other in models:
             assert_pair_kernels(model, other, nu)
 
@@ -378,16 +407,23 @@ def test_the_walk_is_one_point_bisection(case):
     # every value the walk reads is f at the midpoint one-point bisection
     # evaluates next, so the bracket, the best point and the error raised at
     # a NaN node it reaches are exactly the reference's, at any depth. The
+    # walk never reads a path's closing midpoint, so NaN there changes
+    # nothing, also at tol 0, where that node repeats a bracket end. The
     # predictor raises nothing of its own, and nothing warns
     f, grid, scan, tol = case
     want = outcome(bisect_root, f, grid[0], grid[1], scan[0], tol, undefined_at)
+
+    def rounds(nodes):
+        values = np.array([f(x) for x in nodes.tolist()])
+        if nodes.size > 2**polaron.ROUND_LEVELS - 1:  # a tree and a path
+            values[-1] = math.nan
+        return values
+
     for depth in (1, 5, 8):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(polaron, "ROUND_LEVELS", depth)
             got = outcome(
-                polaron._refine_root,
-                lambda nodes: np.array([f(x) for x in nodes.tolist()]),
-                np.array(grid), np.array(scan), 0, tol, undefined_at,
+                polaron._refine_root, rounds, np.array(grid), np.array(scan), 0, tol, undefined_at
             )
         assert got == want
 
@@ -401,26 +437,31 @@ def test_a_round_on_a_wide_bracket_is_its_tree_alone():
 
 def test_a_round_in_a_binade_reads_on_to_float_resolution():
     # within one binade the path halves the predicted leaf toward the
-    # prediction until the midpoint rounds onto an end: at most mant_dig nodes
+    # prediction until the midpoint rounds onto an end: at most mant_dig
+    # nodes, then the closing midpoint of its last bracket, which at tol 0
+    # repeats one of that bracket's ends
     a, b, p = 0.7, 0.7073, 0.70312345
     nodes = polaron._round_nodes(a, b, p, 0.0)
     tree = _bisection_tree(a, b)
     np.testing.assert_array_equal(nodes[: tree.size - 2], tree[1:-1])
-    path = nodes[tree.size - 2 :].tolist()
+    path, closing = nodes[tree.size - 2 : -1].tolist(), float(nodes[-1])
     lo, hi = float(tree[tree <= p][-1]), float(tree[tree > p][0])
     for node in path:
         assert node == 0.5 * (lo + hi)
         lo, hi = (lo, node) if p < node else (node, hi)
-    assert 0.5 * (lo + hi) in (lo, hi)
+    assert closing == 0.5 * (lo + hi) and closing in (lo, hi)
     assert 0 < len(path) <= sys.float_info.mant_dig
 
 
 def kernel_calls(monkeypatch):
-    """The names of the round kernels called from now on, one entry per call."""
+    """The round kernels called from now on: one (name, nodes) entry per call.
+
+    nodes is the size of the pass; _residual's is that of the profile it reads.
+    """
     calls = []
-    for module, name in ((matching, "_residual"), (matching, "_profiles"), (polaron, "_eps_real")):
+    for module, name in ((matching, "_profiles"), (matching, "_residual"), (polaron, "_eps")):
         def counted(*args, kernel=getattr(module, name), name=name):
-            calls.append(name)
+            calls.append((name, np.shape(args[-1])[-1]))
             return kernel(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -430,10 +471,12 @@ def kernel_calls(monkeypatch):
 @pytest.mark.parametrize("label", ["a/b", "A/B"])
 def test_a_profile_match_takes_few_kernel_calls(monkeypatch, label):
     # the scan, the rounds of the profile root and those of the round trip's
-    # two crossing searches: 11 in all with one tree per round, 5 and 6 with
-    # the path. Each scan and round runs _profiles once, and one more pass at
-    # the root gives both concentrations and width terms, so neither
-    # ce_for_nu0 nor find_nu0 runs
+    # two crossing searches: 11 passes in all with one tree per round, 5 and
+    # 6 with the path. Each scan and round runs _profiles once, read once by
+    # _residual; the root's concentrations and width terms come from the
+    # pass that evaluated the root, so no pass follows the search, and
+    # neither ce_for_nu0 nor find_nu0 runs. Each crossing of the round trip
+    # is a node of its search's last round, so no one-node pass runs either
     def called(*args):
         raise AssertionError("match_profiles called a checked solver")
 
@@ -441,30 +484,39 @@ def test_a_profile_match_takes_few_kernel_calls(monkeypatch, label):
     monkeypatch.setattr(polaron, "find_nu0", called)
     calls = kernel_calls(monkeypatch)
     assert match_profiles(*base_pair(label)).profile_matched
-    assert calls.count("_residual") + calls.count("_eps_real") <= 6, calls
-    assert calls.count("_profiles") == calls.count("_residual") + 1, calls
+    profiles = [call for call in calls if call[0] == "_profiles"]
+    search, trip = calls[: 2 * len(profiles)], calls[2 * len(profiles) :]
+    assert search == [c for p in profiles for c in (p, ("_residual", p[1]))], calls
+    assert profiles[0] == ("_profiles", PROFILE_SCAN_POINTS), calls
+    assert [name for name, _ in trip] == ["_eps", "_eps"], calls
+    assert min(n for _, n in calls[2:]) >= 2**polaron.ROUND_LEVELS - 1, calls  # each round
+    assert len(profiles) + len(trip) == {"a/b": 5, "A/B": 6}[label], calls
 
 
 @pytest.mark.parametrize("stem", ["water", "eg", "ipa"])
 @pytest.mark.parametrize("tol, rounds", [(DEFAULT_TOL, 1), (1e-9, 2)])
 def test_find_nu0_rounds(liquids, monkeypatch, stem, tol, rounds):
-    # one tree per round took 2 rounds at DEFAULT_TOL and 3 at 1e-9
+    # one tree per round took 2 rounds at DEFAULT_TOL and 3 at 1e-9. One
+    # _eps pass per round, each at least the tree; the crossing is a node of
+    # the last round, which gives its loss and slope without a one-node pass
     calls = kernel_calls(monkeypatch)
     find_nu0(DopedLiquid(liquids[stem], Concentration.from_micromolar(40.0)), tol=tol)
-    assert calls == ["_eps_real"] * rounds
+    assert [name for name, _ in calls] == ["_eps"] * rounds, calls
+    assert min(n for _, n in calls) >= 2**polaron.ROUND_LEVELS - 1, calls
 
 
 def test_a_done_scan_cell_calls_no_round(liquids, monkeypatch):
     # the default bracket's scan cells are 0.0073 THz wide: at tol 0.05 the
     # stop rule holds before the first round, and the crossing is the cell's
-    # midpoint
+    # midpoint, which no round evaluated: its loss and slope take one
+    # one-node pass
     doped = DopedLiquid(liquids["water"], Concentration.from_micromolar(40.0))
     grid = np.linspace(*polaron.DEFAULT_BRACKET, polaron.SCAN_POINTS)
     f = eps_doped(doped, grid).real
     i = int(np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0))[0])
     calls = kernel_calls(monkeypatch)
     assert find_nu0(doped, tol=0.05).nu0 == 0.5 * (grid[i] + grid[i + 1])
-    assert calls == []
+    assert calls == [("_eps", 1)]
 
 
 # --------------------------------------------------------------------------
@@ -485,6 +537,31 @@ def test_find_nu0_raises_eps_doped_error_at_an_undefined_crossing():
     pole = TabulatedModel("pole", knots, np.array([-1.0, -1.0, -2.0, 1.0, 1.0]) + 0j)
     with pytest.raises(SingularityError, match="local-field ratio diverges"):
         find_nu0(DopedLiquid(pole, Concentration(0.0)), tol=0.05)
+
+
+def test_find_nu0_raises_eps_doped_error_at_an_undefined_round_node(monkeypatch):
+    # eps' steps from -1 to 1 at the first round's predicted crossing p, so
+    # the walk follows that round's path to its end, and the crossing is the
+    # path's closing midpoint: the round evaluates it, the walk never reads
+    # it. The table keeps every value the walk reads and puts the local-field
+    # pole on that midpoint, so the round finds the crossing undefined and
+    # eps_doped raises there, without a one-node pass
+    grid = np.linspace(1.0, 2.0, polaron.SCAN_POINTS)
+    a, b, c = (float(x) for x in grid[100:103])
+    p = polaron._predict(a, b, c, -1.0, 1.0, 1.0)
+    lo, hi, _ = polaron._refine_root(
+        lambda nu: np.where(nu <= p, -1.0, 1.0), grid, np.where(grid <= p, -1.0, 1.0), 100,
+        DEFAULT_TOL, undefined_at,
+    )
+    nu0 = 0.5 * (lo + hi)
+    assert nu0 == polaron._round_nodes(a, b, p, DEFAULT_TOL)[-1]
+    knots = np.array([1.0, lo, nu0, hi, 2.0])
+    pole = TabulatedModel("pole", knots, np.array([-1.0, -1.0, -2.0, 1.0, 1.0]) + 0j)
+    calls = kernel_calls(monkeypatch)
+    message = "local-field ratio diverges: permittivity too close to -2"
+    with pytest.raises(SingularityError, match=f"^{re.escape(message)}$"):
+        find_nu0(DopedLiquid(pole, Concentration(0.0)), (1.0, 2.0))
+    assert [name for name, _ in calls] == ["_eps"], calls
 
 
 def test_find_nu0_overflow_at_the_upper_end():
