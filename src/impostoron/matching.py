@@ -32,13 +32,12 @@ from .mixing import (
 )
 from .polaron import (
     DEFAULT_BRACKET,
-    DEFAULT_TOL,
-    _at_crossing,
     _crossing_loss,
-    _crossings,
+    _pass_at,
     _refine_root,
     eps_doped,  # noqa: F401  (bound here as before, for callers that use matching.eps_doped)
     eps_imag_at_nu0,
+    find_nu0,
 )
 
 #: Degeneracy threshold on the mean-normalized profile residual, not a convergence test.
@@ -114,13 +113,13 @@ def match_frequency(
 ) -> ImpostoronSolution:
     """Concentration pair whose zero crossings both land on nu0 (THz).
 
-    freq_residual reports the round-trip disagreement of the two lowest
-    crossings, each found as find_nu0 finds it at its DEFAULT_TOL on the
-    bracket clipped to both liquids' validity; profile_residual reports how
-    unequal the Lorentzian widths remain (frequency matching does not
-    equalize them): B1/eps2_1 - B2/eps2_2 at nu0 itself, both terms from one
-    _profiles pass. That pass runs unchecked: the two ce_for_nu0 calls have
-    run eval_neat and alpha_el at nu0.
+    freq_residual reports the round-trip disagreement of the two crossings
+    that find_nu0 finds on the bracket clipped to both liquids' validity;
+    profile_residual reports how unequal the Lorentzian widths remain
+    (frequency matching does not equalize them): B1/eps2_1 - B2/eps2_2 at
+    nu0 itself, both terms from one _profiles pass. That pass runs
+    unchecked: the two ce_for_nu0 calls have run eval_neat and alpha_el at
+    nu0.
     """
     ce = (ce_for_nu0(liquid1, nu0), ce_for_nu0(liquid2, nu0))
     bracket = _shared_bracket(liquid1, liquid2, bracket)
@@ -131,29 +130,22 @@ def match_frequency(
 def _solution(liquid1, liquid2, nu0, ce, terms, bracket, **fields) -> ImpostoronSolution:
     """The solution at nu0 from the two concentrations ce and width terms B/eps2 there.
 
-    The round trip runs find_nu0's two parts for each liquid in turn, at
-    DEFAULT_TOL on the bracket, with their errors: freq_residual comes from
-    the two lowest crossings, and the slopes there, which _at_crossing reads
-    from the search's last round where that round evaluated the crossing,
-    say whether a pair with both terms undefined is symmetric.
+    The round trip runs find_nu0 on the bracket for each liquid in turn,
+    with its errors: freq_residual comes from the two crossings, and their
+    slopes say whether a pair with both terms undefined is symmetric.
     """
-    crossings, slopes = [], []
-    for liquid, c in zip((liquid1, liquid2), ce):
-        doped = DopedLiquid(liquid, c)
-        roots, last = _crossings(doped, bracket, DEFAULT_TOL)
-        crossings.append(roots[0])
-        slopes.append(_at_crossing(doped, roots[0], last)[1])
+    r1, r2 = (find_nu0(DopedLiquid(liq, c), bracket) for liq, c in zip((liquid1, liquid2), ce))
     t1, t2 = terms
     residual, note = t1 - t2, ""
     if math.isnan(t1) or math.isnan(t2):
         # with both concentrations found, only a crossing of no finite width
         # (zero loss, or so little that B/eps2 overflows) leaves a term
         # undefined: 0 for a symmetric pair, else undefined
-        symmetric = math.isnan(t1) and math.isnan(t2) and slopes[0] == slopes[1]
+        symmetric = math.isnan(t1) and math.isnan(t2) and r1.slope_B == r2.slope_B
         residual = 0.0 if symmetric else math.nan
         note = "width diagnostic undefined: zero loss at the crossing"
     return ImpostoronSolution(
-        ce_1=ce[0], ce_2=ce[1], nu0=nu0, freq_residual=abs(crossings[0] - crossings[1]),
+        ce_1=ce[0], ce_2=ce[1], nu0=nu0, freq_residual=abs(r1.nu0 - r2.nu0),
         profile_residual=residual, note=note, **fields,
     )
 
@@ -213,18 +205,13 @@ def match_profiles(
     where a liquid's profile is undefined are skipped and counted in
     `skipped_nodes`. When |g| stays below PROFILE_TOL on every defined node
     the pair is degenerate. Each sign change is bisected to float
-    resolution, and its root is the bisection point of least |g|. The
-    bisection (_refine_root) evaluates its nodes in rounds through the same
-    _residual, each the 2**ROUND_LEVELS - 1 nodes of one bisection tree and
-    the path below the leaf that holds a predicted root; the first
-    prediction also reads the next scan node, which may be a skipped one.
-    The scan and every round evaluate both liquids in one array pass of
-    _profiles, one row per liquid, and keep its nodes, profile and
-    concentration rows. Each B_i is d(eps_i')/d(nu) in closed form, as in
-    find_nu0. The lowest root nu* gives match_frequency's solution at nu*,
-    marked profile-matched: its concentrations and width terms are the
-    columns at nu* of the pass that evaluated nu*, the scan's or a round's,
-    and _solution gives its round trip.
+    resolution (_refine_root, in rounds through the same _residual), and
+    its root is the bisection point of least |g|. The scan and every round
+    evaluate both liquids in one array pass of _profiles, one row per
+    liquid. Each B_i is d(eps_i')/d(nu) in closed form, as in find_nu0. The
+    lowest root nu* gives match_frequency's solution at nu*, marked
+    profile-matched: its concentrations and width terms come from the pass
+    that evaluated nu*, and _solution gives its round trip.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
     ends = np.array([lo, hi])
@@ -275,13 +262,10 @@ def match_profiles(
             f"no profile-matched impostoron in range [{lo:g}, {hi:g}] THz"
         )
 
-    for nodes, profile, ce in passes:  # the root is a node of the scan or of a round
-        k = np.flatnonzero(nodes == roots[0])
-        if k.size:
-            break
+    profile, ce = _pass_at(passes, roots[0])  # the root is a node of the scan or of a round
     return _solution(
-        liquid1, liquid2, roots[0], tuple(map(Concentration, ce[:, k[0]].tolist())),
-        profile[:, k[0]].tolist(), (lo, hi),
+        liquid1, liquid2, roots[0], tuple(map(Concentration, ce[:, 0].tolist())),
+        profile[:, 0].tolist(), (lo, hi),
         profile_matched=True,
         alternatives=tuple(roots[1:]),
         skipped_nodes=skipped,

@@ -224,13 +224,57 @@ def _refine_root(
     return a, b, best
 
 
-def _crossings(doped: DopedLiquid, bracket: tuple[float, float], tol: float):
-    """Every rising zero crossing of eps'(nu) in the bracket, lowest first: find_nu0's search.
+def _pass_at(passes, node: float):
+    """The arrays of the first pass in passes that evaluated node, at node, or None.
 
-    Returns (roots, last): last is the last round that refined the lowest
-    crossing, as (nodes, lf, eps, undefined) of its _eps pass, or None
-    where its scan cell needed no round. Each round's values are _eps's
-    eps.real, NaN where it is undefined.
+    Each pass is (nodes, *arrays), each array holding one value per node
+    along its last axis; the returned arrays keep that axis, of length 1.
+    """
+    for nodes, *arrays in passes:
+        k = np.flatnonzero(nodes == node)[:1]
+        if k.size:
+            return [v[..., k] for v in arrays]
+    return None
+
+
+def _at_crossing(doped: DopedLiquid, nu0: float, at) -> tuple[float, float]:
+    """(eps_imag_at_nu0, slope_B) at the crossing nu0, from _eps's (lf, eps, undefined) there.
+
+    at is None where no round evaluated nu0; a one-node _eps pass then gives
+    it. eps_doped raises its own error where nu0 is undefined, and
+    DomainError says where slope_B, d(eps')/d(nu) in closed form
+    (_mix_slope), overflows.
+    """
+    nu = np.array([nu0])
+    lf, eps, undefined = at if at is not None else _eps(doped, nu)
+    if undefined[0]:
+        eps = eps_doped(doped, nu)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        slope = _mix_slope(lf, _neat_slope(doped.liquid, nu), _local_field(eps)[0], nu)
+    slope_B = float(slope[0].real)
+    if not math.isfinite(slope_B):
+        raise DomainError(f"slope d(eps')/d(nu) at nu0 = {nu0!r} THz leaves the float range")
+    return float(eps[0].imag), slope_B
+
+
+def find_nu0(
+    doped: DopedLiquid,
+    bracket: tuple[float, float] = DEFAULT_BRACKET,
+    tol: float = DEFAULT_TOL,
+) -> PolaronResonance:
+    """Lowest rising zero crossing of eps'(nu) inside the bracket.
+
+    A uniform pre-scan of SCAN_POINTS points, both ends of the bracket
+    included, locates sign changes from negative to non-negative. The scan
+    goes through eps_doped and so validates the whole bracket. Each sign
+    change is bisected (_refine_root, in rounds through the unchecked
+    kernel _eps) until its bracket is at most tol (THz) wide and no wider
+    than its lower end, and its midpoint is the crossing. An undefined node
+    stops the search, with eps_doped's error there, only where the
+    bisection reaches it. The lowest crossing is returned, any further ones
+    are listed in `alternatives`, and its loss and slope_B, d(eps')/d(nu)
+    in closed form, come from _at_crossing, on the round that evaluated it
+    where one did.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
@@ -247,66 +291,13 @@ def _crossings(doped: DopedLiquid, bracket: tuple[float, float], tol: float):
         rounds.append((nu, lf, eps, undefined))
         return np.where(undefined, math.nan, eps.real)
 
-    roots, last = [], None
+    roots = []
     for i in np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0)):
         a, b, _ = _refine_root(eps_real, grid, f, i, tol, lambda mid: eps_doped(doped, mid))
-        if not roots and rounds:
-            last = rounds[-1]
         roots.append(0.5 * (a + b))
     if not roots:
         raise NoResonanceError(f"no polaron resonance in range [{lo:g}, {hi:g}] THz")
-    return roots, last
-
-
-def _at_crossing(doped: DopedLiquid, nu0: float, last) -> tuple[float, float]:
-    """(eps_imag_at_nu0, slope_B) at the lowest crossing nu0 and the last round from _crossings.
-
-    lf and eps at nu0 come from last's _eps pass where nu0 is one of its
-    nodes, as the closing midpoint of the round's path is when the walk
-    finished on it; elsewhere (no round, a tree-only round, a walk that left
-    the path) from a one-node _eps pass. eps_doped raises its own error
-    where nu0 is undefined, and DomainError says where slope_B,
-    d(eps')/d(nu) in closed form (_mix_slope), overflows.
-    """
-    at = np.array([nu0])
-    k = np.flatnonzero(last[0] == nu0)[:1] if last is not None else ()
-    lf, eps, undefined = (v[k] for v in last[1:]) if len(k) else _eps(doped, at)
-    if undefined[0]:
-        eps = eps_doped(doped, at)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        slope = _mix_slope(lf, _neat_slope(doped.liquid, at), _local_field(eps)[0], at)
-    slope_B = float(slope[0].real)
-    if not math.isfinite(slope_B):
-        raise DomainError(f"slope d(eps')/d(nu) at nu0 = {nu0!r} THz leaves the float range")
-    return float(eps[0].imag), slope_B
-
-
-def find_nu0(
-    doped: DopedLiquid,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-    tol: float = DEFAULT_TOL,
-) -> PolaronResonance:
-    """Lowest rising zero crossing of eps'(nu) inside the bracket.
-
-    The search (_crossings): a uniform pre-scan of SCAN_POINTS points, both
-    ends of the bracket included, locates sign changes from negative to
-    non-negative. The scan goes through eps_doped and so validates the whole
-    bracket. Each sign change is bisected until its bracket is at most tol
-    (THz) wide and no wider than its lower end, and its midpoint is the
-    crossing. The bisection (_refine_root) evaluates its nodes in rounds
-    through the unchecked kernel (_eps), each the 2**ROUND_LEVELS - 1 nodes
-    of one bisection tree and the path below the leaf that holds a predicted
-    crossing, closed by the midpoint that the walk returns when it finishes
-    on that path. An undefined node stops the search, with eps_doped's
-    error there, only where the bisection reaches it. The lowest crossing is
-    returned, any further ones are listed in `alternatives`, and its loss
-    and slope_B, d(eps')/d(nu) in closed form, come from _at_crossing: from
-    the last round's pass where that round evaluated the crossing, and
-    otherwise from one more pass there, with eps_doped's error where the
-    crossing is undefined.
-    """
-    roots, last = _crossings(doped, bracket, tol)
-    eps2, slope_B = _at_crossing(doped, roots[0], last)
+    eps2, slope_B = _at_crossing(doped, roots[0], _pass_at(rounds, roots[0]))
     return PolaronResonance(
         nu0=roots[0], eps_imag_at_nu0=eps2, slope_B=slope_B, ce=doped.ce,
         alternatives=tuple(roots[1:]),

@@ -8,8 +8,8 @@ pump-probe delay tau:
 where the step is an exponential-rise Heaviside and the oscillation is a
 causal cosine sum whose amplitude spectrum follows the doped liquid's
 energy-loss line shape. Extraction runs the reverse chain: 2D low-pass
-filter, cut at the probe maximum, step removal, windowed spectrum, peak
-analysis.
+filter, cut at the probe maximum, step removal, a spectrum weighted by a
+window that decays from the onset, peak analysis.
 
 All times are ps and all frequencies THz (1/ps = 1 THz, so FFT bin
 frequencies need no conversion).
@@ -441,11 +441,16 @@ def remove_step(trace: TimeTrace) -> tuple[TimeTrace, StepModel]:
 
 
 def spectrum_of(trace: TimeTrace, onset: float = 0.0) -> Spectrum:
-    """One-sided Hann-windowed amplitude spectrum of the trace restricted to times >= onset.
+    """One-sided windowed amplitude spectrum of the trace restricted to times >= onset.
 
-    Amplitudes are scaled so a pure cosine of amplitude A at a bin frequency
-    reports A (coherent window gain compensated); the DC and Nyquist bins
-    carry no one-sided doubling.
+    The window is the decaying half of a Hann window, w_j = cos(pi*j/(2n))**2
+    for the n samples j = 0..n-1 from the onset on: a line that dies soon
+    after the onset keeps full weight, and the noise at the record's end
+    gets little. Amplitudes are scaled by 2/sum(w) (coherent window gain
+    compensated), so a pure cosine of amplitude A on bin k reports
+    A*|1 + W(2k)/W(0)|, with W the window's DFT and W(0) = sum(w) = (n + 1)/2:
+    the image term at -k adds about 1/n. The DC and Nyquist bins carry no
+    one-sided doubling.
     """
     dt = trace.dt
     sel = trace.times >= onset - 1e-9 * dt
@@ -459,7 +464,7 @@ def spectrum_of(trace: TimeTrace, onset: float = 0.0) -> Spectrum:
             f"time step {dt:g} ps is too small for a {n}-sample spectrum: "
             "its bin frequencies exceed the float range"
         )
-    w = np.hanning(n)
+    w = np.cos((0.5 * np.pi / n) * np.arange(n)) ** 2
     # values near the float maximum overflow the FFT sums or their moduli
     with np.errstate(over="ignore", invalid="ignore"):
         amps = np.abs(np.fft.rfft(x * w))
@@ -544,9 +549,13 @@ class ExtractionResult:
 
 
 def extract(fmap: FieldMap2D) -> ExtractionResult:
-    """Full pipeline: 2D filter, cut at probe max, step removal, Hann-windowed spectrum, peak.
+    """Full pipeline: 2D filter, cut at probe max, step removal, windowed spectrum, peak.
 
-    The filter radius is FILTER_BANDWIDTH (4 THz); the step fit low-passes at BAND_LO / 2.
+    The filter radius is FILTER_BANDWIDTH (4 THz); the step fit low-passes at
+    BAND_LO / 2; the spectrum from the fitted onset on is weighted by
+    spectrum_of's decaying half-Hann window. The peak's FWHM is the width of
+    that windowed modulus, so it depends on the window and on the record's
+    length, not on the line alone.
     """
     filtered = fourier_filter_2d(fmap, FILTER_BANDWIDTH)
     trace = cut_at_max(filtered)

@@ -7,7 +7,8 @@ bisection that, like the package's, also ends where the midpoint rounds onto
 an end of the bracket. They call the package's scalar functions, so a
 disagreement with the package points at the vector scan or the refiner, not
 at the formulas. bisect_root is the walk of polaron._refine_root itself, one
-scalar evaluation per step and no prediction.
+scalar evaluation per step and no prediction; find_nu0_roots walks each scan
+cell with it.
 """
 
 import math
@@ -22,26 +23,27 @@ from impostoron.polaron import SCAN_POINTS, eps_doped, eps_imag_at_nu0
 
 
 def find_nu0_roots(doped, bracket, tol, n_scan=SCAN_POINTS):
-    """Every rising crossing of eps' in the bracket, each bisected to tol or float resolution.
+    """Every rising crossing of eps' in the bracket, lowest first, as find_nu0 finds them.
 
-    Like find_nu0, a bisection also goes on while its bracket is wider than its lower end.
+    Each scan cell with a sign change is walked by bisect_root, one
+    eps_doped call per step, which raises at an undefined node the walk
+    reaches; its crossing is the midpoint of the final bracket.
     """
     grid = np.linspace(bracket[0], bracket[1], n_scan)
     f = np.real(eps_doped(doped, grid))
+
+    def eps_real(nu):
+        return float(np.real(eps_doped(doped, nu)))
+
+    def undefined(nu):  # not reached: eps_real raises eps_doped's error, never returns NaN
+        eps_doped(doped, nu)
+
     roots = []
     for i in range(n_scan - 1):
-        if not (f[i] < 0.0 <= f[i + 1]):
-            continue
-        a, b = grid[i], grid[i + 1]
-        while (b - a) > min(tol, a):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            if float(np.real(eps_doped(doped, mid))) >= 0.0:
-                b = mid
-            else:
-                a = mid
-        roots.append(float(0.5 * (a + b)))
+        if f[i] < 0.0 <= f[i + 1]:
+            a, b = float(grid[i]), float(grid[i + 1])
+            a, b, _ = bisect_root(eps_real, a, b, float(f[i]), tol, undefined)
+            roots.append(0.5 * (a + b))
     return roots
 
 

@@ -12,9 +12,9 @@ find_nu0 the one that eps_doped raises at an undefined node the bisection
 reaches, as one-point-per-step bisection does (scalar_oracle), and the loss
 and slope at its crossing (polaron._at_crossing) those of the checked path
 or its error, whether they come from the round that evaluated the crossing
-or from a one-node pass. An undefined node off the bisection path stops
-nothing. _profiles runs both liquids in one array pass; each of its rows
-must be bit for bit the pass of that liquid alone.
+(polaron._pass_at) or from a one-node pass. An undefined node off the
+bisection path stops nothing. _profiles runs both liquids in one array
+pass; each of its rows must be bit for bit the pass of that liquid alone.
 
 A round evaluates the bracket's bisection tree and the path below the leaf
 that holds a predicted root, closed by the midpoint of the path's last
@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_oracle import bisect_root, find_nu0_roots
-from test_scalar_oracle import BASE_PAIRS, assert_close_ulps, twin
+from test_scalar_oracle import BASE_PAIRS, twin
 
 from impostoron import matching, polaron
 from impostoron.dielectric import (
@@ -50,6 +50,7 @@ from impostoron.errors import (
     DomainError,
     ImpostoronError,
     NoProfileMatchError,
+    NoResonanceError,
     RangeError,
     SingularityError,
 )
@@ -207,19 +208,24 @@ def test_find_nu0_round_is_eps_doped(liquids, data):
         # the loss and slope at a crossing: the checked path's, or its error,
         # from a one-node pass and from a round that holds the node
         want = outcome(checked_at_crossing, doped, node)
-        for last in (None, round_):
-            got = outcome(lambda: np.array(polaron._at_crossing(doped, node, last)))
+        for at in (None, polaron._pass_at([round_], node)):
+            got = outcome(lambda: np.array(polaron._at_crossing(doped, node, at)))
             assert_same_outcome(got, want)
-    # find_nu0 at the crossing its search finds
+    # find_nu0: the crossings of one-point bisection, and the checked loss
+    # and slope at the lowest
     lo, hi = float(nu.min()), float(nu.max())
     if lo < hi:
         tol = data.draw(st.sampled_from([DEFAULT_TOL, 1e-9, 1e-300]))
-        roots = outcome(lambda: polaron._crossings(doped, (lo, hi), tol)[0])
+        roots = outcome(find_nu0_roots, doped, (lo, hi), tol)
         got = outcome(find_nu0, doped, (lo, hi), tol)
         if isinstance(roots, tuple):
             assert got == roots
+        elif not roots:
+            assert got[0] is NoResonanceError, got
         else:
-            got = got if isinstance(got, tuple) else np.array([got.eps_imag_at_nu0, got.slope_B])
+            if not isinstance(got, tuple):
+                assert [got.nu0, *got.alternatives] == roots
+                got = np.array([got.eps_imag_at_nu0, got.slope_B])
             assert_same_outcome(got, outcome(checked_at_crossing, doped, roots[0]))
 
 
@@ -471,19 +477,27 @@ def kernel_calls(monkeypatch):
 @pytest.mark.parametrize("label", ["a/b", "A/B"])
 def test_a_profile_match_takes_few_kernel_calls(monkeypatch, label):
     # the scan, the rounds of the profile root and those of the round trip's
-    # two crossing searches: 11 passes in all with one tree per round, 5 and
-    # 6 with the path. Each scan and round runs _profiles once, read once by
+    # two find_nu0 calls: 11 passes in all with one tree per round, 5 and 6
+    # with the path. Each scan and round runs _profiles once, read once by
     # _residual; the root's concentrations and width terms come from the
     # pass that evaluated the root, so no pass follows the search, and
-    # neither ce_for_nu0 nor find_nu0 runs. Each crossing of the round trip
-    # is a node of its search's last round, so no one-node pass runs either
+    # ce_for_nu0 does not run. Each crossing of the round trip is a node of
+    # one of its search's rounds, so no one-node pass runs either
     def called(*args):
-        raise AssertionError("match_profiles called a checked solver")
+        raise AssertionError("match_profiles called ce_for_nu0")
+
+    searched = []
+
+    def counted_find_nu0(doped, *args, find_nu0=matching.find_nu0):
+        searched.append(doped.liquid)
+        return find_nu0(doped, *args)
 
     monkeypatch.setattr(matching, "ce_for_nu0", called)
-    monkeypatch.setattr(polaron, "find_nu0", called)
+    monkeypatch.setattr(matching, "find_nu0", counted_find_nu0)
     calls = kernel_calls(monkeypatch)
-    assert match_profiles(*base_pair(label)).profile_matched
+    pair = base_pair(label)
+    assert match_profiles(*pair).profile_matched
+    assert searched == list(pair)
     profiles = [call for call in calls if call[0] == "_profiles"]
     search, trip = calls[: 2 * len(profiles)], calls[2 * len(profiles) :]
     assert search == [c for p in profiles for c in (p, ("_residual", p[1]))], calls
@@ -706,10 +720,7 @@ def test_find_nu0_agrees_with_one_point_bisection(monkeypatch, level, toward_b, 
     if isinstance(want, tuple):
         assert got == want
     else:
-        # the oracle bisects on past an exact zero, which find_nu0 returns:
-        # the two roots agree within the tolerance
-        assert len(want) == 1 and abs(got.nu0 - want[0]) <= DEFAULT_TOL
-        assert got.alternatives == ()
+        assert want == [got.nu0] and got.alternatives == ()
 
 
 # --------------------------------------------------------------------------
@@ -725,14 +736,13 @@ WIDE_BRACKETS = [(1e-130, 1.0), (1e-125, 1e140)]
 @pytest.mark.parametrize("target", [1e-100, 1e-60])
 def test_a_tiny_root_bisects_to_its_target(liquids, monkeypatch, target, bracket, depth):
     # the root lies in the first scan cell, hundreds of binades below the
-    # cell's width: the walk halves on until its midpoint rounds onto an end.
-    # The oracle bisects on past an exact zero, which find_nu0 returns
+    # cell's width: the walk halves on until its midpoint rounds onto an end
     model = liquids["dispersionless"]
     doped = DopedLiquid(model, ce_for_nu0(model, target))
     monkeypatch.setattr(polaron, "ROUND_LEVELS", depth)
     res = find_nu0(doped, bracket, 1e-300)
     assert res.nu0 == target and res.slope_B > 0
-    assert_close_ulps([res.nu0, *res.alternatives], find_nu0_roots(doped, bracket, 1e-300))
+    assert [res.nu0, *res.alternatives] == find_nu0_roots(doped, bracket, 1e-300)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300])
@@ -757,4 +767,4 @@ def test_a_tolerance_above_the_root_still_lands_on_a_rising_crossing(liquids, to
     res = find_nu0(doped, bracket, tol)
     assert res.slope_B > 0
     assert abs(res.nu0 - target) <= tol and target / 2 <= res.nu0 <= 2 * target
-    assert_close_ulps([res.nu0, *res.alternatives], find_nu0_roots(doped, bracket, tol))
+    assert [res.nu0, *res.alternatives] == find_nu0_roots(doped, bracket, tol)

@@ -142,7 +142,7 @@ def test_find_nu0_roots_match_scalar_oracle(liquids, data, tol):
             find_nu0(doped, (0.1, 3.0), tol)
         return
     res = find_nu0(doped, (0.1, 3.0), tol)
-    assert_close_ulps([res.nu0, *res.alternatives], roots)
+    assert [res.nu0, *res.alternatives] == roots
 
 
 def test_undefined_point_inside_a_refinement_round_raises(monkeypatch):
