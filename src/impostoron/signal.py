@@ -180,14 +180,19 @@ def synth_oscillation(doped: DopedLiquid, tau_grid) -> TimeTrace:
 
 
 def synth_map(doped: DopedLiquid, probe: TimeTrace, step: StepModel, tau_grid) -> FieldMap2D:
-    """Separable map E(t, tau) = probe(t) * [step(tau) + s(tau)], s on the fixed 0.2-2 THz band."""
+    """Separable map E(t, tau) = probe(t) * [step(tau) + s(tau)], s on the fixed 0.2-2 THz band.
+
+    The outer product is the one map-sized array made: it is handed to the
+    map read-only, so FieldMap2D holds it without a copy. Of the stages that
+    follow, add_noise makes one more and extract none: extract reads the
+    probe maximum from the filter's band without building the filtered map,
+    and its trace equals cut_at_max(fourier_filter_2d(...)) up to rounding.
+    """
     tau = np.asarray(tau_grid, dtype=float)
     delay_part = step.evaluate(tau) + synth_oscillation(doped, tau).values
-    return FieldMap2D(
-        t_grid=probe.times,
-        tau_grid=tau,
-        values=delay_part[:, None] * probe.values[None, :],
-    )
+    values = np.multiply.outer(delay_part, probe.values)
+    values.setflags(write=False)
+    return FieldMap2D(t_grid=probe.times, tau_grid=tau, values=values)
 
 
 def gaussian_probe(t_grid) -> TimeTrace:
@@ -203,30 +208,45 @@ def gaussian_probe(t_grid) -> TimeTrace:
 def add_noise(obj, snr_db: float, seed: int) -> "TimeTrace | FieldMap2D":
     """Additive white Gaussian noise at the given SNR (dB, power ratio to RMS).
 
-    seed, a non-negative Python or numpy integer, seeds numpy's default_rng,
-    so equal seeds give equal noise.
+    The result is values + default_rng(seed).normal(0.0, sigma, shape) bit for
+    bit, with sigma = RMS * 10**(-snr_db / 20) and RMS = sqrt(mean(values**2)),
+    taken on the values scaled to unit peak where the squares under- or
+    overflow. seed, a non-negative Python or numpy integer, seeds the
+    generator, so equal seeds give equal noise. One map-sized array is made:
+    it holds the squares, then the noise, then the result, which the returned
+    object holds read-only without a copy. extract, which follows, makes
+    none: it reads the probe maximum from the filter's band without building
+    the filtered map, and its trace equals cut_at_max(fourier_filter_2d(...))
+    up to rounding.
     """
     if not isinstance(seed, (int, np.integer)):
         raise DomainError(f"noise seed must be an integer, got {seed!r}")
     if seed < 0:
         raise DomainError(f"noise seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
     values = obj.values
+    noisy = np.empty(values.shape)  # the squares, then the noise, then the result
     with np.errstate(over="ignore"):
-        rms = float(np.sqrt(np.mean(values**2)))
+        rms = float(np.sqrt(np.mean(np.square(values, out=noisy))))
     if not 0 < rms < math.inf:  # the squares under- or overflow: scale the values to 1
         peak = float(np.max(np.abs(values)))
         if peak == 0:
             raise DomainError("cannot set an SNR for an all-zero signal")
-        rms = peak * float(np.sqrt(np.mean((values / peak) ** 2)))
+        np.divide(values, peak, out=noisy)
+        rms = peak * float(np.sqrt(np.mean(np.square(noisy, out=noisy))))
     try:
         sigma = rms * 10.0 ** (-snr_db / 20.0)
     except OverflowError:
         sigma = math.inf
     if not math.isfinite(sigma):
         raise DomainError(f"SNR {snr_db:g} dB is out of range: its noise level is not finite")
+    # rng.normal(0.0, sigma) would draw 0.0 + sigma * z from the same stream
+    np.random.default_rng(seed).standard_normal(out=noisy)
     with np.errstate(over="ignore"):
-        noisy = values + rng.normal(0.0, sigma, size=values.shape)
+        noisy *= sigma
+        if sigma < 2.0**-1000:  # sigma * z may round to -0.0, which 0.0 + sigma * z makes +0.0
+            noisy += 0.0
+        noisy += values
+    noisy.setflags(write=False)
     try:
         return replace(obj, values=noisy)
     except DomainError:  # obj's own check: noisy values past the float range
@@ -238,47 +258,116 @@ def add_noise(obj, snr_db: float, seed: int) -> "TimeTrace | FieldMap2D":
 # --------------------------------------------------------------------------
 
 
-def fourier_filter_2d(fmap: FieldMap2D, bandwidth: float = FILTER_BANDWIDTH) -> FieldMap2D:
-    """Zero all 2D Fourier components with radial frequency above bandwidth (THz).
+#: Bytes of map values in one block of rows that _band and _band_peak_column
+#: transform at a time, so that a block's transforms stay in cache.
+_BLOCK_BYTES = 1 << 18
 
-    The map is real, so it takes a real FFT along probe time. A probe-time
-    column above bandwidth lies outside the radius at every delay frequency,
-    so only the columns at or below bandwidth go through the delay-axis FFT,
-    the radial mask and its inverse; the inverse real FFT fills the others
-    with zeros. The result is that of zeroing the full 2D spectrum outside
-    the radius. Its values are the inverse FFT's own array, made read-only,
-    so the returned map holds them without a copy.
+
+def _row_blocks(n_tau: int, n_t: int) -> list[slice]:
+    """Consecutive slices of the n_tau rows, each of about _BLOCK_BYTES of map values."""
+    rows = max(1, _BLOCK_BYTES // (8 * n_t))
+    return [slice(start, start + rows) for start in range(0, n_tau, rows)]
+
+
+def _band(fmap: FieldMap2D, bandwidth: float) -> np.ndarray:
+    """The rfft along probe time of the map filtered at bandwidth (THz), on the columns kept.
+
+    Zeroing all 2D Fourier components with radial frequency above bandwidth
+    leaves no probe-time column above bandwidth, at any delay frequency. So
+    only the rfft columns at or below bandwidth are taken, a block of rows at
+    a time, into one (n_tau, kept) complex array, and only they go through
+    the delay-axis FFT, the radial mask and its inverse. The inverse real FFT
+    of each row, with the columns above bandwidth as zeros, is that row of
+    the map with the full 2D spectrum zeroed outside the radius.
     """
     if not bandwidth > 0:
         raise DomainError(f"filter bandwidth must be positive, got {bandwidth} THz")
-    n_t = fmap.t_grid.size
+    values = fmap.values
+    n_tau, n_t = values.shape
     # below a step of about 1e-308/n ps the upper bin frequencies overflow, and
     # once the bin step 1/(n*step) is inf DC is 0*inf: it is set to its exact 0.
     # Below a delay step of about 1e-154 ps the square of a delay frequency
     # overflows. As inf a frequency exceeds any finite bandwidth, and for an
     # infinite one the component is rightly kept, so the mask is the exact one.
-    # Map values near the float maximum overflow the FFT sums to inf or nan:
-    # FieldMap2D rejects the result as non-finite, and that is the error raised
+    # Map values near the float maximum overflow the FFT sums to inf or nan,
+    # which the filtered values then carry
     with np.errstate(over="ignore", invalid="ignore"):
         f_t = np.fft.rfftfreq(n_t, d=fmap.dt)
-        f_tau = np.fft.fftfreq(fmap.tau_grid.size, d=fmap.dtau)
+        f_tau = np.fft.fftfreq(n_tau, d=fmap.dtau)
         f_t[0] = f_tau[0] = 0.0
         f_t = f_t[f_t <= bandwidth]
-        spec = np.fft.fft(np.fft.rfft(fmap.values, axis=1)[:, : f_t.size], axis=0)
-        spec[np.sqrt(f_tau[:, None] ** 2 + f_t[None, :] ** 2) > bandwidth] = 0.0
-        values = np.fft.irfft(np.fft.ifft(spec, axis=0), n=n_t, axis=1)
+        band = np.empty((n_tau, f_t.size), dtype=complex)
+        for rows in _row_blocks(n_tau, n_t):
+            band[rows] = np.fft.rfft(values[rows], axis=1)[:, : f_t.size]
+        band = np.fft.fft(band, axis=0)
+        band[np.sqrt(np.add.outer(f_tau**2, f_t**2)) > bandwidth] = 0.0
+        return np.fft.ifft(band, axis=0)
+
+
+def fourier_filter_2d(fmap: FieldMap2D, bandwidth: float = FILTER_BANDWIDTH) -> FieldMap2D:
+    """Zero all 2D Fourier components with radial frequency above bandwidth (THz).
+
+    The map is one inverse real FFT along probe time of _band, with zeros for
+    the columns above bandwidth. Its values are that FFT's own array, made
+    read-only, so the returned map holds them without a copy. extract never
+    builds this map: it reads the probe maximum from the band, and its trace
+    equals cut_at_max(fourier_filter_2d(fmap)) up to rounding.
+    """
+    band = _band(fmap, bandwidth)
+    # non-finite values, from map values near the float maximum, are
+    # rejected by FieldMap2D, and that is the error raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.fft.irfft(band, n=fmap.t_grid.size, axis=1)
     values.setflags(write=False)
     return replace(fmap, values=values)
+
+
+def _largest_column(col_max: np.ndarray, col_min: np.ndarray) -> int:
+    """The column with the largest |E|, from each column's max and min; ties take smaller t."""
+    col_peak = np.maximum(col_max, -col_min)
+    if np.all(col_peak == 0):
+        raise NoSignalError("all-zero field map: no probe maximum to cut at")
+    return int(np.argmax(col_peak))
 
 
 def cut_at_max(fmap: FieldMap2D) -> TimeTrace:
     """Delay trace at the probe time with the largest |E|; ties take smaller t."""
     v = fmap.values
-    col_peak = np.maximum(v.max(axis=0), -v.min(axis=0))
-    if np.all(col_peak == 0):
-        raise NoSignalError("all-zero field map: no probe maximum to cut at")
-    i = int(np.argmax(col_peak))
+    i = _largest_column(v.max(axis=0), v.min(axis=0))
     return TimeTrace(times=fmap.tau_grid, values=v[:, i])
+
+
+def _band_peak_column(band: np.ndarray, n_t: int) -> int:
+    """The column that cut_at_max picks in the n_t-column map whose rows are the irfft of band's.
+
+    The rows are transformed a block at a time, keeping only each column's
+    running max and min, so the map is never held whole. They are the rows
+    of fourier_filter_2d's map bit for bit, and so is the column picked.
+    A non-finite value is a DomainError, as FieldMap2D reports it.
+    """
+    col_max, col_min = np.full(n_t, -np.inf), np.full(n_t, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(band.shape[0], n_t):
+            block = np.fft.irfft(band[rows], n=n_t, axis=1)
+            np.maximum(col_max, block.max(axis=0), out=col_max)
+            np.minimum(col_min, block.min(axis=0), out=col_min)
+    if not (np.isfinite(col_max).all() and np.isfinite(col_min).all()):
+        raise DomainError("map values must be finite")
+    return _largest_column(col_max, col_min)
+
+
+def _band_column(band: np.ndarray, i: int, n_t: int) -> np.ndarray:
+    """Column i of the n_t-column map whose rows are the irfft of band's, as one weighted sum.
+
+    irfft's sample i of a row X is sum_k c_k Re(X_k exp(2j pi k i / n_t)) / n_t
+    with c_k = 1 for DC and the Nyquist bin and 2 for the others; it equals
+    the map's column up to rounding.
+    """
+    k = np.arange(band.shape[1])
+    weights = np.where((k == 0) | (2 * k == n_t), 1.0 / n_t, 2.0 / n_t)
+    weights = weights * np.exp((2j * math.pi / n_t) * (k * i % n_t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (band @ weights).real
 
 
 def _bin_scales(n: int, dt: float, cutoff: float) -> np.ndarray:
@@ -551,15 +640,20 @@ class ExtractionResult:
 def extract(fmap: FieldMap2D) -> ExtractionResult:
     """Full pipeline: 2D filter, cut at probe max, step removal, windowed spectrum, peak.
 
-    The filter radius is FILTER_BANDWIDTH (4 THz); the step fit low-passes at
-    BAND_LO / 2; the spectrum from the fitted onset on is weighted by
-    spectrum_of's decaying half-Hann window. The peak's FWHM is the width of
-    that windowed modulus, so it depends on the window and on the record's
-    length, not on the line alone.
+    The filter radius is FILTER_BANDWIDTH (4 THz). The filtered map is never
+    built: the probe maximum is read from the band (_band) through blockwise
+    inverse transforms, and only the column cut there is formed from it, so
+    the largest arrays made are the band and its delay-axis transforms. The
+    trace equals cut_at_max(fourier_filter_2d(fmap)) up to rounding. The step
+    fit low-passes at BAND_LO / 2; the spectrum from the fitted onset on is
+    weighted by spectrum_of's decaying half-Hann window. The peak's FWHM is
+    the width of that windowed modulus, so it depends on the window and on
+    the record's length, not on the line alone.
     """
-    filtered = fourier_filter_2d(fmap, FILTER_BANDWIDTH)
-    trace = cut_at_max(filtered)
-    osc, step = remove_step(trace)
+    band = _band(fmap, FILTER_BANDWIDTH)
+    n_t = fmap.t_grid.size
+    column = _band_column(band, _band_peak_column(band, n_t), n_t)
+    osc, step = remove_step(TimeTrace(times=fmap.tau_grid, values=column))
     spec = spectrum_of(osc, onset=step.onset)
     return ExtractionResult(oscillation=osc, step=step, spectrum=spec, peak=peak_report(spec))
 

@@ -7,8 +7,8 @@ bisection that, like the package's, also ends where the midpoint rounds onto
 an end of the bracket. They call the package's scalar functions, so a
 disagreement with the package points at the vector scan or the refiner, not
 at the formulas. bisect_root is the walk of polaron._refine_root itself, one
-scalar evaluation per step and no prediction; find_nu0_roots walks each scan
-cell with it.
+scalar evaluation per step and no prediction; find_nu0_roots and match_roots
+walk each scan cell with it.
 """
 
 import math
@@ -106,34 +106,26 @@ def profile_scan(liquid1, liquid2, grid):
 
 
 def match_roots(liquid1, liquid2, lo, hi, n_scan):
-    """Profile-match roots on the shared bracket [lo, hi], and the scan values."""
+    """Profile-match roots on the shared bracket [lo, hi], and the scan values.
+
+    A node where the scan is exactly zero is a root. Each scan cell with a
+    sign change and finite ends is walked by bisect_root at tol 0, one g_norm
+    call per step, and its root is the walk's point of least |g|.
+    """
     grid = np.linspace(lo, hi, n_scan)
     vals = profile_scan(liquid1, liquid2, grid)
     finite = np.isfinite(vals)
+
+    def g(nu):
+        return g_norm(liquid1, liquid2, nu)
+
     roots = []
     for i in range(len(grid) - 1):
         if not (finite[i] and finite[i + 1]):
             continue
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
-            continue
-        if vals[i] * vals[i + 1] >= 0:
-            continue
-        a, b = float(grid[i]), float(grid[i + 1])
-        ga = vals[i]
-        best = (abs(ga), a)
-        while True:
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            gm = g_norm(liquid1, liquid2, mid)
-            if abs(gm) < best[0]:
-                best = (abs(gm), mid)
-            if gm == 0.0:
-                break
-            if (ga < 0) == (gm < 0):
-                a, ga = mid, gm
-            else:
-                b = mid
-        roots.append(best[1])
+        elif vals[i] * vals[i + 1] < 0:
+            a, b, fa = float(grid[i]), float(grid[i + 1]), float(vals[i])
+            roots.append(bisect_root(g, a, b, fa, 0.0, lambda nu: None)[2])
     return roots, vals

@@ -1,12 +1,16 @@
-"""fourier_filter_2d against the dense complex 2D FFT filter of closed_forms.
+"""fourier_filter_2d and extract's cut against the dense 2D FFT filter of closed_forms.
 
 The package filters with a real FFT along probe time and a delay-axis FFT of
 the passband columns only; the reference transforms the whole map. Both
-zero the same components, so they differ by rounding alone. extract must
-then give the same step and peak with either filter.
+zero the same components, so they differ by rounding alone. extract never
+builds the filtered map: it picks the column of cut_at_max(fourier_filter_2d)
+from blockwise inverse transforms of the band and forms that column alone,
+so it must pick the same column and cut the same trace up to rounding, and
+give the step and peak of the reference chain.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,15 +18,23 @@ from closed_forms import dense_fourier_filter_2d
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impostoron import signal
+from impostoron.errors import DomainError, NoSignalError
 from impostoron.mixing import Concentration, DopedLiquid
 from impostoron.signal import (
+    FILTER_BANDWIDTH,
     FieldMap2D,
     StepModel,
+    _band,
+    _band_column,
+    _band_peak_column,
     add_noise,
+    cut_at_max,
     extract,
     fourier_filter_2d,
     gaussian_probe,
+    peak_report,
+    remove_step,
+    spectrum_of,
     synth_map,
     synth_oscillation,
 )
@@ -129,13 +141,64 @@ def test_matches_dense_filter(case):
     assert np.max(np.abs(got.values - want.values)) <= filter_difference_bound(fmap.values)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=filter_cases())
+def test_band_cut_is_cut_at_max_of_the_filtered_map(case):
+    # the same column, ties to the smaller t included, since the blockwise
+    # inverse transforms give the filtered map's values bit for bit; the
+    # trace formed from the band alone differs from its column by rounding
+    fmap, bandwidth = case
+    filtered = fourier_filter_2d(fmap, bandwidth)
+    col_peak = np.max(np.abs(filtered.values), axis=0)
+    band = _band(fmap, bandwidth)
+    n_t = fmap.t_grid.size
+    if np.all(col_peak == 0):
+        with pytest.raises(NoSignalError):
+            _band_peak_column(band, n_t)
+        return
+    i = _band_peak_column(band, n_t)
+    assert i == int(np.argmax(col_peak))
+    want = cut_at_max(filtered).values
+    got = _band_column(band, i, n_t)
+    assert np.max(np.abs(got - want)) <= filter_difference_bound(fmap.values)
+
+
+def test_band_cut_ties_go_to_the_smaller_time():
+    # below the first probe-time bin only the DC column survives, so every
+    # column of the filtered map is the same: the cut is at the first one
+    values = np.random.default_rng(5).standard_normal((64, 32))
+    fmap = FieldMap2D(t_grid=np.arange(32) * 0.05, tau_grid=np.arange(64) * 0.1, values=values)
+    bandwidth = 0.5 / (32 * 0.05)
+    filtered = fourier_filter_2d(fmap, bandwidth).values
+    assert np.all(filtered == filtered[:, :1])
+    assert _band_peak_column(_band(fmap, bandwidth), 32) == 0
+
+
+def test_extract_rejects_an_all_zero_map():
+    grid = np.arange(16) * 0.1
+    fmap = FieldMap2D(t_grid=grid, tau_grid=grid - 0.5, values=np.zeros((16, 16)))
+    with pytest.raises(NoSignalError, match="all-zero field map"):
+        extract(fmap)
+
+
+def test_extract_rejects_a_map_whose_filter_overflows():
+    # finite values near the float maximum: the FFT sums overflow to inf and
+    # nan, which extract reports as fourier_filter_2d does, without a warning
+    grid = np.arange(16) * 0.1
+    fmap = FieldMap2D(t_grid=grid, tau_grid=grid - 0.5, values=np.full((16, 16), 1.5e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^map values must be finite$"):
+            extract(fmap)
+
+
 N_TAU, DTAU, N_T, DT = 4096, 0.1, 128, 0.05
 
 
 @pytest.mark.parametrize("stem", ["water", "eg", "ipa"])
 @pytest.mark.parametrize("micromolar", [20.0, 45.0])
 @pytest.mark.parametrize("snr_db", [15.0, 30.0])
-def test_extract_does_not_depend_on_the_filter(liquids, monkeypatch, stem, micromolar, snr_db):
+def test_extract_does_not_depend_on_the_filter(liquids, stem, micromolar, snr_db):
     # the benchmark's 4096 x 128 pump-probe map, step amplitude as `synth --map` sets it
     doped = DopedLiquid(liquids[stem], Concentration.from_micromolar(micromolar))
     tau = (np.arange(N_TAU) - N_TAU // 8) * DTAU
@@ -144,10 +207,11 @@ def test_extract_does_not_depend_on_the_filter(liquids, monkeypatch, stem, micro
     seed = int(micromolar) * 100 + int(snr_db)
     fmap = add_noise(synth_map(doped, probe, step, tau), snr_db, seed)
 
-    fast = extract(fmap)
-    monkeypatch.setattr(signal, "fourier_filter_2d", dense_fourier_filter_2d)
-    dense = extract(fmap)
+    got = extract(fmap)
+    # the reference chain, through the dense filter and the built map
+    osc, dense_step = remove_step(cut_at_max(dense_fourier_filter_2d(fmap, FILTER_BANDWIDTH)))
+    dense_peak = peak_report(spectrum_of(osc, onset=dense_step.onset))
 
-    for got, want in ((fast.step, dense.step), (fast.peak, dense.peak)):
+    for got_part, want in ((got.step, dense_step), (got.peak, dense_peak)):
         for name, value in vars(want).items():
-            assert getattr(got, name) == pytest.approx(value, rel=1e-9), name
+            assert getattr(got_part, name) == pytest.approx(value, rel=1e-9), name

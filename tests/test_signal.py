@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -321,6 +322,24 @@ class TestAddNoise:
         c = add_noise(tr, 20.0, 6)
         np.testing.assert_array_equal(a.values, b.values)
         assert np.any(a.values != c.values)
+
+    @pytest.mark.parametrize("kind", ["map", "trace", "zero noise"])
+    def test_noise_is_the_seeded_normal_draw_bit_for_bit(self, doped_water, kind):
+        # values + default_rng(seed).normal(0, sigma), sigma at the documented
+        # RMS; the map holds -0.0 before the onset, and a noise level of 0
+        # adds 0.0 + 0.0 * z = +0.0 to each of those
+        snr_db = {"map": 20.0, "trace": 10.0, "zero noise": 7000.0}[kind]
+        if kind == "trace":
+            obj = synth_oscillation(doped_water, TAU)
+        else:
+            step = StepModel(amplitude=0.3, rise_time=1.0, onset=0.0)
+            obj = synth_map(doped_water, gaussian_probe(TGRID), step, TAU)
+            assert np.any(np.signbit(obj.values) & (obj.values == 0))
+        values = obj.values
+        sigma = math.sqrt(np.mean(values**2)) * 10.0 ** (-snr_db / 20.0)
+        want = values + np.random.default_rng(11).normal(0.0, sigma, values.shape)
+        got = add_noise(obj, snr_db, 11).values
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_noise_level_matches_snr(self):
         rng_vals = np.sin(np.arange(32768) * 0.05)
@@ -923,6 +942,35 @@ class TestExtractPipeline:
         assert res.peak.fwhm > 0
         assert res.step.amplitude == pytest.approx(amp, rel=0.1)
         np.testing.assert_array_equal(res.oscillation.times, TAU)
+
+
+def test_map_stages_hold_at_most_one_map_sized_array(doped_water):
+    # the 4096 x 128 pump-probe map: synth_map and add_noise each allocate the
+    # map they return, extract no map-sized array at all (numpy's allocations,
+    # as tracemalloc sees them, after one warm-up call of each stage)
+    tau = (np.arange(4096) - 512) * 0.1
+    probe = gaussian_probe((np.arange(128) - 64) * 0.05)
+    step = StepModel(amplitude=0.01, rise_time=1.0, onset=0.0)
+    stages = {
+        "synth_map": lambda: synth_map(doped_water, probe, step, tau),
+        "add_noise": lambda: add_noise(fmap, 20.0, 1),
+        "extract": lambda: extract(noisy),
+    }
+    fmap = stages["synth_map"]()
+    noisy = stages["add_noise"]()
+    stages["extract"]()
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, stage in stages.items():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            stage()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / fmap.values.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peaks["synth_map"] <= 1.25 and peaks["add_noise"] <= 1.25, peaks
+    assert peaks["extract"] < 1.0, peaks
 
 
 class TestCsvRoundTrips:
