@@ -35,7 +35,8 @@ from .polaron import (
     _crossing_loss,
     _pass_at,
     _refine_root,
-    eps_doped,  # noqa: F401  (bound here as before, for callers that use matching.eps_doped)
+    # perfbench/tracing.py rebinds matching.eps_doped, and perfbench/test_perfbench.py asserts it
+    eps_doped,  # noqa: F401
     eps_imag_at_nu0,
     find_nu0,
 )

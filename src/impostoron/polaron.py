@@ -29,12 +29,6 @@ SCAN_POINTS = 400
 DEFAULT_BRACKET = (0.1, 3.0)
 DEFAULT_TOL = 1e-6
 
-#: Bisection levels resolved per call of the refined function, at least:
-#: each call evaluates the 2**ROUND_LEVELS - 1 interior nodes of the
-#: bracket's bisection tree at once, and with them the bisection path below
-#: the tree leaf that holds a predicted root.
-ROUND_LEVELS = 8
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -80,22 +74,6 @@ def _eps(doped: DopedLiquid, nu: np.ndarray):
     return lf, eps, pole | divergent | ~np.isfinite(eps)
 
 
-def _bisection_tree(a: float, b: float) -> np.ndarray:
-    """The 2**ROUND_LEVELS + 1 nodes of [a, b]'s bisection tree, in order.
-
-    Each node is the float midpoint 0.5*(left + right) of its two neighbours
-    on the level above, exactly the point a bisection step computes. The
-    levels are filled in place in one preallocated array, coarsest first.
-    """
-    step = 2**ROUND_LEVELS
-    nodes = np.empty(step + 1)
-    nodes[0], nodes[-1] = a, b
-    while step > 1:
-        nodes[step // 2 :: step] = 0.5 * (nodes[:-1:step] + nodes[step::step])
-        step //= 2
-    return nodes
-
-
 def _predict(a: float, b: float, c: float, fa: float, fb: float, fc: float) -> float:
     """A guess at the root of f in (a, b), from f at a, b and a third point c.
 
@@ -138,33 +116,28 @@ def _midpoint(a: float, b: float, tol: float) -> float | None:
 def _round_nodes(a: float, b: float, p: float, tol: float) -> np.ndarray:
     """The nodes of one round on [a, b], for a predicted root p in (a, b).
 
-    First the 2**ROUND_LEVELS - 1 interior nodes of the bisection tree
-    (_bisection_tree), then the bisection path below the tree leaf that
-    holds p: each midpoint of the leaf's bracket, stepping toward p, until
-    bisection of that bracket stops (_midpoint), and last the closing
-    midpoint 0.5*(lo + hi) of the path's last bracket. A walk that finishes
-    on the path stops before it would read that node, and returns it as
-    find_nu0's crossing; where float rounding ended the path it repeats an
-    end of the bracket. The path is built only on a bracket within one
-    binade (b <= 2*a), where at most sys.float_info.mant_dig halvings
-    remain. A wider bracket gets none: a root far below its scan cell's
-    width needs hundreds of halvings toward the cell's lower end, which a
-    path from one leaf would not shorten.
+    The bisection path from [a, b] toward p: each midpoint of the bracket,
+    stepping toward p, until bisection of that bracket stops (_midpoint),
+    and last the closing midpoint 0.5*(lo + hi) of the path's last bracket.
+    A walk that finishes on the path stops before it would read that node,
+    and returns it as find_nu0's crossing; where float rounding ended the
+    path it repeats an end of the bracket. Within one binade (b <= 2*a) at
+    most sys.float_info.mant_dig halvings remain. On a wider bracket the
+    path steps toward a instead: a root far below its scan cell's width
+    lies hundreds of halvings toward the cell's lower end, and the path
+    reaches its binade in one round.
     """
-    tree = _bisection_tree(a, b)
     if b > 2.0 * a:
-        return tree[1:-1]
-    k = int(np.searchsorted(tree, p, "right"))
-    lo, hi = float(tree[k - 1]), float(tree[k])
+        p = a
     path = []
-    while (mid := _midpoint(lo, hi, tol)) is not None:
+    while (mid := _midpoint(a, b, tol)) is not None:
         path.append(mid)
         if p < mid:
-            hi = mid
+            b = mid
         else:
-            lo = mid
-    path.append(0.5 * (lo + hi))
-    return np.concatenate((tree[1:-1], path))
+            a = mid
+    path.append(0.5 * (a + b))
+    return np.array(path)
 
 
 def _refine_root(
@@ -181,35 +154,30 @@ def _refine_root(
     when f(mid) == 0 (the bracket collapses onto mid).
 
     Where the walk needs a value it has not got, one call of f evaluates a
-    round (_round_nodes): the bracket's bisection tree and the path below
-    the tree leaf that holds a root predicted (_predict) through the
-    bracket's two ends and the end they last replaced, on the first round
-    through the next scan node. The walk reads down the tree, then along the
-    path for as long as each path node is exactly the midpoint of its
+    round (_round_nodes): the bisection path toward a root predicted
+    (_predict) through the bracket's two ends and the end they last
+    replaced, on the first round through the next scan node. The walk reads
+    along the path for as long as each node is exactly the midpoint of its
     bracket. So it reads f only at the floats that plain bisection
-    evaluates, and a wrong prediction costs only the path's nodes; the
-    path's closing midpoint it never reads. Every node lies inside [a, b],
-    so f may skip the checks that the caller's scan has passed at the
-    bracket's ends. A caller that keeps what f computed on each round finds
-    there the point of least |f| unless it is a, and 0.5*(a + b) of the
-    final bracket where the walk finished on a path, as its closing
-    midpoint. Returns the final bracket and the point of least |f| seen, a
-    included.
+    evaluates, a wrong prediction costs only the path's nodes, and each
+    round reads at least its first node, the bracket's midpoint; the path's
+    closing midpoint it never reads. Every node lies inside [a, b], so f may
+    skip the checks that the caller's scan has passed at the bracket's ends.
+    A caller that keeps what f computed on each round finds there the point
+    of least |f| unless it is a, and 0.5*(a + b) of the final bracket,
+    where a round ran, as the last round's closing midpoint. Returns the
+    final bracket and the point of least |f| seen, a included.
     """
     a, b, fa, fb = float(grid[i]), float(grid[i + 1]), float(scan[i]), float(scan[i + 1])
     c, fc = (float(grid[i + 2]), float(scan[i + 2])) if i + 2 < len(grid) else (math.nan, math.nan)
     best_abs, best = abs(fa), a
-    nodes, left, half, j = (), 0, 0, 0  # a round's nodes; the walk's place in its tree and path
+    nodes, j = (), 0  # a round's path and the walk's place on it
     while (mid := _midpoint(a, b, tol)) is not None:
-        if not (half or (j < len(nodes) and nodes[j] == mid)):  # the walk left the last round
+        if not (j < len(nodes) and nodes[j] == mid):  # the walk left the last round's path
             nodes = _round_nodes(a, b, _predict(a, b, c, fa, fb, fc), tol)
-            values = f(nodes)
-            left, half, j = 0, 2 ** (ROUND_LEVELS - 1), 2**ROUND_LEVELS - 1
-        if half:  # down the tree: mid is its node left + half
-            k = left + half - 1
-        else:  # along the path
-            k, j = j, j + 1
-        fm = float(values[k])
+            values, j = f(nodes), 0
+        fm = float(values[j])
+        j += 1
         if math.isnan(fm):
             undefined(mid)
         if abs(fm) < best_abs:
@@ -217,10 +185,9 @@ def _refine_root(
         if fm == 0.0:
             return mid, mid, mid
         if (fa < 0.0) == (fm < 0.0):
-            a, fa, c, fc, left = mid, fm, a, fa, left + half
+            a, fa, c, fc = mid, fm, a, fa
         else:
             b, fb, c, fc = mid, fm, b, fb
-        half //= 2
     return a, b, best
 
 

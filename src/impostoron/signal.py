@@ -183,10 +183,7 @@ def synth_map(doped: DopedLiquid, probe: TimeTrace, step: StepModel, tau_grid) -
     """Separable map E(t, tau) = probe(t) * [step(tau) + s(tau)], s on the fixed 0.2-2 THz band.
 
     The outer product is the one map-sized array made: it is handed to the
-    map read-only, so FieldMap2D holds it without a copy. Of the stages that
-    follow, add_noise makes one more and extract none: extract reads the
-    probe maximum from the filter's band without building the filtered map,
-    and its trace equals cut_at_max(fourier_filter_2d(...)) up to rounding.
+    map read-only, so FieldMap2D holds it without a copy.
     """
     tau = np.asarray(tau_grid, dtype=float)
     delay_part = step.evaluate(tau) + synth_oscillation(doped, tau).values
@@ -214,10 +211,7 @@ def add_noise(obj, snr_db: float, seed: int) -> "TimeTrace | FieldMap2D":
     overflow. seed, a non-negative Python or numpy integer, seeds the
     generator, so equal seeds give equal noise. One map-sized array is made:
     it holds the squares, then the noise, then the result, which the returned
-    object holds read-only without a copy. extract, which follows, makes
-    none: it reads the probe maximum from the filter's band without building
-    the filtered map, and its trace equals cut_at_max(fourier_filter_2d(...))
-    up to rounding.
+    object holds read-only without a copy.
     """
     if not isinstance(seed, (int, np.integer)):
         raise DomainError(f"noise seed must be an integer, got {seed!r}")
@@ -309,9 +303,7 @@ def fourier_filter_2d(fmap: FieldMap2D, bandwidth: float = FILTER_BANDWIDTH) -> 
 
     The map is one inverse real FFT along probe time of _band, with zeros for
     the columns above bandwidth. Its values are that FFT's own array, made
-    read-only, so the returned map holds them without a copy. extract never
-    builds this map: it reads the probe maximum from the band, and its trace
-    equals cut_at_max(fourier_filter_2d(fmap)) up to rounding.
+    read-only, so the returned map holds them without a copy.
     """
     band = _band(fmap, bandwidth)
     # non-finite values, from map values near the float maximum, are
@@ -356,16 +348,28 @@ def _band_peak_column(band: np.ndarray, n_t: int) -> int:
     return _largest_column(col_max, col_min)
 
 
+def _bin_weights(n: int, keep: int) -> np.ndarray:
+    """Weights w_k of the first keep rfft bins X_k of n real samples.
+
+    1/n for DC and a kept Nyquist bin (n even), 2/n for the others. Where
+    the bins past keep are zero, sample i is sum_k w_k Re(X_k exp(2j pi k i
+    / n)) and the sum of squares is sum_k w_k |X_k|**2 (Parseval).
+    """
+    weights = np.full(keep, 2.0 / n)
+    weights[0] = 1.0 / n
+    if 2 * (keep - 1) == n:
+        weights[-1] = 1.0 / n
+    return weights
+
+
 def _band_column(band: np.ndarray, i: int, n_t: int) -> np.ndarray:
     """Column i of the n_t-column map whose rows are the irfft of band's, as one weighted sum.
 
-    irfft's sample i of a row X is sum_k c_k Re(X_k exp(2j pi k i / n_t)) / n_t
-    with c_k = 1 for DC and the Nyquist bin and 2 for the others; it equals
-    the map's column up to rounding.
+    Sample i of each row's irfft is its sum over the band's bins weighted
+    by _bin_weights; it equals the map's column up to rounding.
     """
     k = np.arange(band.shape[1])
-    weights = np.where((k == 0) | (2 * k == n_t), 1.0 / n_t, 2.0 / n_t)
-    weights = weights * np.exp((2j * math.pi / n_t) * (k * i % n_t))
+    weights = _bin_weights(n_t, k.size) * np.exp((2j * math.pi / n_t) * (k * i % n_t))
     with np.errstate(over="ignore", invalid="ignore"):
         return (band @ weights).real
 
@@ -373,16 +377,11 @@ def _band_column(band: np.ndarray, i: int, n_t: int) -> np.ndarray:
 def _bin_scales(n: int, dt: float, cutoff: float) -> np.ndarray:
     """The scale of each rfft bin at or below cutoff: the square root of its Parseval weight.
 
-    For n real samples whose spectrum is zero above cutoff, the sum of squares
-    is sum_k w_k |X_k|**2 over the kept bins, with w_0 = 1/n, w_k = 2/n and
-    1/n for a kept Nyquist bin (n even).
+    For n real samples whose spectrum is zero above cutoff, the sum of
+    squares is sum_k w_k |X_k|**2 over the kept bins, w_k from _bin_weights.
     """
     keep = int(np.count_nonzero(np.fft.rfftfreq(n, d=dt) <= cutoff))
-    weights = np.full(keep, 2.0 / n)
-    weights[0] = 1.0 / n
-    if n % 2 == 0 and keep == n // 2 + 1:
-        weights[-1] = 1.0 / n
-    return np.sqrt(weights)
+    return np.sqrt(_bin_weights(n, keep))
 
 
 def _kept_bins(values: np.ndarray, scales: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ find_nu0 validates its bracket on the scan, match_profiles at the bracket's
 two ends; both then evaluate nodes through unchecked kernels (polaron._eps,
 matching._profiles). Each kernel marks a node undefined (NaN) exactly where
 the checked path raises at that node alone and gives bit for bit what the
-checked path gives elsewhere. The roots must not depend on how many
-bisection levels one round resolves, and the searches must still raise the
+checked path gives elsewhere. The roots must not depend on where a round's
+predicted root lies, and the searches must still raise the
 errors and messages of the checked path: match_profiles those that
 eval_neat(liquid1), alpha_el and eval_neat(liquid2) raise on its scan grid,
 find_nu0 the one that eps_doped raises at an undefined node the bisection
@@ -16,15 +16,17 @@ or its error, whether they come from the round that evaluated the crossing
 bisection path stops nothing. _profiles runs both liquids in one array
 pass; each of its rows must be bit for bit the pass of that liquid alone.
 
-A round evaluates the bracket's bisection tree and the path below the leaf
-that holds a predicted root, closed by the midpoint of the path's last
-bracket. The walk must be scalar_oracle.bisect_root exactly, however the
-prediction is misled, and the predictor must raise and warn nothing of its
-own. A bracket wider than a binade gets no path, a done bracket no round,
-and the kernel passes of the packaged liquids' searches are counted: one per
-scan or round, none after a profile match's search and no one-node pass
-where a round evaluated the crossing, so that losing the path or its
-closing midpoint shows in these tests.
+A round evaluates the bisection path from the bracket toward a predicted
+root, closed by the midpoint of the path's last bracket. The walk must be
+scalar_oracle.bisect_root exactly, however the prediction is misled (by the
+function's shape, or by a stand-in predictor that guesses the midpoint, an
+end or the wrong side of the root), and the predictor must raise and warn
+nothing of its own. A path on a bracket wider than a binade steps toward the
+lower end, a done bracket gets no round, a pole or a step within one binade
+costs at most a round per halving, and the kernel passes of the packaged
+liquids' searches are counted: one per scan or round, none after a profile
+match's search and no one-node pass where a round evaluated the crossing,
+so that losing the path or its closing midpoint shows in these tests.
 """
 
 import math
@@ -70,10 +72,18 @@ from impostoron.mixing import (
     alpha_el,
     cm_mix,
 )
-from impostoron.polaron import DEFAULT_TOL, _bisection_tree, _eps, eps_doped, find_nu0
+from impostoron.polaron import DEFAULT_TOL, _eps, eps_doped, find_nu0
 
-#: the round depth the package uses, and the one it used before
-DEPTHS = (5, polaron.ROUND_LEVELS)
+#: polaron._predict and stand-ins for it that mislead the path: the midpoint,
+#: either end, and its own guess mirrored through the midpoint, onto the
+#: wrong side of the root wherever the guess lies in the root's half
+PREDICTORS = {
+    "brent": polaron._predict,
+    "midpoint": lambda a, b, *_: 0.5 * (a + b),
+    "lower-end": lambda a, b, *_: a,
+    "upper-end": lambda a, b, *_: b,
+    "mirrored": lambda a, b, *rest, predict=polaron._predict: a + (b - predict(a, b, *rest)),
+}
 
 
 def bits(values):
@@ -249,31 +259,9 @@ def test_round_kernels_on_the_reference_liquids(liquids):
             assert_pair_kernels(model, other, nu)
 
 
-def reference_tree(a, b, levels):
-    """The bisection tree built a level at a time, each level a new array."""
-    nodes = np.array([a, b])
-    for _ in range(levels):
-        finer = np.empty(2 * nodes.size - 1)
-        finer[0::2] = nodes
-        finer[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-        nodes = finer
-    return nodes
-
-
-@pytest.mark.parametrize("levels", range(1, 9))
-@pytest.mark.parametrize(
-    "a, b",
-    [(1.0, 1.0 + 4 * np.spacing(1.0)), (0.9, 1.1), (0.2, 3.0)],
-    ids=["few-ulp", "binade", "wide"],
-)
-def test_bisection_tree_is_the_level_by_level_tree(monkeypatch, levels, a, b):
-    monkeypatch.setattr(polaron, "ROUND_LEVELS", levels)
-    np.testing.assert_array_equal(bits(_bisection_tree(a, b)), bits(reference_tree(a, b, levels)))
-
-
 # --------------------------------------------------------------------------
-# Depth independence: every round node is a bisection midpoint, so the walk
-# and the roots do not depend on how many levels one round resolves
+# Prediction independence: every round node is a bisection midpoint, so the
+# walk and the roots do not depend on where the predicted root lies
 # --------------------------------------------------------------------------
 
 
@@ -319,20 +307,18 @@ def solve_all(liquids):
     return out
 
 
-def test_roots_do_not_depend_on_the_round_depth(liquids, monkeypatch):
-    results = {}
-    for depth in (1, *DEPTHS):
-        monkeypatch.setattr(polaron, "ROUND_LEVELS", depth)
-        results[depth] = solve_all(liquids)
-    assert sum("PolaronResonance(" in r for r in results[1]) > 50
-    assert sum("profile_matched=True" in r for r in results[1]) > 10
-    for depth in DEPTHS:
-        assert results[depth] == results[1]
+def test_roots_do_not_depend_on_the_prediction(liquids, monkeypatch):
+    want = solve_all(liquids)
+    assert sum("PolaronResonance(" in r for r in want) > 50
+    assert sum("profile_matched=True" in r for r in want) > 10
+    for predict in PREDICTORS.values():
+        monkeypatch.setattr(polaron, "_predict", predict)
+        assert solve_all(liquids) == want
 
 
 # --------------------------------------------------------------------------
-# The walk is one-point bisection, whatever the prediction; a round reads on
-# past its tree along the predicted path, so few rounds remain
+# The walk is one-point bisection, whatever the prediction; a round reads
+# along the predicted path, so few rounds remain
 # --------------------------------------------------------------------------
 
 
@@ -412,8 +398,8 @@ def undefined_at(mid):
 def test_the_walk_is_one_point_bisection(case):
     # every value the walk reads is f at the midpoint one-point bisection
     # evaluates next, so the bracket, the best point and the error raised at
-    # a NaN node it reaches are exactly the reference's, at any depth. The
-    # walk never reads a path's closing midpoint, so NaN there changes
+    # a NaN node it reaches are exactly the reference's, for any predictor.
+    # The walk never reads a path's closing midpoint, so NaN there changes
     # nothing, also at tol 0, where that node repeats a bracket end. The
     # predictor raises nothing of its own, and nothing warns
     f, grid, scan, tol = case
@@ -421,37 +407,93 @@ def test_the_walk_is_one_point_bisection(case):
 
     def rounds(nodes):
         values = np.array([f(x) for x in nodes.tolist()])
-        if nodes.size > 2**polaron.ROUND_LEVELS - 1:  # a tree and a path
-            values[-1] = math.nan
+        values[-1] = math.nan  # the path's closing midpoint
         return values
 
-    for depth in (1, 5, 8):
+    for predict in PREDICTORS.values():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(polaron, "ROUND_LEVELS", depth)
+            patch.setattr(polaron, "_predict", predict)
             got = outcome(
                 polaron._refine_root, rounds, np.array(grid), np.array(scan), 0, tol, undefined_at
             )
         assert got == want
 
 
-def test_a_round_on_a_wide_bracket_is_its_tree_alone():
-    # a bracket wider than a binade gets no path: a root far below the
-    # cell's width is hundreds of halvings away toward its lower end
-    tree = _bisection_tree(1e-130, 2.5e-3)
-    np.testing.assert_array_equal(polaron._round_nodes(1e-130, 2.5e-3, 1e-3, 0.0), tree[1:-1])
+@pytest.mark.parametrize("p", [1e-129, 1e-3, 2.4e-3])
+def test_a_round_on_a_wide_bracket_steps_toward_its_lower_end(p):
+    # a root far below a wide cell's width is hundreds of halvings away
+    # toward its lower end, whatever the prediction says: the path halves
+    # toward a until the midpoint rounds onto it, then closes
+    a, b = 1e-130, 2.5e-3
+    nodes = polaron._round_nodes(a, b, p, 0.0).tolist()
+    hi = b
+    for node in nodes[:-1]:
+        assert node == 0.5 * (a + hi)
+        hi = node
+    assert nodes[-1] == 0.5 * (a + hi) and nodes[-1] in (a, hi)
+    assert nodes[-2] <= 2 * a
+
+
+def test_a_wide_bracket_reaches_the_root_binade_in_the_first_round():
+    # the first round's path toward the lower end passes the root's binade,
+    # so the second round starts within a factor 2 of the root
+    a, b, root = 1e-130, 2.5e-3, 1e-100
+    calls = []
+
+    def f(nodes):
+        calls.append(nodes)
+        return nodes - root
+
+    grid = np.array([a, b, 2 * b])
+    got = polaron._refine_root(f, grid, f(grid), 0, 0.0, undefined_at)
+    del calls[0]  # the scan
+    assert got == bisect_root(lambda x: x - root, a, b, a - root, 0.0, undefined_at)
+    assert len(calls) >= 2 and np.all((calls[1] > root / 2) & (calls[1] < 2 * root)), calls[1]
+
+
+def pole_at(x0):
+    """1/(x - x0): a sign change from -inf to inf at x0, no root."""
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (np.asarray(x) - x0)
+
+    return f
+
+
+def step_at(x0):
+    """sign(x - x0): -1 below x0, 1 above, 0 at x0."""
+    return lambda x: np.sign(np.asarray(x) - x0)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("shape", [pole_at, step_at])
+@pytest.mark.parametrize("x0", [1.2345678901234567, 1.0 + 2.0**-40, 1.5 - 2.0**-45])
+def test_a_pole_or_a_step_in_a_binade_costs_at_most_a_round_per_halving(shape, x0, tol):
+    # a prediction through values of a pole or a step misses the sign
+    # change, so the walk may leave each path after its first node, the
+    # bracket's midpoint; within one binade that is mant_dig halvings at most
+    f = shape(x0)
+    calls = []
+
+    def rounds(nodes):
+        calls.append(nodes.size)
+        return f(nodes)
+
+    grid = np.array([1.0, 1.5, 2.0])
+    got = polaron._refine_root(rounds, grid, f(grid), 0, tol, undefined_at)
+    assert got == bisect_root(lambda x: float(f(x)), 1.0, 1.5, float(f(1.0)), tol, undefined_at)
+    assert 1 <= len(calls) <= sys.float_info.mant_dig + 1, calls
 
 
 def test_a_round_in_a_binade_reads_on_to_float_resolution():
-    # within one binade the path halves the predicted leaf toward the
-    # prediction until the midpoint rounds onto an end: at most mant_dig
-    # nodes, then the closing midpoint of its last bracket, which at tol 0
-    # repeats one of that bracket's ends
+    # within one binade the path halves the bracket toward the prediction
+    # until the midpoint rounds onto an end: at most mant_dig nodes, then
+    # the closing midpoint of its last bracket, which at tol 0 repeats one
+    # of that bracket's ends
     a, b, p = 0.7, 0.7073, 0.70312345
     nodes = polaron._round_nodes(a, b, p, 0.0)
-    tree = _bisection_tree(a, b)
-    np.testing.assert_array_equal(nodes[: tree.size - 2], tree[1:-1])
-    path, closing = nodes[tree.size - 2 : -1].tolist(), float(nodes[-1])
-    lo, hi = float(tree[tree <= p][-1]), float(tree[tree > p][0])
+    path, closing = nodes[:-1].tolist(), float(nodes[-1])
+    lo, hi = a, b
     for node in path:
         assert node == 0.5 * (lo + hi)
         lo, hi = (lo, node) if p < node else (node, hi)
@@ -477,12 +519,12 @@ def kernel_calls(monkeypatch):
 @pytest.mark.parametrize("label", ["a/b", "A/B"])
 def test_a_profile_match_takes_few_kernel_calls(monkeypatch, label):
     # the scan, the rounds of the profile root and those of the round trip's
-    # two find_nu0 calls: 11 passes in all with one tree per round, 5 and 6
-    # with the path. Each scan and round runs _profiles once, read once by
-    # _residual; the root's concentrations and width terms come from the
-    # pass that evaluated the root, so no pass follows the search, and
-    # ce_for_nu0 does not run. Each crossing of the round trip is a node of
-    # one of its search's rounds, so no one-node pass runs either
+    # two find_nu0 calls: 5 and 6 passes in all. Each scan and round runs
+    # _profiles once, read once by _residual; the root's concentrations and
+    # width terms come from the pass that evaluated the root, so no pass
+    # follows the search, and ce_for_nu0 does not run. Each crossing of the
+    # round trip is a node of one of its search's rounds, so no one-node
+    # pass runs either
     def called(*args):
         raise AssertionError("match_profiles called ce_for_nu0")
 
@@ -503,20 +545,20 @@ def test_a_profile_match_takes_few_kernel_calls(monkeypatch, label):
     assert search == [c for p in profiles for c in (p, ("_residual", p[1]))], calls
     assert profiles[0] == ("_profiles", PROFILE_SCAN_POINTS), calls
     assert [name for name, _ in trip] == ["_eps", "_eps"], calls
-    assert min(n for _, n in calls[2:]) >= 2**polaron.ROUND_LEVELS - 1, calls  # each round
+    assert min(n for _, n in calls[2:]) >= 2, calls  # each round: a path and its closing midpoint
     assert len(profiles) + len(trip) == {"a/b": 5, "A/B": 6}[label], calls
 
 
 @pytest.mark.parametrize("stem", ["water", "eg", "ipa"])
 @pytest.mark.parametrize("tol, rounds", [(DEFAULT_TOL, 1), (1e-9, 2)])
 def test_find_nu0_rounds(liquids, monkeypatch, stem, tol, rounds):
-    # one tree per round took 2 rounds at DEFAULT_TOL and 3 at 1e-9. One
-    # _eps pass per round, each at least the tree; the crossing is a node of
-    # the last round, which gives its loss and slope without a one-node pass
+    # one _eps pass per round, each a path and its closing midpoint; the
+    # crossing is a node of the last round, which gives its loss and slope
+    # without a one-node pass
     calls = kernel_calls(monkeypatch)
     find_nu0(DopedLiquid(liquids[stem], Concentration.from_micromolar(40.0)), tol=tol)
     assert [name for name, _ in calls] == ["_eps"] * rounds, calls
-    assert min(n for _, n in calls) >= 2**polaron.ROUND_LEVELS - 1, calls
+    assert min(n for _, n in calls) >= 2, calls
 
 
 def test_a_done_scan_cell_calls_no_round(liquids, monkeypatch):
@@ -654,7 +696,7 @@ def knot_table(level, value, toward_b=False):
     eps' is -3 up to a, 1 from b on, and value at the node that bisecting
     [a, b] toward a (toward b if toward_b) reaches on the given level:
     a + (b - a)/2**level (b - (b - a)/2**level), formed as the bisection
-    tree forms it. Returns the table and that node.
+    path toward a (toward b) forms it. Returns the table and that node.
     """
     grid = np.linspace(1.0, 2.0, polaron.SCAN_POINTS)
     a, b = float(grid[100]), float(grid[101])
@@ -680,41 +722,48 @@ def test_find_nu0_on_the_clausius_mossotti_divergence():
         find_nu0(DopedLiquid(model, Concentration(0.0)), (1.0, 2.0))
 
 
-@pytest.mark.parametrize("depth", [1, 5, 8])
-def test_a_round_error_names_the_node_the_walk_reached(monkeypatch, depth):
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_a_round_error_names_the_node_the_walk_reached(monkeypatch, predictor):
     # eps' exceeds 3e12, and so diverges, on a stretch around the level-2
-    # knot that holds the first midpoint and many deeper nodes; each depth
-    # names that midpoint, where the walk stops
+    # knot that holds the first midpoint and many deeper nodes; each
+    # predictor names that midpoint, where the walk stops
     model, _ = knot_table(2, 1e13)
     first_mid = knot_table(1, 0.0)[1]
     message = f"Clausius-Mossotti divergence at nu = {first_mid:g} THz, ce = 0 uM"
-    monkeypatch.setattr(polaron, "ROUND_LEVELS", depth)
+    monkeypatch.setattr(polaron, "_predict", PREDICTORS[predictor])
     with pytest.raises(SingularityError, match=re.escape(message)):
         find_nu0(DopedLiquid(model, Concentration(0.0)), (1.0, 2.0))
 
 
 def test_an_off_path_singular_node_stops_no_round(monkeypatch):
-    # the pole sits on level 6, left of the bisection path (eps' at the first
-    # midpoint is negative, so the walk goes right): rounds of 6 or more
-    # levels evaluate it, and none stops there
-    doped = DopedLiquid(knot_table(6, -2.0)[0], Concentration(0.0))
+    # the pole sits on level 6, left of the bisection walk (eps' at the first
+    # midpoint is negative, so the walk goes right): a path toward the
+    # cell's lower end evaluates it, and no round stops there
+    model, node = knot_table(6, -2.0)
+    doped = DopedLiquid(model, Concentration(0.0))
     results = set()
-    for depth in (1, 5, 6, 8):
-        monkeypatch.setattr(polaron, "ROUND_LEVELS", depth)
+    for predict in PREDICTORS.values():
+        monkeypatch.setattr(polaron, "_predict", predict)
+        calls = []
+        monkeypatch.setattr(polaron, "_eps", lambda d, nu: calls.append(nu) or _eps(d, nu))
         results.add(repr(find_nu0(doped, (1.0, 2.0))))
+        if predict is PREDICTORS["lower-end"]:
+            assert any(node in nu for nu in calls)
     assert len(results) == 1
 
 
-@pytest.mark.parametrize("depth", DEPTHS)
+@pytest.mark.parametrize("predictor", ["brent", "mirrored"])
 @pytest.mark.parametrize("ce", [0.0, 1e-6])
 @pytest.mark.parametrize("value", [-2.0, 3.0001e12, 1e13, -1e13])
 @pytest.mark.parametrize("toward_b", [False, True], ids=["toward-a", "toward-b"])
 @pytest.mark.parametrize("level", range(1, 9))
-def test_find_nu0_agrees_with_one_point_bisection(monkeypatch, level, toward_b, value, ce, depth):
+def test_find_nu0_agrees_with_one_point_bisection(
+    monkeypatch, level, toward_b, value, ce, predictor
+):
     # scalar_oracle bisects with one eps_doped call per midpoint, so it raises
     # at exactly the undefined nodes its walk reaches
     doped = DopedLiquid(knot_table(level, value, toward_b)[0], Concentration(ce))
-    monkeypatch.setattr(polaron, "ROUND_LEVELS", depth)
+    monkeypatch.setattr(polaron, "_predict", PREDICTORS[predictor])
     want = outcome(find_nu0_roots, doped, (1.0, 2.0), DEFAULT_TOL)
     got = outcome(find_nu0, doped, (1.0, 2.0))
     if isinstance(want, tuple):
@@ -731,15 +780,15 @@ def test_find_nu0_agrees_with_one_point_bisection(monkeypatch, level, toward_b, 
 WIDE_BRACKETS = [(1e-130, 1.0), (1e-125, 1e140)]
 
 
-@pytest.mark.parametrize("depth", [1, 5, 8])
+@pytest.mark.parametrize("predictor", PREDICTORS)
 @pytest.mark.parametrize("bracket", WIDE_BRACKETS, ids=["130-decades", "265-decades"])
 @pytest.mark.parametrize("target", [1e-100, 1e-60])
-def test_a_tiny_root_bisects_to_its_target(liquids, monkeypatch, target, bracket, depth):
+def test_a_tiny_root_bisects_to_its_target(liquids, monkeypatch, target, bracket, predictor):
     # the root lies in the first scan cell, hundreds of binades below the
     # cell's width: the walk halves on until its midpoint rounds onto an end
     model = liquids["dispersionless"]
     doped = DopedLiquid(model, ce_for_nu0(model, target))
-    monkeypatch.setattr(polaron, "ROUND_LEVELS", depth)
+    monkeypatch.setattr(polaron, "_predict", PREDICTORS[predictor])
     res = find_nu0(doped, bracket, 1e-300)
     assert res.nu0 == target and res.slope_B > 0
     assert [res.nu0, *res.alternatives] == find_nu0_roots(doped, bracket, 1e-300)

@@ -559,17 +559,16 @@ class TestCutAtMax:
         tr = cut_at_max(FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=vals))
         np.testing.assert_array_equal(tr.values, vals[:, 20])
 
+    # small integers make ties between columns and signs common. The cells
+    # also fill the array: arrays then draws a few cells and gives the rest
+    # one drawn value, instead of drawing each of the ~400 cells on its own
+    # (it does so only for elements it knows reusable, which .map hides)
+    CELLS = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e300, 1e300, allow_nan=False))
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         vals=st.tuples(st.integers(16, 24), st.integers(16, 24)).flatmap(
-            lambda shape: arrays(
-                float,
-                shape,
-                # small integers make ties between columns and signs common
-                elements=st.one_of(
-                    st.integers(-2, 2).map(float), st.floats(-1e300, 1e300, allow_nan=False)
-                ),
-            )
+            lambda shape: arrays(float, shape, elements=TestCutAtMax.CELLS, fill=TestCutAtMax.CELLS)
         )
     )
     def test_column_that_the_largest_absolute_value_picks(self, vals):
