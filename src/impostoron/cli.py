@@ -7,6 +7,12 @@ closed before all output was written. Liquid files are searched in the
 working directory, then $IMPOSTORON_DATA_DIR, then the packaged data
 directory.
 All CSV output starts with '#'-prefixed metadata (tool version, input hash).
+
+A call imports only the modules its subcommand runs: eps and nu0 the chain
+from liquid file to resonance (dielectric, mixing, polaron), ce-for-nu0 and
+match matching on top, lineshape, synth and extract signal on top. Each
+handler imports matching or signal itself, so a call pays for neither unless
+it runs it.
 """
 
 from __future__ import annotations
@@ -22,10 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, signal
-from .dielectric import _read_text, loads_liquid
+from . import __version__
+from .dielectric import _read_text, _write_table, loads_liquid
 from .errors import DataFileError, GridError, ImpostoronError
-from .matching import ce_for_nu0, match_frequency, match_profiles
 from .mixing import Concentration, DopedLiquid
 from .polaron import eps_doped, find_nu0, lineshape, lorentz_lineshape
 
@@ -210,7 +215,7 @@ def _cmd_eps(args):
     eps = eps_doped(DopedLiquid(liquid, Concentration.from_micromolar(args.ce)), grid)
     table = np.column_stack((grid, eps.real, eps.imag))
     with _output(args.out) as fh:
-        signal._write_table(fh, _meta(("liquid", sha)), "nu_THz,eps_real,eps_imag", table)
+        _write_table(fh, _meta(("liquid", sha)), "nu_THz,eps_real,eps_imag", table)
 
 
 def _cmd_nu0(args):
@@ -225,10 +230,12 @@ def _cmd_nu0(args):
         ("alternatives_THz", ";".join(repr(v) for v in res.alternatives)),
     ]
     with _output(args.out) as fh:
-        signal._write_table(fh, _meta(("liquid", sha)), "key,value", pairs)
+        _write_table(fh, _meta(("liquid", sha)), "key,value", pairs)
 
 
 def _cmd_ce_for_nu0(args):
+    from .matching import ce_for_nu0
+
     sha, liquid = _liquid(args.liquid)
     ce = ce_for_nu0(liquid, args.nu0)
     pairs = [
@@ -237,10 +244,12 @@ def _cmd_ce_for_nu0(args):
         ("nu0_THz", repr(args.nu0)),
     ]
     with _output(args.out) as fh:
-        signal._write_table(fh, _meta(("liquid", sha)), "key,value", pairs)
+        _write_table(fh, _meta(("liquid", sha)), "key,value", pairs)
 
 
 def _cmd_match(args):
+    from .matching import match_frequency, match_profiles
+
     sha_a, liquid_a = _liquid(args.liquid_a)
     sha_b, liquid_b = _liquid(args.liquid_b)
     if args.profile:
@@ -259,10 +268,12 @@ def _cmd_match(args):
         ("alternatives_THz", ";".join(repr(v) for v in sol.alternatives)),
     ]
     with _output(args.out) as fh:
-        signal._write_table(fh, _meta(("a", sha_a), ("b", sha_b)), "key,value", pairs)
+        _write_table(fh, _meta(("a", sha_a), ("b", sha_b)), "key,value", pairs)
 
 
 def _cmd_lineshape(args):
+    from . import signal
+
     sha, liquid = _liquid(args.liquid)
     doped = DopedLiquid(liquid, Concentration.from_micromolar(args.ce))
     grid = _grid(args)
@@ -275,6 +286,8 @@ def _cmd_lineshape(args):
 
 
 def _cmd_synth(args):
+    from . import signal
+
     if args.n < 16:
         args.parser.error(f"--n must be at least 16, got {args.n}")
     if not math.isfinite(args.dt):
@@ -311,6 +324,8 @@ def _cmd_synth(args):
 
 
 def _cmd_extract(args):
+    from . import signal
+
     path = Path(args.input)
     if not os.path.exists(path):
         raise DataFileError(f"map file '{args.input}' not found")

@@ -312,6 +312,18 @@ def _read_text(path, kind: str) -> tuple[str, str]:
     return text.replace("\r\n", "\n").replace("\r", "\n"), hashlib.sha256(data).hexdigest()
 
 
+def _write_table(fh, meta, header: str, rows) -> None:
+    """Each meta line as a '# ' comment, the header, then the rows of a 2D float array or a list.
+
+    Floats are written with str (repr for a Python float), so they parse back bit-exactly.
+    """
+    for line in meta or ():
+        fh.write(f"# {line}\n")
+    fh.write(header + "\n")
+    for row in map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows:
+        fh.write(",".join(map(str, row)) + "\n")
+
+
 def load_liquid_file(path) -> LiquidModel:
     """Read and parse a liquid model file."""
     return loads_liquid(_read_text(path, "liquid")[0], source=str(path))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dielectric import _check_axis, _finite_field, _readonly
+from .dielectric import _check_axis, _finite_field, _readonly, _write_table
 from .errors import (
     DegenerateLineshapeError,
     DomainError,
@@ -659,20 +659,11 @@ def extract(fmap: FieldMap2D) -> ExtractionResult:
 
 # --------------------------------------------------------------------------
 # CSV tables: '#' meta lines, a header line, rows of as many comma-separated cells.
-# Floats are written with str (repr for a Python float), so they parse back bit-exactly.
+# dielectric._write_table writes them (the CLI's key,value tables too), bit-exactly.
 # --------------------------------------------------------------------------
 
 _HEADERS = {"trace": "tau_ps,amplitude", "spectrum": "nu_THz,amplitude"}
 _MAP_CORNER = "tau_ps\\t_ps"
-
-
-def _write_table(fh, meta, header: str, rows) -> None:
-    """Each meta line as a '# ' comment, the header, then the rows of a 2D float array or a list."""
-    for line in meta or ():
-        fh.write(f"# {line}\n")
-    fh.write(header + "\n")
-    for row in map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows:
-        fh.write(",".join(map(str, row)) + "\n")
 
 
 def _float_row(cells, lineno, kind, width):

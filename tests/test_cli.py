@@ -728,55 +728,95 @@ def test_parser_builds_without_side_effects():
     assert parser.prog == "impostoron"
 
 
-# Runs in a fresh interpreter: the package needs numpy alone, so no CLI
-# command, the step fit (remove_step) included, may import scipy.
-_SCIPY_PROBE = """
+# Each probe runs in a fresh interpreter, so no call inherits another's imports.
+# _MODULE_PROBE reports what `import impostoron` loads, then one cli.run's exit
+# code and the impostoron modules and scipy loaded after it.
+_MODULE_PROBE = """
 import json, sys
-import impostoron, impostoron.cli
-from impostoron.signal import read_trace_csv, remove_step
-
-out, trace_csv = sys.argv[1], sys.argv[2]
-commands = [
-    ["nu0", "--liquid", "water.liq", "--ce", "40"],
-    ["ce-for-nu0", "--liquid", "water.liq", "--nu0", "0.7"],
-    ["match", "--liquid-a", "eg.liq", "--liquid-b", "eg.liq", "--profile",
-     "--bracket", "0.3,1.5"],
-    ["synth", "--liquid", "water.liq", "--ce", "40", "--map", "--n", "64"],
-]
-codes = [impostoron.cli.run(argv + ["--out", out]) for argv in commands]
-loaded = {"commands": "scipy" in sys.modules}
-with open(trace_csv) as fh:
-    _, step = remove_step(read_trace_csv(fh))
-loaded["remove_step"] = "scipy" in sys.modules
-# the synth command above left its map in out
-codes.append(impostoron.cli.run(["extract", "--input", out, "--out-oscillation",
-                                 out + ".osc", "--out-spectrum", out + ".spec"]))
-loaded["extract"] = "scipy" in sys.modules
+import impostoron
+bare = sorted(m for m in sys.modules if m.startswith("impostoron"))
+import impostoron.cli
+code = impostoron.cli.run(sys.argv[1:])
 print(json.dumps({
-    "codes": codes,
-    "loaded": loaded,
+    "code": code,
+    "bare": bare,
+    "loaded": sorted(m for m in sys.modules if m.startswith("impostoron.")),
+    "scipy": "scipy" in sys.modules,
+}))
+"""
+
+_STEP_PROBE = """
+import json, sys
+from impostoron.signal import read_trace_csv, remove_step
+with open(sys.argv[1]) as fh:
+    _, step = remove_step(read_trace_csv(fh))
+print(json.dumps({
+    "scipy": "scipy" in sys.modules,
     "step": [repr(step.amplitude), repr(step.rise_time), repr(step.onset)],
 }))
 """
 
+#: The impostoron modules a subcommand loads: the chain from liquid file to
+#: resonance, with matching for the concentration searches and signal for the
+#: line shapes, traces and maps.
+_CHAIN = ["cli", "constants", "dielectric", "errors", "mixing", "polaron"]
+_LOADS = {
+    "eps": _CHAIN,
+    "nu0": _CHAIN,
+    "ce-for-nu0": _CHAIN + ["matching"],
+    "match": _CHAIN + ["matching"],
+    "lineshape": _CHAIN + ["signal"],
+    "synth": _CHAIN + ["signal"],
+    "extract": _CHAIN + ["signal"],
+}
 
-def test_cli_commands_without_step_fit_leave_scipy_unloaded(tmp_path):
-    tau = (np.arange(256) - 32) * 0.1
-    values = StepModel(amplitude=0.8, rise_time=1.1, onset=0.0).evaluate(tau)
-    trace = TimeTrace(times=tau, values=values + 0.05 * np.cos(2 * np.pi * 0.7 * tau))
-    trace_csv = tmp_path / "trace.csv"
-    with open(trace_csv, "w") as fh:
-        write_trace_csv(trace, fh)
+
+def _probe(script, args, cwd):
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out.csv"), str(trace_csv)],
+        [sys.executable, "-c", script, *args],
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["codes"] == [0, 0, 0, 0, 0]
-    assert got["loaded"] == {"commands": False, "remove_step": False, "extract": False}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    # the package needs numpy alone, so no CLI command may import scipy either
+    out, map_csv = str(tmp_path / "out.csv"), str(tmp_path / "map.csv")
+    commands = [
+        ["eps", "--liquid", "water.liq", "--ce", "40", "--nu-step", "0.01", "--out", out],
+        ["nu0", "--liquid", "water.liq", "--ce", "40", "--out", out],
+        ["ce-for-nu0", "--liquid", "water.liq", "--nu0", "0.7", "--out", out],
+        ["match", "--liquid-a", "eg.liq", "--liquid-b", "eg.liq", "--profile",
+         "--bracket", "0.3,1.5", "--out", out],
+        ["lineshape", "--liquid", "water.liq", "--ce", "40", "--nu-step", "0.01", "--out", out],
+        ["synth", "--liquid", "water.liq", "--ce", "40", "--map", "--n", "64", "--out", map_csv],
+        ["extract", "--input", map_csv, "--out-oscillation", out, "--out-spectrum", out],
+    ]
+    got = {argv[0]: _probe(_MODULE_PROBE, argv, tmp_path) for argv in commands}
+    assert list(got) == list(_LOADS)
+    assert {cmd: g["code"] for cmd, g in got.items()} == dict.fromkeys(_LOADS, 0)
+    assert {cmd: g["bare"] for cmd, g in got.items()} == dict.fromkeys(_LOADS, ["impostoron"])
+    assert {cmd: g["loaded"] for cmd, g in got.items()} == {
+        cmd: sorted(f"impostoron.{m}" for m in modules) for cmd, modules in _LOADS.items()
+    }
+    assert {cmd: g["scipy"] for cmd, g in got.items()} == dict.fromkeys(_LOADS, False)
+
+
+def test_the_step_fit_leaves_scipy_unloaded(tmp_path):
+    tau = (np.arange(256) - 32) * 0.1
+    values = StepModel(amplitude=0.8, rise_time=1.1, onset=0.0).evaluate(tau)
+    trace = TimeTrace(times=tau, values=values + 0.05 * np.cos(2 * np.pi * 0.7 * tau))
+    trace_csv = tmp_path / "trace.csv"
+    with open(trace_csv, "w") as fh:
+        write_trace_csv(trace, fh)
+    got = _probe(_STEP_PROBE, [str(trace_csv)], tmp_path)
     _, step = remove_step(trace)
-    assert got["step"] == [repr(step.amplitude), repr(step.rise_time), repr(step.onset)]
+    assert got == {
+        "scipy": False,
+        "step": [repr(step.amplitude), repr(step.rise_time), repr(step.onset)],
+    }
