@@ -205,14 +205,16 @@ def match_profiles(
     grid nodes, both ends included, then brackets the sign changes; nodes
     where a liquid's profile is undefined are skipped and counted in
     `skipped_nodes`. When |g| stays below PROFILE_TOL on every defined node
-    the pair is degenerate. Each sign change is bisected to float
-    resolution (_refine_root, in rounds through the same _residual), and
-    its root is the bisection point of least |g|. The scan and every round
-    evaluate both liquids in one array pass of _profiles, one row per
-    liquid. Each B_i is d(eps_i')/d(nu) in closed form, as in find_nu0. The
-    lowest root nu* gives match_frequency's solution at nu*, marked
-    profile-matched: its concentrations and width terms come from the pass
-    that evaluated nu*, and _solution gives its round trip.
+    the pair is degenerate, witnessed at the lowest node where both width
+    terms are defined, with the scan's concentrations there. Otherwise each
+    defined node where g is exactly 0 is a root, and each strict sign change
+    between defined nodes is bisected to float resolution (_refine_root, in
+    rounds through the same _residual); its root is the bisection point of
+    least |g|. The scan and every round evaluate both liquids in one array
+    pass of _profiles, one row per liquid. Each B_i is d(eps_i')/d(nu) in
+    closed form, as in find_nu0. The lowest root nu* gives match_frequency's
+    solution at nu*, marked profile-matched: its concentrations and width
+    terms come from the pass that evaluated nu*; _solution gives its round trip.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
     ends = np.array([lo, hi])
@@ -233,11 +235,12 @@ def match_profiles(
     skipped = int(np.count_nonzero(~finite))
 
     if finite.any() and np.nanmax(np.abs(vals)) < PROFILE_TOL:
-        ce = ce_for_nu0(liquid1, lo)
+        nu0 = float(grid[np.argmax(finite)])  # the lowest node where both profiles are defined
+        ce_1, ce_2 = map(Concentration, _pass_at(passes, nu0)[1][:, 0].tolist())
         return ImpostoronSolution(
-            ce_1=ce,
-            ce_2=ce_for_nu0(liquid2, lo),
-            nu0=lo,
+            ce_1=ce_1,
+            ce_2=ce_2,
+            nu0=nu0,
             freq_residual=0.0,
             profile_residual=0.0,
             profile_matched=True,
@@ -249,14 +252,10 @@ def match_profiles(
     def undefined(nu):
         raise DomainError(f"root search met an undefined point at nu = {nu!r} THz")
 
-    roots = []
-    sign_change = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
-    for i in np.flatnonzero(finite[:-1] & finite[1:] & sign_change):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        _, _, best = _refine_root(residual, grid, vals, i, 0.0, undefined)
-        roots.append(best)
+    roots = grid[vals == 0.0].tolist()
+    for i in np.flatnonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] < 0.0)):
+        roots.append(_refine_root(residual, grid, vals, i, 0.0, undefined)[2])
+    roots.sort()
 
     if not roots:
         raise NoProfileMatchError(

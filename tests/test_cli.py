@@ -80,6 +80,8 @@ class TestArgumentValidation:
         [
             (["eps", "--liquid", "water.liq", "--nu-min", "3"], "--nu-max must exceed --nu-min"),
             (["synth", "--liquid", "water.liq", "--ce", "40", "--n", "8"], "--n must be at least 16"),
+            (["nu0", "--liquid", "water.liq", "--ce", "40", "--bracket", "0.2,two"],
+             "argument --bracket: bracket must be numeric, got '0.2,two'"),
         ],
     )
     def test_usage_error_names_its_subcommand(self, capsys, argv, message):
@@ -431,6 +433,19 @@ class TestMatchCommand:
         assert kv["degenerate"] == "true"
         assert kv["note"].startswith("degenerate")
 
+    def test_profile_match_degenerate_pair_undefined_at_the_bracket_end(self, capsys, tmp_path):
+        # no consistent loss below 0.69 THz: the witness is the first scan
+        # node where both width terms are defined
+        liq = tmp_path / "t.liq"
+        liq.write_text(
+            "name = t\ntype = table\ncolumns = nu_THz, eps_real, eps_imag\n"
+            "0.1, -0.5, 1.5\n3.0, 2, 0.1\n"
+        )
+        assert run(["match", "--liquid-a", str(liq), "--liquid-b", str(liq), "--profile"]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert kv["degenerate"] == "true"
+        assert kv["nu0_THz"] == "0.6884422110552764"
+
 
 class TestLineshapeCommand:
     def test_exact_and_lorentz_agree_near_peak(self, capsys):
@@ -699,7 +714,8 @@ MATCH = ["match", "--liquid-a", "ipa.liq", "--liquid-b", "eg.liq"]
          lambda lq, grid: nu0_keys(find_nu0(doped(lq, "water", 40.0), tol=1e-12))),
         (["lineshape", "--liquid", "ipa.liq", "--ce", "25", "--lorentz", "--nu-step", "0.01"],
          lambda lq, grid: lorentz_lineshape(find_nu0(doped(lq, "ipa", 25.0)), grid).values),
-        # a degenerate pair matches at its bracket's lower end
+        # a degenerate pair matches at the lowest scan node where both width
+        # terms are defined, with the scan's concentrations there
         (["match", "--liquid-a", "eg.liq", "--liquid-b", "eg.liq", "--profile"],
          lambda lq, grid: match_keys(match_profiles(lq["eg"], lq["eg"]))),
         *(

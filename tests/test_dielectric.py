@@ -315,13 +315,19 @@ class TestParser:
         [
             ("type = debye\neps_inf = 2", "missing 'name'"),
             ("name = x", "missing 'type'"),
+            ("name =\ntype = debye\neps_inf = 2", ":1: empty name"),
             ("name = x\ntype = maxwell", "unknown model type"),
             ("name = x\ntype = debye", "requires 'eps_inf'"),
             ("name = x\ntype = debye\neps_inf = two", "bad eps_inf"),
             ("name = x\ntype = debye\neps_inf = 2\nterm = 1.0", "term needs exactly"),
+            ("name = x\ntype = debye\neps_inf = 2\nterm = 1.0, fast", "bad term values '1.0, fast'"),
             ("name = x\ntype = debye\neps_inf = 2\ncolour = red", "unknown key 'colour'"),
             ("name = x\ntype = table\ncolumns = nu, e1, e2", "columns must be"),
             ("name = x\ntype = table\n0.2, 1, 0", "before a columns declaration"),
+            (
+                "name = x\ntype = table\ncolumns = nu_THz, eps_real, eps_imag\n0.2, 1, i",
+                ":4: bad table row '0.2, 1, i'",
+            ),
             (GOOD_TABLE + "eps_inf = 2\n", "debye keys not allowed"),
             (GOOD_DEBYE + "columns = nu_THz, eps_real, eps_imag\n", "table data not allowed"),
             (

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from closed_forms import concentration_difference, mp_profile_match
+from impostoron import matching
 from impostoron.constants import CONSTANTS
 from impostoron.dielectric import DebyeModel, TabulatedModel, eval_neat
 from impostoron.errors import (
@@ -14,6 +15,7 @@ from impostoron.errors import (
     UnreachableFrequencyError,
 )
 from impostoron.matching import (
+    PROFILE_BRACKET,
     PROFILE_SCAN_POINTS,
     _profiles,
     _shared_bracket,
@@ -187,7 +189,9 @@ class TestMatchProfiles:
         assert sol.degenerate is True
         assert sol.profile_matched is True
         assert sol.note == "degenerate: all frequencies match"
-        assert sol.nu0 == 0.3  # reported at the bracket edge
+        # witnessed at the lowest scan node where both width terms are defined,
+        # with the scan's concentrations there: here the bracket edge
+        assert sol.nu0 == 0.3
         assert sol.profile_residual == 0.0
 
     def test_strength_only_pair_single_root(self):
@@ -327,6 +331,48 @@ class TestMatchProfiles:
         sol = match_profiles(tab, tab, (1.0, 2.0))
         assert sol.degenerate and sol.nu0 == 1.0
         assert sol.skipped_nodes == PROFILE_SCAN_POINTS - 1
+
+    @pytest.mark.parametrize(
+        "table, first_defined",
+        [
+            # R > 1/4 below 0.69 THz: no consistent loss, so no concentration
+            ((np.array([0.1, 3.0]), np.array([-0.5 + 1.5j, 2.0 + 0.1j])), 54),
+            # zero loss below 0.9 THz: concentrations exist, but no width
+            ((np.array([0.1, 0.9, 1.1, 3.0]), np.array([2, 2, 5 + 1j, 5 + 1j])), 78),
+        ],
+        ids=["no-consistent-loss", "zero-loss"],
+    )
+    def test_degenerate_witness_is_the_first_defined_node(self, table, first_defined):
+        tab = TabulatedModel("t", *table)
+        sol = match_profiles(tab, tab)
+        grid = np.linspace(*PROFILE_BRACKET, PROFILE_SCAN_POINTS)
+        assert sol.degenerate and sol.note == "degenerate: all frequencies match"
+        assert sol.nu0 == grid[first_defined]
+        assert sol.skipped_nodes == first_defined
+        # the scan's concentrations are ce_for_nu0's bit for bit
+        assert repr((sol.ce_1, sol.ce_2)) == repr((ce_for_nu0(tab, sol.nu0),) * 2)
+
+    @pytest.mark.parametrize(
+        "zeros, undefined",
+        [((50,), (51,)), ((50, 120), ())],
+        ids=["zero-beside-undefined", "two-zeros"],
+    )
+    def test_exact_zeros_on_the_scan_are_roots(self, monkeypatch, zeros, undefined):
+        # the scan's residual is 1 but for exact zeros and undefined nodes:
+        # each zero is a root, and no sign change is left to refine
+        def residual(profile):
+            vals = np.ones(profile.shape[-1])
+            vals[list(zeros)] = 0.0
+            vals[list(undefined)] = math.nan
+            return vals
+
+        monkeypatch.setattr(matching, "_residual", residual)
+        sol = match_profiles(*MATCHED_PAIRS["strength-only"])
+        grid = np.linspace(*PROFILE_BRACKET, PROFILE_SCAN_POINTS)
+        assert not sol.degenerate and sol.profile_matched
+        assert sol.nu0 == grid[zeros[0]]
+        assert sol.alternatives == tuple(grid[list(zeros[1:])].tolist())
+        assert sol.skipped_nodes == len(undefined)
 
     def test_empty_shared_bracket(self, liquids):
         tab = TabulatedModel(
