@@ -69,8 +69,6 @@ _EXPORTS = {
         "synth_map",
         "gaussian_probe",
         "add_noise",
-        "fourier_filter_2d",
-        "cut_at_max",
         "remove_step",
         "spectrum_of",
         "peak_report",

@@ -272,10 +272,10 @@ def _band(fmap: FieldMap2D, bandwidth: float) -> np.ndarray:
     a time, into one (n_tau, kept) complex array, and only they go through
     the delay-axis FFT, the radial mask and its inverse. The inverse real FFT
     of each row, with the columns above bandwidth as zeros, is that row of
-    the map with the full 2D spectrum zeroed outside the radius.
+    the map with the full 2D spectrum zeroed outside the radius. extract
+    cuts the largest-|E| column of that filtered map from the band alone
+    (_band_peak_column, _band_column), up to rounding.
     """
-    if not bandwidth > 0:
-        raise DomainError(f"filter bandwidth must be positive, got {bandwidth} THz")
     values = fmap.values
     n_tau, n_t = values.shape
     # below a step of about 1e-308/n ps the upper bin frequencies overflow, and
@@ -298,22 +298,6 @@ def _band(fmap: FieldMap2D, bandwidth: float) -> np.ndarray:
         return np.fft.ifft(band, axis=0)
 
 
-def fourier_filter_2d(fmap: FieldMap2D, bandwidth: float = FILTER_BANDWIDTH) -> FieldMap2D:
-    """Zero all 2D Fourier components with radial frequency above bandwidth (THz).
-
-    The map is one inverse real FFT along probe time of _band, with zeros for
-    the columns above bandwidth. Its values are that FFT's own array, made
-    read-only, so the returned map holds them without a copy.
-    """
-    band = _band(fmap, bandwidth)
-    # non-finite values, from map values near the float maximum, are
-    # rejected by FieldMap2D, and that is the error raised
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.fft.irfft(band, n=fmap.t_grid.size, axis=1)
-    values.setflags(write=False)
-    return replace(fmap, values=values)
-
-
 def _largest_column(col_max: np.ndarray, col_min: np.ndarray) -> int:
     """The column with the largest |E|, from each column's max and min; ties take smaller t."""
     col_peak = np.maximum(col_max, -col_min)
@@ -322,19 +306,12 @@ def _largest_column(col_max: np.ndarray, col_min: np.ndarray) -> int:
     return int(np.argmax(col_peak))
 
 
-def cut_at_max(fmap: FieldMap2D) -> TimeTrace:
-    """Delay trace at the probe time with the largest |E|; ties take smaller t."""
-    v = fmap.values
-    i = _largest_column(v.max(axis=0), v.min(axis=0))
-    return TimeTrace(times=fmap.tau_grid, values=v[:, i])
-
-
 def _band_peak_column(band: np.ndarray, n_t: int) -> int:
-    """The column that cut_at_max picks in the n_t-column map whose rows are the irfft of band's.
+    """The largest-|E| column of the n_t-column map whose rows are the irfft of band's.
 
     The rows are transformed a block at a time, keeping only each column's
     running max and min, so the map is never held whole. They are the rows
-    of fourier_filter_2d's map bit for bit, and so is the column picked.
+    of the whole irfft of the band bit for bit, and so is the column picked.
     A non-finite value is a DomainError, as FieldMap2D reports it.
     """
     col_max, col_min = np.full(n_t, -np.inf), np.full(n_t, np.inf)
@@ -366,7 +343,8 @@ def _band_column(band: np.ndarray, i: int, n_t: int) -> np.ndarray:
     """Column i of the n_t-column map whose rows are the irfft of band's, as one weighted sum.
 
     Sample i of each row's irfft is its sum over the band's bins weighted
-    by _bin_weights; it equals the map's column up to rounding.
+    by _bin_weights; it equals column i of the whole filtered map up to
+    rounding.
     """
     k = np.arange(band.shape[1])
     weights = _bin_weights(n_t, k.size) * np.exp((2j * math.pi / n_t) * (k * i % n_t))
@@ -643,9 +621,10 @@ def extract(fmap: FieldMap2D) -> ExtractionResult:
     built: the probe maximum is read from the band (_band) through blockwise
     inverse transforms, and only the column cut there is formed from it, so
     the largest arrays made are the band and its delay-axis transforms. The
-    trace equals cut_at_max(fourier_filter_2d(fmap)) up to rounding. The step
-    fit low-passes at BAND_LO / 2; the spectrum from the fitted onset on is
-    weighted by spectrum_of's decaying half-Hann window. The peak's FWHM is
+    trace equals the largest-|E| column of the whole filtered map, up to
+    rounding (tests/test_filter_oracle.py). The step fit low-passes at
+    BAND_LO / 2; the spectrum from the fitted onset on is weighted by
+    spectrum_of's decaying half-Hann window. The peak's FWHM is
     the width of that windowed modulus, so it depends on the window and on
     the record's length, not on the line alone.
     """

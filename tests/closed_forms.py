@@ -6,7 +6,8 @@ complex arithmetic: the real and imaginary parts of the concentration for a
 purely imaginary doped permittivity i*eps2, and the difference of two
 liquids' concentrations for a shared crossing. The synthesized oscillation is
 written out as its cosine sum, term by term, and the 2D Fourier filter as one
-complex FFT of the whole map.
+complex FFT of the whole map. The package's own filtered map, which extract
+never builds, is built here whole from the band that extract cuts.
 
 For Debye liquids two high-precision references follow, both in mpmath and
 neither calling the package's formulas: the profile match of a pair, with
@@ -23,7 +24,7 @@ from impostoron.constants import CONSTANTS
 from impostoron.dielectric import DebyeModel, LiquidModel, eval_neat
 from impostoron.mixing import DopedLiquid, alpha_el
 from impostoron.polaron import eps_imag_at_nu0, lineshape
-from impostoron.signal import DEFAULT_BAND, FieldMap2D
+from impostoron.signal import DEFAULT_BAND, FieldMap2D, _band
 
 
 def ce_real_part(eps2: float, neat: complex, nu0: float) -> float:
@@ -91,7 +92,7 @@ def dense_oscillation(doped: DopedLiquid, tau, band=DEFAULT_BAND) -> np.ndarray:
 
 
 def dense_fourier_filter_2d(fmap: FieldMap2D, bandwidth: float) -> FieldMap2D:
-    """fourier_filter_2d as one complex 2D FFT over every probe-time column.
+    """The 2D Fourier filter of extract as one complex 2D FFT over every probe-time column.
 
     Zeroes each component of fft2(values) whose radial frequency
     sqrt(f_tau**2 + f_t**2) exceeds bandwidth (THz) and keeps the real part
@@ -105,6 +106,17 @@ def dense_fourier_filter_2d(fmap: FieldMap2D, bandwidth: float) -> FieldMap2D:
     return FieldMap2D(
         t_grid=fmap.t_grid, tau_grid=fmap.tau_grid, values=np.fft.ifft2(spec).real
     )
+
+
+def band_filtered_map(fmap: FieldMap2D, bandwidth: float) -> FieldMap2D:
+    """The whole map that signal._band filters: one inverse real FFT of the band along probe time.
+
+    The band's columns above bandwidth (THz) count as zeros, so each row is
+    that row of the map with its 2D spectrum zeroed outside the radius.
+    extract cuts its trace from the band without building this map.
+    """
+    values = np.fft.irfft(_band(fmap, bandwidth), n=fmap.t_grid.size, axis=1)
+    return FieldMap2D(t_grid=fmap.t_grid, tau_grid=fmap.tau_grid, values=values)
 
 
 def _mp_alpha_1thz() -> mp.mpf:

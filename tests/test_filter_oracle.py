@@ -1,9 +1,10 @@
-"""fourier_filter_2d and extract's cut against the dense 2D FFT filter of closed_forms.
+"""extract's 2D filter and cut against the dense 2D FFT filter of closed_forms.
 
 The package filters with a real FFT along probe time and a delay-axis FFT of
-the passband columns only; the reference transforms the whole map. Both
-zero the same components, so they differ by rounding alone. extract never
-builds the filtered map: it picks the column of cut_at_max(fourier_filter_2d)
+the passband columns only (signal._band); the reference transforms the whole
+map. Both zero the same components, so the whole filtered map built from the
+band (closed_forms.band_filtered_map) differs from the reference by rounding
+alone. extract never builds that map: it picks the map's largest-|E| column
 from blockwise inverse transforms of the band and forms that column alone,
 so it must pick the same column and cut the same trace up to rounding, and
 give the step and peak of the reference chain.
@@ -14,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from closed_forms import dense_fourier_filter_2d
+from closed_forms import band_filtered_map, dense_fourier_filter_2d
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,13 +25,12 @@ from impostoron.signal import (
     FILTER_BANDWIDTH,
     FieldMap2D,
     StepModel,
+    TimeTrace,
     _band,
     _band_column,
     _band_peak_column,
     add_noise,
-    cut_at_max,
     extract,
-    fourier_filter_2d,
     gaussian_probe,
     peak_report,
     remove_step,
@@ -69,7 +69,7 @@ def fft_relative_error(n):
 
 
 def filter_difference_bound(values):
-    """Largest |fourier_filter_2d - dense_fourier_filter_2d| that rounding allows.
+    """Largest |band_filtered_map - dense_fourier_filter_2d| that rounding allows.
 
     Each filter is the exact projection P onto the kept components, with
     ||P x||_2 <= ||x||_2, computed through one forward and one inverse
@@ -134,7 +134,7 @@ def filter_cases(draw):
 @given(case=filter_cases())
 def test_matches_dense_filter(case):
     fmap, bandwidth = case
-    got = fourier_filter_2d(fmap, bandwidth)
+    got = band_filtered_map(fmap, bandwidth)
     want = dense_fourier_filter_2d(fmap, bandwidth)
     np.testing.assert_array_equal(got.t_grid, fmap.t_grid)
     np.testing.assert_array_equal(got.tau_grid, fmap.tau_grid)
@@ -143,12 +143,12 @@ def test_matches_dense_filter(case):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=filter_cases())
-def test_band_cut_is_cut_at_max_of_the_filtered_map(case):
+def test_band_cut_is_the_largest_column_of_the_filtered_map(case):
     # the same column, ties to the smaller t included, since the blockwise
     # inverse transforms give the filtered map's values bit for bit; the
     # trace formed from the band alone differs from its column by rounding
     fmap, bandwidth = case
-    filtered = fourier_filter_2d(fmap, bandwidth)
+    filtered = band_filtered_map(fmap, bandwidth)
     col_peak = np.max(np.abs(filtered.values), axis=0)
     band = _band(fmap, bandwidth)
     n_t = fmap.t_grid.size
@@ -158,7 +158,7 @@ def test_band_cut_is_cut_at_max_of_the_filtered_map(case):
         return
     i = _band_peak_column(band, n_t)
     assert i == int(np.argmax(col_peak))
-    want = cut_at_max(filtered).values
+    want = filtered.values[:, i]
     got = _band_column(band, i, n_t)
     assert np.max(np.abs(got - want)) <= filter_difference_bound(fmap.values)
 
@@ -169,7 +169,7 @@ def test_band_cut_ties_go_to_the_smaller_time():
     values = np.random.default_rng(5).standard_normal((64, 32))
     fmap = FieldMap2D(t_grid=np.arange(32) * 0.05, tau_grid=np.arange(64) * 0.1, values=values)
     bandwidth = 0.5 / (32 * 0.05)
-    filtered = fourier_filter_2d(fmap, bandwidth).values
+    filtered = band_filtered_map(fmap, bandwidth).values
     assert np.all(filtered == filtered[:, :1])
     assert _band_peak_column(_band(fmap, bandwidth), 32) == 0
 
@@ -183,7 +183,8 @@ def test_extract_rejects_an_all_zero_map():
 
 def test_extract_rejects_a_map_whose_filter_overflows():
     # finite values near the float maximum: the FFT sums overflow to inf and
-    # nan, which extract reports as fourier_filter_2d does, without a warning
+    # nan, which extract reports as FieldMap2D reports a non-finite value,
+    # without a warning
     grid = np.arange(16) * 0.1
     fmap = FieldMap2D(t_grid=grid, tau_grid=grid - 0.5, values=np.full((16, 16), 1.5e308))
     with warnings.catch_warnings():
@@ -209,7 +210,9 @@ def test_extract_does_not_depend_on_the_filter(liquids, stem, micromolar, snr_db
 
     got = extract(fmap)
     # the reference chain, through the dense filter and the built map
-    osc, dense_step = remove_step(cut_at_max(dense_fourier_filter_2d(fmap, FILTER_BANDWIDTH)))
+    dense = dense_fourier_filter_2d(fmap, FILTER_BANDWIDTH).values
+    column = dense[:, np.argmax(np.max(np.abs(dense), axis=0))]
+    osc, dense_step = remove_step(TimeTrace(times=fmap.tau_grid, values=column))
     dense_peak = peak_report(spectrum_of(osc, onset=dense_step.onset))
 
     for got_part, want in ((got.step, dense_step), (got.peak, dense_peak)):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from closed_forms import dense_oscillation
+from closed_forms import band_filtered_map, dense_oscillation
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -29,14 +29,16 @@ from impostoron.mixing import Concentration, DopedLiquid
 from impostoron.polaron import Spectrum, lineshape
 from impostoron.signal import (
     DEFAULT_BAND,
+    FILTER_BANDWIDTH,
     FieldMap2D,
     PeakReport,
     StepModel,
     TimeTrace,
+    _band,
+    _band_peak_column,
+    _largest_column,
     add_noise,
-    cut_at_max,
     extract,
-    fourier_filter_2d,
     gaussian_probe,
     peak_report,
     read_map_csv,
@@ -415,12 +417,14 @@ class TestAddNoise:
 
 
 class TestFourierFilter2D:
+    """extract's 2D filter, _band, on the whole map that closed_forms.band_filtered_map builds."""
+
     def test_idempotent(self, doped_water):
         probe = gaussian_probe(TGRID)
         step = StepModel(amplitude=0.3, rise_time=1.0, onset=0.0)
         fmap = add_noise(synth_map(doped_water, probe, step, TAU), 10.0, 3)
-        f1 = fourier_filter_2d(fmap, 1.5)
-        f2 = fourier_filter_2d(f1, 1.5)
+        f1 = band_filtered_map(fmap, 1.5)
+        f2 = band_filtered_map(f1, 1.5)
         np.testing.assert_allclose(
             f2.values, f1.values, atol=1e-12 * np.max(np.abs(f1.values))
         )
@@ -429,7 +433,7 @@ class TestFourierFilter2D:
         dnu_tau = 1.0 / (512 * 0.1)
         f_lo = 26 * dnu_tau  # on a delay-axis bin, well inside the band
         vals = np.cos(2 * np.pi * f_lo * TAU)[:, None] * np.ones(64)[None, :]
-        out = fourier_filter_2d(
+        out = band_filtered_map(
             FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=vals), 2.0
         )
         np.testing.assert_allclose(out.values, vals, atol=1e-12)
@@ -438,7 +442,7 @@ class TestFourierFilter2D:
         dnu_tau = 1.0 / (512 * 0.1)
         f_hi = 154 * dnu_tau  # ~3 THz, on a bin, outside the 2 THz radius
         vals = np.cos(2 * np.pi * f_hi * TAU)[:, None] * np.ones(64)[None, :]
-        out = fourier_filter_2d(
+        out = band_filtered_map(
             FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=vals), 2.0
         )
         assert np.max(np.abs(out.values)) < 1e-12
@@ -448,7 +452,7 @@ class TestFourierFilter2D:
         m = FieldMap2D(
             t_grid=TGRID, tau_grid=TAU, values=rng.normal(size=(512, 64))
         )
-        out = fourier_filter_2d(m, 1.0)
+        out = band_filtered_map(m, 1.0)
         f_t = np.fft.fftfreq(64, d=m.dt)
         f_tau = np.fft.fftfreq(512, d=m.dtau)
         frac = np.mean(np.sqrt(f_tau[:, None] ** 2 + f_t[None, :] ** 2) <= 1.0)
@@ -463,7 +467,7 @@ class TestFourierFilter2D:
         values = np.random.default_rng(3).normal(size=(16, 16))
         t = np.arange(16) * 0.05
         out = [
-            fourier_filter_2d(
+            band_filtered_map(
                 FieldMap2D(t_grid=t, tau_grid=np.arange(16) * dtau, values=values), bandwidth
             ).values
             for dtau in (1e-160, 1e-100)
@@ -480,7 +484,7 @@ class TestFourierFilter2D:
         # step, every non-zero frequency of that axis above the bandwidth
         values = np.random.default_rng(3).normal(size=(16, 16))
         out = [
-            fourier_filter_2d(
+            band_filtered_map(
                 FieldMap2D(
                     **{"t_grid": np.arange(16) * 0.05, "tau_grid": np.arange(16) * 0.05,
                        axis: np.arange(16) * step},
@@ -492,72 +496,40 @@ class TestFourierFilter2D:
         ]
         np.testing.assert_array_equal(out[0], out[1])
 
-    def test_result_holds_the_inverse_transform_uncopied(self, monkeypatch):
-        made = []
-        irfft = np.fft.irfft
-
-        def recording_irfft(*args, **kwargs):
-            made.append(irfft(*args, **kwargs))
-            return made[-1]
-
-        monkeypatch.setattr(np.fft, "irfft", recording_irfft)
-        m = FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=np.ones((512, 64)))
-        out = fourier_filter_2d(m)
-        assert out.values is made[-1]
-        assert not out.values.flags.writeable and out.values.flags.owndata
-        # the read-only grids pass on to the result uncopied
-        assert out.t_grid is m.t_grid and out.tau_grid is m.tau_grid
-
-    def test_values_whose_transform_overflows_rejected(self):
-        # finite values near the float maximum: the FFT sums overflow to inf
-        # and nan, which the result's check reports without a numpy warning
-        grid = np.arange(16) * 0.1
-        m = FieldMap2D(t_grid=grid, tau_grid=grid, values=np.full((16, 16), 1.5e308))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="map values must be finite"):
-                fourier_filter_2d(m)
-
-    def test_bad_bandwidth(self):
-        m = FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=np.ones((512, 64)))
-        for bandwidth in (0.0, float("nan")):
-            with pytest.raises(DomainError, match="bandwidth must be positive"):
-                fourier_filter_2d(m, bandwidth)
-
 
 class TestCutAtMax:
+    """extract's cut rule, _largest_column, on the max and min of each column of a map."""
+
+    @staticmethod
+    def column(vals):
+        return _largest_column(vals.max(axis=0), vals.min(axis=0))
+
     def test_picks_probe_maximum_column(self, doped_water):
         probe = gaussian_probe(TGRID)
         step = StepModel(amplitude=0.3, rise_time=1.0, onset=0.0)
         fmap = synth_map(doped_water, probe, step, TAU)
-        tr = cut_at_max(fmap)
-        j = int(np.argmax(np.abs(probe.values)))
-        np.testing.assert_array_equal(tr.values, fmap.values[:, j])
-        np.testing.assert_array_equal(tr.times, TAU)
+        assert self.column(fmap.values) == int(np.argmax(np.abs(probe.values)))
 
     def test_tie_breaks_toward_smaller_time(self):
         probe_vals = np.zeros(64)
         probe_vals[20] = 1.0
         probe_vals[40] = 1.0  # equal maxima
         vals = np.linspace(0.1, 1.0, 512)[:, None] * probe_vals[None, :]
-        tr = cut_at_max(FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=vals))
-        np.testing.assert_array_equal(tr.values, vals[:, 20])
+        assert self.column(vals) == 20
 
     def test_picks_a_column_whose_peak_is_negative(self):
         vals = np.zeros((512, 64))
         vals[100, 10] = 0.5
         vals[200, 30] = -0.9
         vals[300, 50] = 0.8
-        tr = cut_at_max(FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=vals))
-        np.testing.assert_array_equal(tr.values, vals[:, 30])
+        assert self.column(vals) == 30
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_tie_of_opposite_signs_breaks_toward_smaller_time(self, sign):
         vals = np.zeros((512, 64))
         vals[100, 20] = sign
         vals[300, 40] = -sign
-        tr = cut_at_max(FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=vals))
-        np.testing.assert_array_equal(tr.values, vals[:, 20])
+        assert self.column(vals) == 20
 
     # small integers make ties between columns and signs common. The cells
     # also fill the array: arrays then draws a few cells and gives the rest
@@ -572,23 +544,16 @@ class TestCutAtMax:
         )
     )
     def test_column_that_the_largest_absolute_value_picks(self, vals):
-        fmap = FieldMap2D(
-            t_grid=np.arange(vals.shape[1]) * 0.1,
-            tau_grid=np.arange(vals.shape[0]) * 0.1,
-            values=vals,
-        )
         col_peak = np.max(np.abs(vals), axis=0)
         if np.all(col_peak == 0):
             with pytest.raises(NoSignalError):
-                cut_at_max(fmap)
+                self.column(vals)
             return
-        tr = cut_at_max(fmap)
-        np.testing.assert_array_equal(tr.values, vals[:, int(np.argmax(col_peak))])
+        assert self.column(vals) == int(np.argmax(col_peak))
 
     def test_all_zero_map_rejected(self):
-        m = FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=np.zeros((512, 64)))
         with pytest.raises(NoSignalError, match="all-zero"):
-            cut_at_max(m)
+            self.column(np.zeros((512, 64)))
 
     def test_survives_noise(self, doped_water):
         # the probe-max column should be found reliably at 20 dB SNR after
@@ -602,8 +567,8 @@ class TestCutAtMax:
         true_col = int(np.argmax(np.abs(probe.values)))
         hits = 0
         for seed in range(50):
-            filtered = fourier_filter_2d(add_noise(fmap, 20.0, seed))
-            col = int(np.argmax(np.max(np.abs(filtered.values), axis=0)))
+            band = _band(add_noise(fmap, 20.0, seed), FILTER_BANDWIDTH)
+            col = _band_peak_column(band, TGRID.size)
             hits += abs(col - true_col) <= 1
         assert hits >= 45
 
@@ -649,7 +614,7 @@ class TestRemoveStep:
     @pytest.mark.xfail(
         strict=True,
         raises=StepFitError,
-        reason="ROADMAP item 6: on a noise-free fast rise the fit's cost falls "
+        reason="ROADMAP item 5: on a noise-free fast rise the fit's cost falls "
         "geometrically, so neither stop rule fires before the 200-evaluation cap",
     )
     def test_noise_free_fast_rise(self):
