@@ -29,6 +29,7 @@ from impostoron.signal import (
     _band,
     _band_column,
     _band_peak_column,
+    _bin_weights,
     add_noise,
     extract,
     gaussian_probe,
@@ -172,6 +173,22 @@ def test_band_cut_ties_go_to_the_smaller_time():
     filtered = band_filtered_map(fmap, bandwidth).values
     assert np.all(filtered == filtered[:, :1])
     assert _band_peak_column(_band(fmap, bandwidth), 32) == 0
+
+
+@pytest.mark.parametrize("n_t", [32, 33])
+def test_band_column_is_each_column_of_the_inverse_transform(n_t):
+    # every bin kept, the Nyquist bin of an even n_t included: each sample
+    # is a weighted sum of the bins, within (bins + 2) roundings of the sum
+    # of the weighted |bins|; the irfft is within twice the FFT bound of
+    # its row's 2-norm
+    band = np.fft.rfft(np.random.default_rng(n_t).standard_normal((64, n_t)), axis=1)
+    whole = np.fft.irfft(band, n=n_t, axis=1)
+    scale = np.abs(band) @ _bin_weights(n_t, band.shape[1])
+    bound = (band.shape[1] + 2) * U * scale + 2.0 * fft_relative_error(n_t) * np.linalg.norm(
+        whole, axis=1
+    )
+    for i in range(n_t):
+        assert np.all(np.abs(_band_column(band, i, n_t) - whole[:, i]) <= bound), i
 
 
 def test_extract_rejects_an_all_zero_map():

@@ -29,6 +29,7 @@ from impostoron.mixing import Concentration, DopedLiquid
 from impostoron.polaron import Spectrum, lineshape
 from impostoron.signal import (
     DEFAULT_BAND,
+    _BLOCK_BYTES,
     FILTER_BANDWIDTH,
     FieldMap2D,
     PeakReport,
@@ -37,6 +38,7 @@ from impostoron.signal import (
     _band,
     _band_peak_column,
     _largest_column,
+    _row_blocks,
     add_noise,
     extract,
     gaussian_probe,
@@ -496,6 +498,36 @@ class TestFourierFilter2D:
         ]
         np.testing.assert_array_equal(out[0], out[1])
 
+    def test_zero_bandwidth_keeps_the_mean(self):
+        # only the DC component lies within a zero radius: every value of
+        # the filtered map is the map's mean
+        values = np.random.default_rng(4).normal(size=(512, 64))
+        out = band_filtered_map(FieldMap2D(t_grid=TGRID, tau_grid=TAU, values=values), 0.0)
+        np.testing.assert_allclose(out.values, np.full((512, 64), np.mean(values)), atol=1e-12)
+
+    def test_values_whose_transform_overflows_rejected(self):
+        # finite values near the float maximum: with every component kept
+        # the FFT sums overflow to inf and nan, which the band's cut reports
+        # without a numpy warning
+        grid = np.arange(16) * 0.1
+        m = FieldMap2D(t_grid=grid, tau_grid=grid, values=np.full((16, 16), 1.5e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="map values must be finite"):
+                _band_peak_column(_band(m, math.inf), 16)
+
+
+@pytest.mark.parametrize("n_tau, n_t", [(4096, 128), (1000, 24), (3, 1 << 16), (1, 16)])
+def test_row_blocks_take_each_row_once_in_order(n_tau, n_t):
+    # a block holds at most _BLOCK_BYTES of map values, or one row where a
+    # row alone is larger
+    blocks = _row_blocks(n_tau, n_t)
+    rows = np.concatenate([np.arange(n_tau)[block] for block in blocks])
+    np.testing.assert_array_equal(rows, np.arange(n_tau))
+    sizes = [len(range(n_tau)[block]) for block in blocks]
+    assert min(sizes) >= 1
+    assert max(sizes) * 8 * n_t <= max(_BLOCK_BYTES, 8 * n_t)
+
 
 class TestCutAtMax:
     """extract's cut rule, _largest_column, on the max and min of each column of a map."""
@@ -906,6 +938,16 @@ class TestExtractPipeline:
         assert res.peak.fwhm > 0
         assert res.step.amplitude == pytest.approx(amp, rel=0.1)
         np.testing.assert_array_equal(res.oscillation.times, TAU)
+
+    def test_trace_holds_the_delay_grid_uncopied(self, doped_water):
+        # the map's read-only delay grid passes through the cut and the step
+        # removal to the oscillation as the same array
+        probe = gaussian_probe(TGRID)
+        step = StepModel(amplitude=0.3, rise_time=1.0, onset=0.0)
+        fmap = synth_map(doped_water, probe, step, TAU)
+        res = extract(fmap)
+        assert res.oscillation.times is fmap.tau_grid
+        assert not res.oscillation.values.flags.writeable
 
 
 def test_map_stages_hold_at_most_one_map_sized_array(doped_water):
