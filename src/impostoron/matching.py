@@ -33,12 +33,12 @@ from .mixing import (
 from .polaron import (
     DEFAULT_BRACKET,
     _crossing_loss,
+    _crossings,
     _pass_at,
     _refine_root,
     # perfbench/tracing.py rebinds matching.eps_doped, and perfbench/test_perfbench.py asserts it
     eps_doped,  # noqa: F401
     eps_imag_at_nu0,
-    find_nu0,
 )
 
 #: Degeneracy threshold on the mean-normalized profile residual, not a convergence test.
@@ -115,12 +115,13 @@ def match_frequency(
     """Concentration pair whose zero crossings both land on nu0 (THz).
 
     freq_residual reports the round-trip disagreement of the two crossings
-    that find_nu0 finds on the bracket clipped to both liquids' validity;
-    profile_residual reports how unequal the Lorentzian widths remain
-    (frequency matching does not equalize them): B1/eps2_1 - B2/eps2_2 at
-    nu0 itself, both terms from one _profiles pass. That pass runs
-    unchecked: the two ce_for_nu0 calls have run eval_neat and alpha_el at
-    nu0.
+    that find_nu0 finds on the bracket clipped to both liquids' validity, in
+    one search for both (_solution) whose scan checks each liquid's grid
+    through eps_doped; profile_residual reports how unequal the Lorentzian
+    widths remain (frequency matching does not equalize them): B1/eps2_1 -
+    B2/eps2_2 at nu0 itself, both terms from one _profiles pass. That pass
+    runs unchecked: the two ce_for_nu0 calls have run eval_neat and
+    alpha_el at nu0.
     """
     ce = (ce_for_nu0(liquid1, nu0), ce_for_nu0(liquid2, nu0))
     bracket = _shared_bracket(liquid1, liquid2, bracket)
@@ -131,11 +132,16 @@ def match_frequency(
 def _solution(liquid1, liquid2, nu0, ce, terms, bracket, **fields) -> ImpostoronSolution:
     """The solution at nu0 from the two concentrations ce and width terms B/eps2 there.
 
-    The round trip runs find_nu0 on the bracket for each liquid in turn,
-    with its errors: freq_residual comes from the two crossings, and their
-    slopes say whether a pair with both terms undefined is symmetric.
+    The round trip is find_nu0 on the bracket for both liquids in one
+    search (polaron._crossings: one scan, shared rounds, one closing pass),
+    with the error that find_nu0 on liquid 1 and then on liquid 2 raises
+    first. A profile match has run eval_neat of both liquids and alpha_el
+    at the bracket's ends, so its scan skips the grid checks. freq_residual
+    comes from the two crossings, and their slopes say whether a pair with
+    both terms undefined is symmetric.
     """
-    r1, r2 = (find_nu0(DopedLiquid(liq, c), bracket) for liq, c in zip((liquid1, liquid2), ce))
+    dopeds = [DopedLiquid(liq, c) for liq, c in zip((liquid1, liquid2), ce)]
+    r1, r2 = _crossings(dopeds, bracket, ends_checked=fields["profile_matched"])
     t1, t2 = terms
     residual, note = t1 - t2, ""
     if math.isnan(t1) or math.isnan(t2):
@@ -214,7 +220,8 @@ def match_profiles(
     pass of _profiles, one row per liquid. Each B_i is d(eps_i')/d(nu) in
     closed form, as in find_nu0. The lowest root nu* gives match_frequency's
     solution at nu*, marked profile-matched: its concentrations and width
-    terms come from the pass that evaluated nu*; _solution gives its round trip.
+    terms come from the pass that evaluated nu*. _solution gives its round
+    trip, one search for both liquids whose scan reuses the end checks.
     """
     lo, hi = _shared_bracket(liquid1, liquid2, bracket)
     ends = np.array([lo, hi])
@@ -236,7 +243,7 @@ def match_profiles(
 
     if finite.any() and np.nanmax(np.abs(vals)) < PROFILE_TOL:
         nu0 = float(grid[np.argmax(finite)])  # the lowest node where both profiles are defined
-        ce_1, ce_2 = map(Concentration, _pass_at(passes, nu0)[1][:, 0].tolist())
+        ce_1, ce_2 = map(Concentration, _pass_at(passes, nu0)[1].tolist())
         return ImpostoronSolution(
             ce_1=ce_1,
             ce_2=ce_2,
@@ -252,9 +259,15 @@ def match_profiles(
     def undefined(nu):
         raise DomainError(f"root search met an undefined point at nu = {nu!r} THz")
 
+    paths = {}  # _refine_root's paths of the residual
+
+    def round_(nu):
+        nodes = nu.tolist()
+        paths[nodes[0]] = nodes, residual(nu).tolist()
+
     roots = grid[vals == 0.0].tolist()
     for i in np.flatnonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] < 0.0)):
-        roots.append(_refine_root(residual, grid, vals, i, 0.0, undefined)[2])
+        roots.append(_refine_root(round_, paths, grid, vals, i, 0.0, undefined)[2])
     roots.sort()
 
     if not roots:
@@ -264,8 +277,8 @@ def match_profiles(
 
     profile, ce = _pass_at(passes, roots[0])  # the root is a node of the scan or of a round
     return _solution(
-        liquid1, liquid2, roots[0], tuple(map(Concentration, ce[:, 0].tolist())),
-        profile[:, 0].tolist(), (lo, hi),
+        liquid1, liquid2, roots[0], tuple(map(Concentration, ce.tolist())), profile.tolist(),
+        (lo, hi),
         profile_matched=True,
         alternatives=tuple(roots[1:]),
         skipped_nodes=skipped,

@@ -16,6 +16,7 @@ from .dielectric import _check_axis, _finite_field, _neat, _neat_slope, _readonl
 from .errors import (
     DegenerateLineshapeError,
     DomainError,
+    ImpostoronError,
     NoConsistentLossError,
     NoResonanceError,
     SingularityError,
@@ -59,19 +60,27 @@ def eps_doped(doped: DopedLiquid, nu):
     return cm_mix(eval_neat(doped.liquid, nu), doped.ce, nu)
 
 
-def _eps(doped: DopedLiquid, nu: np.ndarray):
-    """(lf_neat, eps_doped(doped, nu), undefined) on nodes inside a bracket whose ends it accepted.
+def _eps(dopeds, nu: np.ndarray):
+    """(lf_neat, eps_doped, undefined) of each doped liquid, one row each, at the nodes nu.
 
-    The formulas alone (_neat, _alpha, _mix), skipping the checks that hold
-    between two accepted frequencies. undefined marks, like matching._profiles,
-    the nodes where eps_doped would raise at that node alone: on the
-    local-field pole, on the Clausius-Mossotti divergence and where the
-    electron term overflows.
+    nu holds nodes inside a bracket whose ends the checks accepted. The
+    formulas alone (_neat, _alpha, _mix), skipping the checks that hold
+    between two accepted frequencies. undefined marks, like
+    matching._profiles, the nodes where eps_doped would raise at that node
+    alone: on the local-field pole, on the Clausius-Mossotti divergence and
+    where the electron term overflows. Each row is bit for bit that
+    liquid's pass alone.
     """
-    lf, pole = _local_field(_neat(doped.liquid, nu))
+    if len(dopeds) == 1:  # one row runs unstacked, which numpy broadcasts more cheaply
+        neat, ce = _neat(dopeds[0].liquid, nu), dopeds[0].ce.mol_per_m3
+    else:
+        neat = np.array([_neat(d.liquid, nu) for d in dopeds])
+        ce = np.array([[d.ce.mol_per_m3] for d in dopeds])
+    lf, pole = _local_field(neat)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing node is undefined
-        eps, divergent = _mix(lf, doped.ce.mol_per_m3, _alpha(nu))
-    return lf, eps, pole | divergent | ~np.isfinite(eps)
+        eps, divergent = _mix(lf, ce, _alpha(nu))
+    undefined = pole | divergent | ~np.isfinite(eps)
+    return (lf, eps, undefined) if lf.ndim == 2 else (lf[None], eps[None], undefined[None])
 
 
 def _predict(a: float, b: float, c: float, fa: float, fb: float, fc: float) -> float:
@@ -141,42 +150,46 @@ def _round_nodes(a: float, b: float, p: float, tol: float) -> np.ndarray:
 
 
 def _refine_root(
-    f, grid: np.ndarray, scan: np.ndarray, i: int, tol: float, undefined
+    f, paths: dict, grid: np.ndarray, scan: np.ndarray, i: int, tol: float, undefined
 ) -> tuple[float, float, float]:
     """Bisect the scan cell [grid[i], grid[i + 1]] for a sign change of f.
 
-    f maps an array of points to an array of values, NaN where f is
-    undefined, and scan holds its values on grid. The walk is plain
-    bisection: a step moves a up to mid when f(mid) has the sign of f(a)
-    (negative or not), b down to mid otherwise, and undefined(mid) raises
-    the caller's error where f(mid) is NaN, so a NaN node off the walk stops
-    nothing. The walk stops as _midpoint says, checked before each step, or
-    when f(mid) == 0 (the bracket collapses onto mid).
+    scan holds the values of f on grid, and paths maps the first node of
+    each round's path to the path's nodes and f there, as two lists, NaN
+    where f is undefined. The walk is plain bisection: a step moves a up to
+    mid when f(mid) has the sign of f(a) (negative or not), b down to mid
+    otherwise, and undefined(mid) raises the caller's error where f(mid) is
+    NaN, so a NaN node off the walk stops nothing. The walk stops as
+    _midpoint says, checked before each step, or when f(mid) == 0 (the
+    bracket collapses onto mid).
 
-    Where the walk needs a value it has not got, one call of f evaluates a
-    round (_round_nodes): the bisection path toward a root predicted
-    (_predict) through the bracket's two ends and the end they last
-    replaced, on the first round through the next scan node. The walk reads
-    along the path for as long as each node is exactly the midpoint of its
-    bracket. So it reads f only at the floats that plain bisection
-    evaluates, a wrong prediction costs only the path's nodes, and each
-    round reads at least its first node, the bracket's midpoint; the path's
-    closing midpoint it never reads. Every node lies inside [a, b], so f may
-    skip the checks that the caller's scan has passed at the bracket's ends.
-    A caller that keeps what f computed on each round finds there the point
-    of least |f| unless it is a, and 0.5*(a + b) of the final bracket,
-    where a round ran, as the last round's closing midpoint. Returns the
-    final bracket and the point of least |f| seen, a included.
+    The walk reads along a path for as long as each node is exactly the
+    midpoint of its bracket. Off it, the walk goes on along the path in
+    paths that starts at its midpoint, whoever asked for that round, and
+    where none does, one call f(nodes) enters a new round (_round_nodes)
+    into paths: the bisection path toward a root predicted (_predict)
+    through the bracket's two ends and the end they last replaced, on the
+    first round through the next scan node. So the walk reads f only at
+    the floats that plain bisection evaluates, a wrong prediction costs
+    only the path's nodes, and each round reads at least its first node,
+    the bracket's midpoint; a path's closing midpoint it never reads. Every
+    node lies inside [a, b], so f may skip the checks that the caller's
+    scan has passed at the bracket's ends. A caller that keeps each round
+    finds there the point of least |f| unless it is a, and 0.5*(a + b) of
+    the final bracket, where the walk read a path, as the closing midpoint
+    of the last. Returns the final bracket and the point of least |f| seen,
+    a included.
     """
     a, b, fa, fb = float(grid[i]), float(grid[i + 1]), float(scan[i]), float(scan[i + 1])
     c, fc = (float(grid[i + 2]), float(scan[i + 2])) if i + 2 < len(grid) else (math.nan, math.nan)
     best_abs, best = abs(fa), a
-    nodes, j = (), 0  # a round's path and the walk's place on it
+    nodes, values, j = (), (), 0  # the path the walk reads and its place on it
     while (mid := _midpoint(a, b, tol)) is not None:
-        if not (j < len(nodes) and nodes[j] == mid):  # the walk left the last round's path
-            nodes = _round_nodes(a, b, _predict(a, b, c, fa, fb, fc), tol)
-            values, j = f(nodes), 0
-        fm = float(values[j])
+        if not (j < len(nodes) and nodes[j] == mid):  # the walk left the path it read
+            if mid not in paths:  # no round's path starts at mid
+                f(_round_nodes(a, b, _predict(a, b, c, fa, fb, fc), tol))
+            (nodes, values), j = paths[mid], 0
+        fm = values[j]
         j += 1
         if math.isnan(fm):
             undefined(mid)
@@ -192,36 +205,110 @@ def _refine_root(
 
 
 def _pass_at(passes, node: float):
-    """The arrays of the first pass in passes that evaluated node, at node, or None.
+    """The arrays of a pass in passes that evaluated node, at node, or None.
 
     Each pass is (nodes, *arrays), each array holding one value per node
-    along its last axis; the returned arrays keep that axis, of length 1.
+    along its last axis, which the returned arrays drop. Every pass that
+    evaluated node holds the same values there. The search runs from the
+    last pass, where a walk that ended on a round's path finds its closing
+    midpoint.
     """
-    for nodes, *arrays in passes:
-        k = np.flatnonzero(nodes == node)[:1]
+    for nodes, *arrays in reversed(passes):
+        k = np.flatnonzero(nodes == node)
         if k.size:
-            return [v[..., k] for v in arrays]
+            return [v[..., k[0]] for v in arrays]
     return None
 
 
-def _at_crossing(doped: DopedLiquid, nu0: float, at) -> tuple[float, float]:
-    """(eps_imag_at_nu0, slope_B) at the crossing nu0, from _eps's (lf, eps, undefined) there.
+def _at_crossings(dopeds, nu0s: list, passes) -> list:
+    """(eps_imag_at_nu0, slope_B) of each row at its crossing, all rows in one pass.
 
-    at is None where no round evaluated nu0; a one-node _eps pass then gives
-    it. eps_doped raises its own error where nu0 is undefined, and
-    DomainError says where slope_B, d(eps')/d(nu) in closed form
-    (_mix_slope), overflows.
+    _eps's (lf, eps, undefined) come from a pass in passes that evaluated
+    the crossing where every row's is the same node (_pass_at), and
+    otherwise from one _eps pass of every row at every crossing, each row
+    keeping its own. slope_B is d(eps')/d(nu) in closed form (_mix_slope).
+    Row by row, eps_doped raises its own error where the crossing is
+    undefined, and DomainError says where slope_B overflows.
     """
-    nu = np.array([nu0])
-    lf, eps, undefined = at if at is not None else _eps(doped, nu)
-    if undefined[0]:
-        eps = eps_doped(doped, nu)
+    nu = np.array(nu0s)
+    at = _pass_at(passes, nu0s[0]) if nu0s.count(nu0s[0]) == len(nu0s) else None
+    if at is None:  # each row at every crossing: a row's own values are the diagonal
+        at = [v.diagonal() for v in _eps(dopeds, nu)]
+    lf, eps, undefined = at
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        slope = _mix_slope(lf, _neat_slope(doped.liquid, nu), _local_field(eps)[0], nu)
-    slope_B = float(slope[0].real)
-    if not math.isfinite(slope_B):
-        raise DomainError(f"slope d(eps')/d(nu) at nu0 = {nu0!r} THz leaves the float range")
-    return float(eps[0].imag), slope_B
+        neat_slope = [_neat_slope(d.liquid, nu) for d in dopeds]
+        neat_slope = neat_slope[0] if len(dopeds) == 1 else np.diagonal(neat_slope)
+        slopes = _mix_slope(lf, neat_slope, _local_field(eps)[0], nu).real.tolist()
+    for r, (bad, slope_B) in enumerate(zip(undefined.tolist(), slopes)):
+        if bad:
+            eps_doped(dopeds[r], nu[r : r + 1])  # raises its error at the undefined crossing
+        if not math.isfinite(slope_B):
+            nu0 = nu0s[r]
+            raise DomainError(f"slope d(eps')/d(nu) at nu0 = {nu0!r} THz leaves the float range")
+    return list(zip(eps.imag.tolist(), slopes))
+
+
+def _crossings(dopeds, bracket, tol: float = DEFAULT_TOL, ends_checked: bool = False) -> list:
+    """find_nu0 of each doped liquid, one row each, in one search whose passes all rows share.
+
+    A row's scan goes through eps_doped. Where the caller has run eval_neat
+    of every liquid and alpha_el at the bracket's two ends (ends_checked),
+    the scan is one _eps pass of all rows instead, and only a row with an
+    undefined node goes through eps_doped, which raises its error there.
+    Each round is one _eps pass of all rows, and a row's walk goes on along
+    any round's path, its own or another row's (_refine_root), before it
+    asks for a new one; the loss and slope at every row's crossing come
+    from one closing pass (_at_crossings). Where a search of several rows
+    raises, each row is searched alone in turn, so that the error raised is
+    the first failing row's, as find_nu0 on one row after the other raises.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
+        raise DomainError(f"bad bracket [{lo}, {hi}] THz")
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+
+    grid = np.linspace(lo, hi, SCAN_POINTS)  # holds lo and hi themselves
+    paths = [{} for _ in dopeds]  # per row, _refine_root's paths: eps', NaN where undefined
+    passes = []  # (nodes, lf, eps, undefined) of each round
+
+    def round_(nu):
+        lf, eps, undefined = _eps(dopeds, nu)
+        passes.append((nu, lf, eps, undefined))
+        nodes = nu.tolist()
+        for row, values in zip(paths, np.where(undefined, math.nan, eps.real).tolist()):
+            row[nodes[0]] = nodes, values
+
+    try:
+        scans = [None] * len(dopeds)
+        if ends_checked:
+            _, eps, undefined = _eps(dopeds, grid)
+            scans = [None if u.any() else e.real for e, u in zip(eps, undefined)]
+        scans = [np.real(eps_doped(d, grid)) if f is None else f for d, f in zip(dopeds, scans)]
+        roots = []  # each row's crossings, lowest first
+        for doped, f, row in zip(dopeds, scans, paths):
+            found = []
+            for i in np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0)):
+                a, b, _ = _refine_root(
+                    round_, row, grid, f, i, tol, lambda mid: eps_doped(doped, mid)
+                )
+                found.append(0.5 * (a + b))
+            if not found:
+                raise NoResonanceError(f"no polaron resonance in range [{lo:g}, {hi:g}] THz")
+            roots.append(found)
+        closing = _at_crossings(dopeds, [found[0] for found in roots], passes)
+    except ImpostoronError:
+        if len(dopeds) > 1:
+            for doped in dopeds:  # the first row that fails alone raises its error
+                _crossings([doped], bracket, tol)
+        raise
+    return [
+        PolaronResonance(
+            nu0=found[0], eps_imag_at_nu0=eps2, slope_B=slope_B, ce=doped.ce,
+            alternatives=tuple(found[1:]),
+        )
+        for doped, found, (eps2, slope_B) in zip(dopeds, roots, closing)
+    ]
 
 
 def find_nu0(
@@ -240,35 +327,10 @@ def find_nu0(
     stops the search, with eps_doped's error there, only where the
     bisection reaches it. The lowest crossing is returned, any further ones
     are listed in `alternatives`, and its loss and slope_B, d(eps')/d(nu)
-    in closed form, come from _at_crossing, on the round that evaluated it
-    where one did.
+    in closed form, come from _at_crossings, on the round that evaluated it
+    where one did. The search is _crossings of the one row.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
-        raise DomainError(f"bad bracket [{lo}, {hi}] THz")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-
-    grid = np.linspace(lo, hi, SCAN_POINTS)  # holds lo and hi themselves
-    f = np.real(eps_doped(doped, grid))
-    rounds = []  # (nodes, lf, eps, undefined) of each round's _eps pass
-
-    def eps_real(nu):
-        lf, eps, undefined = _eps(doped, nu)
-        rounds.append((nu, lf, eps, undefined))
-        return np.where(undefined, math.nan, eps.real)
-
-    roots = []
-    for i in np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0)):
-        a, b, _ = _refine_root(eps_real, grid, f, i, tol, lambda mid: eps_doped(doped, mid))
-        roots.append(0.5 * (a + b))
-    if not roots:
-        raise NoResonanceError(f"no polaron resonance in range [{lo:g}, {hi:g}] THz")
-    eps2, slope_B = _at_crossing(doped, roots[0], _pass_at(rounds, roots[0]))
-    return PolaronResonance(
-        nu0=roots[0], eps_imag_at_nu0=eps2, slope_B=slope_B, ce=doped.ce,
-        alternatives=tuple(roots[1:]),
-    )
+    return _crossings([doped], bracket, tol)[0]
 
 
 def _crossing_loss(neat):

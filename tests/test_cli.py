@@ -424,6 +424,22 @@ class TestMatchCommand:
         assert proc.returncode == 3
         assert proc.stderr == "bad bracket [0.2, inf] THz\n"
 
+    def test_round_trip_without_a_crossing_prints_only_the_message(self):
+        # both concentrations put the crossings at 2.5 THz, above the bracket,
+        # so the round trip's search finds none for liquid a and raises its
+        # error; run from the packaged data directory, in a process of its own
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "impostoron", "match",
+             "--liquid-a", "ipa.liq", "--liquid-b", "eg.liq", "--nu0", "2.5", "--bracket", "0.1,2"],
+            cwd=data_dir(),
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "no polaron resonance in range [0.1, 2] THz\n"
+
     def test_profile_match_degenerate_pair(self, capsys):
         assert run(
             ["match", "--liquid-a", "eg.liq", "--liquid-b", "eg.liq", "--profile",

@@ -10,11 +10,12 @@ errors and messages of the checked path: match_profiles those that
 eval_neat(liquid1), alpha_el and eval_neat(liquid2) raise on its scan grid,
 find_nu0 the one that eps_doped raises at an undefined node the bisection
 reaches, as one-point-per-step bisection does (scalar_oracle), and the loss
-and slope at its crossing (polaron._at_crossing) those of the checked path
+and slope at its crossing (polaron._at_crossings) those of the checked path
 or its error, whether they come from the round that evaluated the crossing
 (polaron._pass_at) or from a one-node pass. An undefined node off the
 bisection path stops nothing. _profiles runs both liquids in one array
-pass; each of its rows must be bit for bit the pass of that liquid alone.
+pass, and _eps any number of doped liquids; each of their rows must be bit
+for bit the pass of that liquid alone.
 
 A round evaluates the bisection path from the bracket toward a predicted
 root, closed by the midpoint of the path's last bracket. The walk must be
@@ -26,7 +27,9 @@ lower end, a done bracket gets no round, a pole or a step within one binade
 costs at most a round per halving, and the kernel passes of the packaged
 liquids' searches are counted: one per scan or round, none after a profile
 match's search and no one-node pass where a round evaluated the crossing,
-so that losing the path or its closing midpoint shows in these tests.
+so that losing the path or its closing midpoint shows in these tests. A
+profile match's round trip is one crossing search for both liquids: one
+scan pass and one round, shared.
 """
 
 import math
@@ -100,7 +103,7 @@ def checked_profiles(liquid1, liquid2, nu):
 
 
 def checked_at_crossing(doped, nu0):
-    """_at_crossing's loss and slope through eval_neat and cm_mix, which check the node."""
+    """_at_crossings' loss and slope through eval_neat and cm_mix, which check the node."""
     at = np.array([nu0])
     neat = eval_neat(doped.liquid, at)
     eps = cm_mix(neat, doped.ce, at)
@@ -181,7 +184,7 @@ def singular_tables(draw):
 def assert_same_outcome(got, want):
     """got is want bit for bit, or an error of want's type and message.
 
-    A slope that overflows in the checked path is _at_crossing's DomainError.
+    A slope that overflows in the checked path is _at_crossings' DomainError.
     """
     if isinstance(want, tuple):
         assert isinstance(got, tuple) and got == want, got
@@ -206,20 +209,20 @@ def test_find_nu0_round_is_eps_doped(liquids, data):
     ce = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4), st.floats(0.0, 1e280)))
     doped = DopedLiquid(model, Concentration(ce))
     nu = np.concatenate(nodes)
-    round_ = (nu, *_eps(doped, nu))
+    round_ = (nu, *_eps([doped], nu))
     for k, node in enumerate(nu):
         want = outcome(lambda: eps_doped(doped, np.array([node]))[0])
         if isinstance(want, tuple):
-            assert round_[3][k], (node, want)
+            assert round_[3][0, k], (node, want)
         else:
-            assert not round_[3][k], node
-            got = round_[2][k]
+            assert not round_[3][0, k], node
+            got = round_[2][0, k]
             np.testing.assert_array_equal(bits([got.real, got.imag]), bits([want.real, want.imag]))
         # the loss and slope at a crossing: the checked path's, or its error,
         # from a one-node pass and from a round that holds the node
         want = outcome(checked_at_crossing, doped, node)
-        for at in (None, polaron._pass_at([round_], node)):
-            got = outcome(lambda: np.array(polaron._at_crossing(doped, node, at)))
+        for passes in ([], [round_]):
+            got = outcome(lambda: np.array(polaron._at_crossings([doped], [node], passes)[0]))
             assert_same_outcome(got, want)
     # find_nu0: the crossings of one-point bisection, and the checked loss
     # and slope at the lowest
@@ -250,11 +253,15 @@ def test_match_profiles_round_is_profile(liquids, data):
 def test_round_kernels_on_the_reference_liquids(liquids):
     nu = np.linspace(0.05, 3.5, 301)
     models = [*liquids.values(), *(twin(liquids[s]) for s in ("ipa", "eg", "water"))]
-    for model in models:
-        doped = DopedLiquid(model, Concentration.from_micromolar(40.0))
-        _, eps, undefined = _eps(doped, nu)
+    dopeds = [DopedLiquid(model, Concentration.from_micromolar(40.0)) for model in models]
+    stacked = _eps(dopeds, nu)  # every liquid in one pass, one row each
+    for r, (model, doped) in enumerate(zip(models, dopeds)):
+        _, eps, undefined = _eps([doped], nu)
         assert not undefined.any()
-        np.testing.assert_array_equal(bits(eps.view(float)), bits(eps_doped(doped, nu).view(float)))
+        want = eps_doped(doped, nu).view(float)
+        np.testing.assert_array_equal(bits(eps[0].view(float)), bits(want))
+        for row, alone in zip(stacked, _eps([doped], nu)):  # lf, eps and undefined, bit for bit
+            assert row[r].tobytes() == alone[0].tobytes(), model.name
         for other in models:
             assert_pair_kernels(model, other, nu)
 
@@ -393,6 +400,17 @@ def undefined_at(mid):
     raise DomainError(f"undefined at nu = {mid!r}")
 
 
+def refine(f, grid, scan, i, tol, undefined):
+    """polaron._refine_root with each round through f, which maps an array of nodes to values."""
+    paths = {}
+
+    def round_(nu):
+        nodes = nu.tolist()
+        paths[nodes[0]] = nodes, np.asarray(f(nu), dtype=float).tolist()
+
+    return polaron._refine_root(round_, paths, grid, scan, i, tol, undefined)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=refine_cases())
 def test_the_walk_is_one_point_bisection(case):
@@ -413,9 +431,7 @@ def test_the_walk_is_one_point_bisection(case):
     for predict in PREDICTORS.values():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(polaron, "_predict", predict)
-            got = outcome(
-                polaron._refine_root, rounds, np.array(grid), np.array(scan), 0, tol, undefined_at
-            )
+            got = outcome(refine, rounds, np.array(grid), np.array(scan), 0, tol, undefined_at)
         assert got == want
 
 
@@ -445,7 +461,7 @@ def test_a_wide_bracket_reaches_the_root_binade_in_the_first_round():
         return nodes - root
 
     grid = np.array([a, b, 2 * b])
-    got = polaron._refine_root(f, grid, f(grid), 0, 0.0, undefined_at)
+    got = refine(f, grid, f(grid), 0, 0.0, undefined_at)
     del calls[0]  # the scan
     assert got == bisect_root(lambda x: x - root, a, b, a - root, 0.0, undefined_at)
     assert len(calls) >= 2 and np.all((calls[1] > root / 2) & (calls[1] < 2 * root)), calls[1]
@@ -480,7 +496,7 @@ def test_a_pole_or_a_step_in_a_binade_costs_at_most_a_round_per_halving(shape, x
         return f(nodes)
 
     grid = np.array([1.0, 1.5, 2.0])
-    got = polaron._refine_root(rounds, grid, f(grid), 0, tol, undefined_at)
+    got = refine(rounds, grid, f(grid), 0, tol, undefined_at)
     assert got == bisect_root(lambda x: float(f(x)), 1.0, 1.5, float(f(1.0)), tol, undefined_at)
     assert 1 <= len(calls) <= sys.float_info.mant_dig + 1, calls
 
@@ -518,33 +534,39 @@ def kernel_calls(monkeypatch):
 
 @pytest.mark.parametrize("label", ["a/b", "A/B"])
 def test_a_profile_match_takes_few_kernel_calls(monkeypatch, label):
-    # the scan, the rounds of the profile root and those of the round trip's
-    # two find_nu0 calls: 5 and 6 passes in all. Each scan and round runs
-    # _profiles once, read once by _residual; the root's concentrations and
-    # width terms come from the pass that evaluated the root, so no pass
-    # follows the search, and ce_for_nu0 does not run. Each crossing of the
-    # round trip is a node of one of its search's rounds, so no one-node
-    # pass runs either
+    # the scan and the rounds of the profile root, then the round trip: one
+    # crossing search for both liquids, whose scan is one _eps pass of both
+    # rows on the SCAN_POINTS grid, unchecked (no eps_doped), and whose one
+    # round both walks read: 5 and 6 passes in all. Each scan and round of
+    # the profile search runs _profiles once, read once by _residual; the
+    # root's concentrations and width terms come from the pass that
+    # evaluated the root, so no pass follows the search, and ce_for_nu0
+    # does not run. Both crossings are one node of the shared round, so no
+    # one-node closing pass runs either
     def called(*args):
-        raise AssertionError("match_profiles called ce_for_nu0")
+        raise AssertionError("match_profiles called ce_for_nu0 or eps_doped")
 
-    searched = []
+    searched, rows = [], []
 
-    def counted_find_nu0(doped, *args, find_nu0=matching.find_nu0):
-        searched.append(doped.liquid)
-        return find_nu0(doped, *args)
+    def counted_crossings(dopeds, *args, crossings=matching._crossings, **kwargs):
+        searched.append([doped.liquid for doped in dopeds])
+        return crossings(dopeds, *args, **kwargs)
 
     monkeypatch.setattr(matching, "ce_for_nu0", called)
-    monkeypatch.setattr(matching, "find_nu0", counted_find_nu0)
+    monkeypatch.setattr(polaron, "eps_doped", called)
+    monkeypatch.setattr(matching, "_crossings", counted_crossings)
     calls = kernel_calls(monkeypatch)
+    eps = polaron._eps  # kernel_calls' counting wrapper
+    monkeypatch.setattr(polaron, "_eps", lambda d, nu: rows.append(len(d)) or eps(d, nu))
     pair = base_pair(label)
     assert match_profiles(*pair).profile_matched
-    assert searched == list(pair)
+    assert searched == [list(pair)]
     profiles = [call for call in calls if call[0] == "_profiles"]
     search, trip = calls[: 2 * len(profiles)], calls[2 * len(profiles) :]
     assert search == [c for p in profiles for c in (p, ("_residual", p[1]))], calls
     assert profiles[0] == ("_profiles", PROFILE_SCAN_POINTS), calls
     assert [name for name, _ in trip] == ["_eps", "_eps"], calls
+    assert trip[0] == ("_eps", polaron.SCAN_POINTS) and rows == [2, 2], (calls, rows)
     assert min(n for _, n in calls[2:]) >= 2, calls  # each round: a path and its closing midpoint
     assert len(profiles) + len(trip) == {"a/b": 5, "A/B": 6}[label], calls
 
@@ -605,7 +627,7 @@ def test_find_nu0_raises_eps_doped_error_at_an_undefined_round_node(monkeypatch)
     grid = np.linspace(1.0, 2.0, polaron.SCAN_POINTS)
     a, b, c = (float(x) for x in grid[100:103])
     p = polaron._predict(a, b, c, -1.0, 1.0, 1.0)
-    lo, hi, _ = polaron._refine_root(
+    lo, hi, _ = refine(
         lambda nu: np.where(nu <= p, -1.0, 1.0), grid, np.where(grid <= p, -1.0, 1.0), 100,
         DEFAULT_TOL, undefined_at,
     )
