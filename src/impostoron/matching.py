@@ -214,9 +214,10 @@ def match_profiles(
     the pair is degenerate, witnessed at the lowest node where both width
     terms are defined, with the scan's concentrations there. Otherwise each
     defined node where g is exactly 0 is a root, and each strict sign change
-    between defined nodes is bisected to float resolution (_refine_root, in
-    rounds through the same _residual); its root is the bisection point of
-    least |g|. The scan and every round evaluate both liquids in one array
+    between defined nodes is bisected to float resolution (_refine_root,
+    reading one cache of the nodes that rounds through the same _residual
+    evaluate, shared by every sign change); its root is the bisection point
+    of least |g|. The scan and every round evaluate both liquids in one array
     pass of _profiles, one row per liquid. Each B_i is d(eps_i')/d(nu) in
     closed form, as in find_nu0. The lowest root nu* gives match_frequency's
     solution at nu*, marked profile-matched: its concentrations and width
@@ -259,15 +260,14 @@ def match_profiles(
     def undefined(nu):
         raise DomainError(f"root search met an undefined point at nu = {nu!r} THz")
 
-    paths = {}  # _refine_root's paths of the residual
+    seen = {}  # _refine_root's nodes of the residual
 
-    def round_(nu):
-        nodes = nu.tolist()
-        paths[nodes[0]] = nodes, residual(nu).tolist()
+    def round_(nu):  # enters all but the closing midpoint
+        seen.update(zip(nu[:-1].tolist(), residual(nu).tolist()))
 
     roots = grid[vals == 0.0].tolist()
     for i in np.flatnonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] < 0.0)):
-        roots.append(_refine_root(round_, paths, grid, vals, i, 0.0, undefined)[2])
+        roots.append(_refine_root(round_, seen, grid, vals, i, 0.0, undefined)[2])
     roots.sort()
 
     if not roots:

@@ -128,13 +128,13 @@ def _round_nodes(a: float, b: float, p: float, tol: float) -> np.ndarray:
     The bisection path from [a, b] toward p: each midpoint of the bracket,
     stepping toward p, until bisection of that bracket stops (_midpoint),
     and last the closing midpoint 0.5*(lo + hi) of the path's last bracket.
-    A walk that finishes on the path stops before it would read that node,
-    and returns it as find_nu0's crossing; where float rounding ended the
-    path it repeats an end of the bracket. Within one binade (b <= 2*a) at
-    most sys.float_info.mant_dig halvings remain. On a wider bracket the
-    path steps toward a instead: a root far below its scan cell's width
-    lies hundreds of halvings toward the cell's lower end, and the path
-    reaches its binade in one round.
+    The caller keeps that node out of the walk's cache: a walk that reads
+    the path to its end stops before it, and find_nu0 returns it as the
+    crossing; where float rounding ended the path it repeats an end of the
+    bracket. Within one binade (b <= 2*a) at most sys.float_info.mant_dig
+    halvings remain. On a wider bracket the path steps toward a instead: a
+    root far below its scan cell's width lies hundreds of halvings toward
+    the cell's lower end, and the path reaches its binade in one round.
     """
     if b > 2.0 * a:
         p = a
@@ -150,47 +150,41 @@ def _round_nodes(a: float, b: float, p: float, tol: float) -> np.ndarray:
 
 
 def _refine_root(
-    f, paths: dict, grid: np.ndarray, scan: np.ndarray, i: int, tol: float, undefined
+    f, seen: dict, grid: np.ndarray, scan: np.ndarray, i: int, tol: float, undefined
 ) -> tuple[float, float, float]:
     """Bisect the scan cell [grid[i], grid[i + 1]] for a sign change of f.
 
-    scan holds the values of f on grid, and paths maps the first node of
-    each round's path to the path's nodes and f there, as two lists, NaN
-    where f is undefined. The walk is plain bisection: a step moves a up to
-    mid when f(mid) has the sign of f(a) (negative or not), b down to mid
-    otherwise, and undefined(mid) raises the caller's error where f(mid) is
-    NaN, so a NaN node off the walk stops nothing. The walk stops as
-    _midpoint says, checked before each step, or when f(mid) == 0 (the
-    bracket collapses onto mid).
+    scan holds the values of f on grid, and seen maps each node that the
+    search's rounds entered to f there, NaN where f is undefined. The walk
+    is plain bisection: a step moves a up to mid when f(mid) has the sign of
+    f(a) (negative or not), b down to mid otherwise, and undefined(mid)
+    raises the caller's error where f(mid) is NaN, so a NaN node off the
+    walk stops nothing. The walk stops as _midpoint says, checked before
+    each step, or when f(mid) == 0 (the bracket collapses onto mid).
 
-    The walk reads along a path for as long as each node is exactly the
-    midpoint of its bracket. Off it, the walk goes on along the path in
-    paths that starts at its midpoint, whoever asked for that round, and
-    where none does, one call f(nodes) enters a new round (_round_nodes)
-    into paths: the bisection path toward a root predicted (_predict)
-    through the bracket's two ends and the end they last replaced, on the
-    first round through the next scan node. So the walk reads f only at
-    the floats that plain bisection evaluates, a wrong prediction costs
-    only the path's nodes, and each round reads at least its first node,
-    the bracket's midpoint; a path's closing midpoint it never reads. Every
-    node lies inside [a, b], so f may skip the checks that the caller's
-    scan has passed at the bracket's ends. A caller that keeps each round
-    finds there the point of least |f| unless it is a, and 0.5*(a + b) of
-    the final bracket, where the walk read a path, as the closing midpoint
-    of the last. Returns the final bracket and the point of least |f| seen,
-    a included.
+    The walk reads f(mid) from seen. Where no round entered mid, one call
+    f(nodes) evaluates a new round (_round_nodes): the bisection path from
+    mid toward a root predicted (_predict) through the bracket's two ends
+    and the end they last replaced, on the first round through the next scan
+    node. The caller enters every node of the round into seen but the path's
+    closing midpoint, which no step reads. So the walk reads f only at the
+    floats that plain bisection evaluates, a wrong prediction costs only the
+    path's nodes, and a node of any round, whoever asked for it, costs no
+    new one. Every node lies inside [a, b], so f may skip the checks that
+    the caller's scan has passed at the bracket's ends. A caller that keeps
+    each round finds there the point of least |f| unless it is a, and
+    0.5*(a + b) of the final bracket, where the walk read a path to its end,
+    as the closing midpoint of the last round. Returns the final bracket and
+    the point of least |f| seen, a included.
     """
     a, b, fa, fb = float(grid[i]), float(grid[i + 1]), float(scan[i]), float(scan[i + 1])
     c, fc = (float(grid[i + 2]), float(scan[i + 2])) if i + 2 < len(grid) else (math.nan, math.nan)
     best_abs, best = abs(fa), a
-    nodes, values, j = (), (), 0  # the path the walk reads and its place on it
     while (mid := _midpoint(a, b, tol)) is not None:
-        if not (j < len(nodes) and nodes[j] == mid):  # the walk left the path it read
-            if mid not in paths:  # no round's path starts at mid
-                f(_round_nodes(a, b, _predict(a, b, c, fa, fb, fc), tol))
-            (nodes, values), j = paths[mid], 0
-        fm = values[j]
-        j += 1
+        fm = seen.get(mid)
+        if fm is None:  # no round entered mid
+            f(_round_nodes(a, b, _predict(a, b, c, fa, fb, fc), tol))
+            fm = seen[mid]
         if math.isnan(fm):
             undefined(mid)
         if abs(fm) < best_abs:
@@ -255,12 +249,13 @@ def _crossings(dopeds, bracket, tol: float = DEFAULT_TOL, ends_checked: bool = F
     of every liquid and alpha_el at the bracket's two ends (ends_checked),
     the scan is one _eps pass of all rows instead, and only a row with an
     undefined node goes through eps_doped, which raises its error there.
-    Each round is one _eps pass of all rows, and a row's walk goes on along
-    any round's path, its own or another row's (_refine_root), before it
-    asks for a new one; the loss and slope at every row's crossing come
-    from one closing pass (_at_crossings). Where a search of several rows
-    raises, each row is searched alone in turn, so that the error raised is
-    the first failing row's, as find_nu0 on one row after the other raises.
+    Each round is one _eps pass of all rows, which enters its nodes into
+    every row's cache, so a row's walk reads a node of any round, its own or
+    another row's (_refine_root), before it asks for a new one; the loss and
+    slope at every row's crossing come from one closing pass
+    (_at_crossings). Where a search of several rows raises, each row is
+    searched alone in turn, so that the error raised is the first failing
+    row's, as find_nu0 on one row after the other raises.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= lo:
@@ -269,15 +264,15 @@ def _crossings(dopeds, bracket, tol: float = DEFAULT_TOL, ends_checked: bool = F
         raise DomainError(f"tolerance must be positive, got {tol}")
 
     grid = np.linspace(lo, hi, SCAN_POINTS)  # holds lo and hi themselves
-    paths = [{} for _ in dopeds]  # per row, _refine_root's paths: eps', NaN where undefined
+    seen = [{} for _ in dopeds]  # per row, _refine_root's nodes: eps', NaN where undefined
     passes = []  # (nodes, lf, eps, undefined) of each round
 
     def round_(nu):
         lf, eps, undefined = _eps(dopeds, nu)
         passes.append((nu, lf, eps, undefined))
-        nodes = nu.tolist()
-        for row, values in zip(paths, np.where(undefined, math.nan, eps.real).tolist()):
-            row[nodes[0]] = nodes, values
+        nodes = nu[:-1].tolist()  # all but the closing midpoint
+        for row, values in zip(seen, np.where(undefined, math.nan, eps.real).tolist()):
+            row.update(zip(nodes, values))
 
     try:
         scans = [None] * len(dopeds)
@@ -286,7 +281,7 @@ def _crossings(dopeds, bracket, tol: float = DEFAULT_TOL, ends_checked: bool = F
             scans = [None if u.any() else e.real for e, u in zip(eps, undefined)]
         scans = [np.real(eps_doped(d, grid)) if f is None else f for d, f in zip(dopeds, scans)]
         roots = []  # each row's crossings, lowest first
-        for doped, f, row in zip(dopeds, scans, paths):
+        for doped, f, row in zip(dopeds, scans, seen):
             found = []
             for i in np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0)):
                 a, b, _ = _refine_root(
@@ -321,14 +316,15 @@ def find_nu0(
     A uniform pre-scan of SCAN_POINTS points, both ends of the bracket
     included, locates sign changes from negative to non-negative. The scan
     goes through eps_doped and so validates the whole bracket. Each sign
-    change is bisected (_refine_root, in rounds through the unchecked
-    kernel _eps) until its bracket is at most tol (THz) wide and no wider
-    than its lower end, and its midpoint is the crossing. An undefined node
-    stops the search, with eps_doped's error there, only where the
-    bisection reaches it. The lowest crossing is returned, any further ones
-    are listed in `alternatives`, and its loss and slope_B, d(eps')/d(nu)
-    in closed form, come from _at_crossings, on the round that evaluated it
-    where one did. The search is _crossings of the one row.
+    change is bisected (_refine_root, reading a cache of the nodes that
+    rounds through the unchecked kernel _eps evaluate) until its bracket is
+    at most tol (THz) wide and no wider than its lower end, and its midpoint
+    is the crossing. An undefined node stops the search, with eps_doped's
+    error there, only where the bisection reaches it. The lowest crossing is
+    returned, any further ones are listed in `alternatives`, and its loss
+    and slope_B, d(eps')/d(nu) in closed form, come from _at_crossings, on
+    the round that evaluated it where one did. The search is _crossings of
+    the one row.
     """
     return _crossings([doped], bracket, tol)[0]
 

@@ -266,6 +266,31 @@ class TestNu0Command:
         assert float(kv["ce_uM"]) == 60.0
         assert float(kv["eps_imag_at_nu0"]) > 0
 
+    @pytest.mark.parametrize(
+        "extra, lines",
+        [
+            (
+                [],
+                ["nu0_THz,0.7385880013755091", "eps_imag_at_nu0,0.13920079191194937",
+                 "slope_B_per_THz,4.135000865471916"],
+            ),
+            (
+                ["--tol", "1e-9"],
+                ["nu0_THz,0.7385879732164226", "eps_imag_at_nu0,0.13920077726613717",
+                 "slope_B_per_THz,4.135000867070564"],
+            ),
+        ],
+        ids=["one-round", "two-rounds"],
+    )
+    def test_pinned_water_output(self, capsys, extra, lines):
+        # every line but the # header, byte for byte, as the CI's installed
+        # package checks it: at the default tol the search takes one round,
+        # at 1e-9 two (test_round_kernels.py's test_find_nu0_rounds)
+        assert run(["nu0", "--liquid", "water.liq", "--ce", "40", *extra]) == 0
+        out = capsys.readouterr().out.splitlines(keepends=True)
+        want = ["key,value", *lines, "ce_uM,40.0", "alternatives_THz,"]
+        assert "".join(line for line in out if not line.startswith("#")) == "\n".join(want) + "\n"
+
     def test_no_resonance_exits_3(self, capsys):
         code = run(
             ["nu0", "--liquid", "dispersionless.liq", "--ce", "25", "--bracket", "1,3"]

@@ -18,18 +18,21 @@ pass, and _eps any number of doped liquids; each of their rows must be bit
 for bit the pass of that liquid alone.
 
 A round evaluates the bisection path from the bracket toward a predicted
-root, closed by the midpoint of the path's last bracket. The walk must be
-scalar_oracle.bisect_root exactly, however the prediction is misled (by the
-function's shape, or by a stand-in predictor that guesses the midpoint, an
-end or the wrong side of the root), and the predictor must raise and warn
-nothing of its own. A path on a bracket wider than a binade steps toward the
-lower end, a done bracket gets no round, a pole or a step within one binade
-costs at most a round per halving, and the kernel passes of the packaged
-liquids' searches are counted: one per scan or round, none after a profile
-match's search and no one-node pass where a round evaluated the crossing,
-so that losing the path or its closing midpoint shows in these tests. A
-profile match's round trip is one crossing search for both liquids: one
-scan pass and one round, shared.
+root, closed by the midpoint of the path's last bracket, and enters every
+node but that closing midpoint into the search's cache, which the walk reads
+before it asks for a new round. The walk must be scalar_oracle.bisect_root
+exactly, however the prediction is misled (by the function's shape, or by a
+stand-in predictor that guesses the midpoint, an end or the wrong side of
+the root), and the predictor must raise and warn nothing of its own. A path
+on a bracket wider than a binade steps toward the lower end, a done bracket
+gets no round, a pole or a step within one binade costs at most a round per
+halving, and no round starts at a node that an earlier round of the same
+search entered. The kernel passes of the packaged liquids' searches are
+counted: one per scan or round, none after a profile match's search and no
+one-node pass where a round evaluated the crossing, so that losing a cached
+node or the closing midpoint shows in these tests. A profile match's round
+trip is one crossing search for both liquids: one scan pass and one round,
+shared.
 """
 
 import math
@@ -401,14 +404,16 @@ def undefined_at(mid):
 
 
 def refine(f, grid, scan, i, tol, undefined):
-    """polaron._refine_root with each round through f, which maps an array of nodes to values."""
-    paths = {}
+    """polaron._refine_root with each round through f, which maps an array of nodes to values.
+
+    Like the searches, each round enters its nodes but the closing midpoint into the cache.
+    """
+    seen = {}
 
     def round_(nu):
-        nodes = nu.tolist()
-        paths[nodes[0]] = nodes, np.asarray(f(nu), dtype=float).tolist()
+        seen.update(zip(nu[:-1].tolist(), np.asarray(f(nu), dtype=float).tolist()))
 
-    return polaron._refine_root(round_, paths, grid, scan, i, tol, undefined)
+    return polaron._refine_root(round_, seen, grid, scan, i, tol, undefined)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -595,6 +600,77 @@ def test_a_done_scan_cell_calls_no_round(liquids, monkeypatch):
     calls = kernel_calls(monkeypatch)
     assert find_nu0(doped, tol=0.05).nu0 == 0.5 * (grid[i] + grid[i + 1])
     assert calls == [("_eps", 1)]
+
+
+# --------------------------------------------------------------------------
+# The walk's cache: a node that any round of the search entered costs no new
+# round, whichever row or scan cell asked for that round
+# --------------------------------------------------------------------------
+
+
+def kernel_nodes(monkeypatch):
+    """The nodes of each round-kernel pass from now on, as lists, per kernel name."""
+    passes = {"_profiles": [], "_eps": []}
+    for module, name in ((matching, "_profiles"), (polaron, "_eps")):
+        def recorded(*args, kernel=getattr(module, name), name=name):
+            passes[name].append(np.asarray(args[-1]).tolist())
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+    return passes
+
+
+def assert_rounds_start_off_the_cache(rounds):
+    """No round of one search starts at a node that an earlier round entered.
+
+    A round enters every node but its closing midpoint, which the cache
+    leaves out, so a later round may start there.
+    """
+    entered = set()
+    for nodes in rounds:
+        assert nodes[0] not in entered, (nodes[0], rounds)
+        entered.update(nodes[:-1])
+
+
+@pytest.mark.parametrize("stem", ["water", "eg", "ipa"])
+def test_no_find_nu0_round_starts_on_an_earlier_round(liquids, monkeypatch, stem):
+    # at tol 1e-9 the walk leaves the first round's path and asks for a
+    # second round (test_find_nu0_rounds), off the first one's nodes
+    passes = kernel_nodes(monkeypatch)
+    find_nu0(DopedLiquid(liquids[stem], Concentration.from_micromolar(40.0)), tol=1e-9)
+    assert len(passes["_eps"]) == 2 and not passes["_profiles"], passes
+    assert_rounds_start_off_the_cache(passes["_eps"])
+
+
+@pytest.mark.parametrize("label, f1, f2", [("a/b", 1.0, 1.0), ("A/B", 1.0, 1.0),
+                                           ("a/b", 1.07, 0.93), ("A/B", 0.95, 1.08)])
+def test_no_profile_match_round_starts_on_an_earlier_round(monkeypatch, label, f1, f2):
+    # two searches, each with its own cache: the profile root's (_profiles)
+    # and the round trip's, whose two rows read each other's rounds (_eps).
+    # Each search's first pass is its scan, which enters nothing
+    passes = kernel_nodes(monkeypatch)
+    assert match_profiles(*base_pair(label, f1, f2)).profile_matched
+    (profile_scan, *profile_rounds), (trip_scan, *trip_rounds) = passes.values()
+    assert (len(profile_scan), len(trip_scan)) == (PROFILE_SCAN_POINTS, polaron.SCAN_POINTS)
+    assert len(profile_rounds) >= 2 and trip_rounds, passes
+    assert_rounds_start_off_the_cache(profile_rounds)
+    assert_rounds_start_off_the_cache(trip_rounds)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("shape", [pole_at, step_at])
+@pytest.mark.parametrize("x0", [1.2345678901234567, 1.0 + 2.0**-40, 1.5 - 2.0**-45])
+def test_no_round_in_a_pole_or_a_step_cell_starts_on_an_earlier_round(shape, x0, tol):
+    # the cells of test_a_pole_or_a_step_in_a_binade_costs_at_most_a_round_per_halving:
+    # the prediction misses, so the walk leaves path after path, and each
+    # new round starts off every node that the rounds before it entered
+    f = shape(x0)
+    rounds = []
+    grid = np.array([1.0, 1.5, 2.0])
+    refine(lambda nodes: rounds.append(nodes.tolist()) or f(nodes), grid, f(grid), 0, tol,
+           undefined_at)
+    assert len(rounds) > 10, rounds
+    assert_rounds_start_off_the_cache(rounds)
 
 
 # --------------------------------------------------------------------------
